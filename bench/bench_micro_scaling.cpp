@@ -62,9 +62,10 @@ void BM_WidestPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Scenario sc = scenario_with(n, 2, 1);
   const auto weight = [&](LinkId l) { return sc.net.link(l).bandwidth; };
+  WidestPathWorkspace ws;
   for (auto _ : state)
-    benchmark::DoNotOptimize(
-        widest_path(sc.net, 0, static_cast<NcpId>(n - 1), weight));
+    benchmark::DoNotOptimize(widest_path_buffered(
+        sc.net, 0, static_cast<NcpId>(n - 1), weight, ws));
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_WidestPath)->RangeMultiplier(2)->Range(8, 64)->Complexity();

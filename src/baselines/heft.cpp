@@ -82,6 +82,7 @@ AssignmentResult HeftAssigner::assign(const AssignmentProblem& problem) const {
   engine.commit_pins();
   std::vector<double> aft(g.ct_count(), 0.0);  // actual finish times
   std::vector<double> ncp_ready(net.ncp_count(), 0.0);
+  WidestPathWorkspace ws;
 
   // Pinned CTs are "scheduled" first at their hosts.
   for (const auto& [ct, ncp] : problem.pinned) {
@@ -104,8 +105,9 @@ AssignmentResult HeftAssigner::assign(const AssignmentProblem& problem) const {
         const NcpId pj = engine.host(pred);
         double comm = 0;
         if (pj != j) {
-          const WidestPathResult p = best_tt_path(
-              net, cap, engine.load(), g.tt(k).bits_per_unit, pj, j);
+          const WidestPathResult p =
+              best_tt_path(net, cap, engine.load(), g.tt(k).bits_per_unit,
+                           pj, j, ws);
           if (!p.reachable) {
             reachable = false;
             break;

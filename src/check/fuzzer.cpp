@@ -509,28 +509,16 @@ ScenarioVerdict run_scenario_checks(const ScenarioFile& s,
     if (trace.events.size() > options.churn_events)
       trace.events.resize(options.churn_events);
     sim::ChurnInjector injector(scheduler, std::move(trace));
-    std::size_t churn_step = 0;
-    for (;;) {
-      // Flip the PF solver between warm-started and cold across events:
-      // the invariant suite after each event (PF-optimality re-solve
-      // included) then certifies that warm starting never changes what
-      // the scheduler computes, only how fast.
-      if (options.alternate_pf_warm)
-        scheduler.set_pf_warm_start(churn_step++ % 2 == 0);
-      if (!injector.step()) break;
+    while (injector.step())
       if (!state_ok_as(options.check, "churn")) return verdict;
-    }
     // Heal everything the truncated trace left down, repairing after each
     // recovery, so the steps below start from an all-alive network.
     while (!scheduler.failed_elements().empty()) {
       const ElementKey e = *scheduler.failed_elements().begin();
-      if (options.alternate_pf_warm)
-        scheduler.set_pf_warm_start(churn_step++ % 2 == 0);
       scheduler.mark_recovered(e);
       scheduler.repair(e);
       if (!state_ok_as(options.check, "churn")) return verdict;
     }
-    scheduler.set_pf_warm_start(true);
   }
   if (!admitted.empty()) {
     scheduler.remove(admitted.front());

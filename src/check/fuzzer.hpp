@@ -47,11 +47,6 @@ struct FuzzOptions {
   /// repair path per scenario, with the full invariant suite after every
   /// event (0 = skip the churn phase).
   std::size_t churn_events{8};
-  /// Alternate the scheduler's PF warm start on/off across churn events,
-  /// so every scenario exercises both solver paths under repair (warm
-  /// starting must be behaviorally invisible; the per-event invariant
-  /// suite's PF-optimality re-solve is the oracle).
-  bool alternate_pf_warm{true};
   /// Scheduling-policy plugin (policy::make_policy name) installed for
   /// the scheduler-pipeline phase of run_scenario_checks; "" = legacy
   /// hard-coded rules (no plugin).  The optimality oracles always run

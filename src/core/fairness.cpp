@@ -112,167 +112,80 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
 
   const double n_constraints = static_cast<double>(m + nv);
 
-  // The log-barrier μ-continuation loop, shared by the cold solve and the
-  // warm-start attempt.  Runs on `x` in place from barrier parameter `mu0`
-  // with at most `budget` Newton iterations.
-  struct BarrierStats {
-    int iters{0};          // Newton iterations executed
-    double mu_final{1.0};  // μ of the last executed Newton phase
-    bool reached_tol{false};
-    bool stationary{false};  // final phase ended at a stationary point
-  };
-  std::vector<double> grad(nv), dir(nv), xn(nv);
-  auto run_barrier = [&](std::vector<double>& x, double mu0, int budget) {
-    BarrierStats st;
-    double mu = mu0;
-    st.mu_final = mu0;
-    int newton_budget = budget;
+  // The log-barrier μ-continuation loop from the strictly feasible start:
+  // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
+  // duality gap drops below tolerance or the iteration cap is spent.
+  std::vector<double> x(nv, t0), grad(nv), dir(nv), xn(nv);
+  double mu = 1.0;
+  double mu_last = mu;  // μ of the final executed Newton phase
+  int iters = 0;
+  int newton_budget = opt.max_newton_steps;
+  while (mu * n_constraints > opt.duality_gap_tol && newton_budget > 0) {
+    mu_last = mu;
+    // Newton iterations at this μ.
+    for (int it = 0; it < 50 && newton_budget > 0; ++it, --newton_budget) {
+      ++iters;
+      app_sum(x, sa);
+      slacks(x, sl);
 
-    while (mu * n_constraints > opt.duality_gap_tol && newton_budget > 0) {
-      st.mu_final = mu;
-      bool settled = false;
-      // Newton iterations at this μ.
-      for (int it = 0; it < 50 && newton_budget > 0; ++it, --newton_budget) {
-        ++st.iters;
-        app_sum(x, sa);
-        slacks(x, sl);
+      // Gradient.
+      for (std::size_t v = 0; v < nv; ++v) {
+        double g = p.app_priority[p.var_app[v]] / sa[p.var_app[v]];
+        g += mu / x[v];
+        for (const auto& [row, coeff] : s.columns[v].entries)
+          g -= mu * coeff / sl[row];
+        grad[v] = g;
+      }
 
-        // Gradient.
-        for (std::size_t v = 0; v < nv; ++v) {
-          double g = p.app_priority[p.var_app[v]] / sa[p.var_app[v]];
-          g += mu / x[v];
-          for (const auto& [row, coeff] : s.columns[v].entries)
-            g -= mu * coeff / sl[row];
-          grad[v] = g;
+      // Negative Hessian (positive definite).
+      Matrix h(nv, nv, 0.0);
+      for (std::size_t v = 0; v < nv; ++v) {
+        const std::size_t a = p.var_app[v];
+        const double app_term = p.app_priority[a] / (sa[a] * sa[a]);
+        for (std::size_t u = 0; u < nv; ++u)
+          if (p.var_app[u] == a) h(v, u) += app_term;
+        h(v, v) += mu / (x[v] * x[v]);
+      }
+      for (std::size_t v = 0; v < nv; ++v)
+        for (std::size_t u = 0; u <= v; ++u) {
+          // Σ_rows μ R_rv R_ru / slack², exploiting sparse columns.
+          double val = 0;
+          for (const auto& [rv, cv] : s.columns[v].entries)
+            for (const auto& [ru, cu] : s.columns[u].entries)
+              if (rv == ru) val += mu * cv * cu / (sl[rv] * sl[rv]);
+          h(v, u) += val;
+          if (u != v) h(u, v) += val;
         }
 
-        // Negative Hessian (positive definite).
-        Matrix h(nv, nv, 0.0);
-        for (std::size_t v = 0; v < nv; ++v) {
-          const std::size_t a = p.var_app[v];
-          const double app_term = p.app_priority[a] / (sa[a] * sa[a]);
-          for (std::size_t u = 0; u < nv; ++u)
-            if (p.var_app[u] == a) h(v, u) += app_term;
-          h(v, v) += mu / (x[v] * x[v]);
-        }
-        for (std::size_t v = 0; v < nv; ++v)
-          for (std::size_t u = 0; u <= v; ++u) {
-            // Σ_rows μ R_rv R_ru / slack², exploiting sparse columns.
-            double val = 0;
-            for (const auto& [rv, cv] : s.columns[v].entries)
-              for (const auto& [ru, cu] : s.columns[u].entries)
-                if (rv == ru) val += mu * cv * cu / (sl[rv] * sl[rv]);
-            h(v, u) += val;
-            if (u != v) h(u, v) += val;
-          }
+      if (!cholesky_solve(h, grad, dir)) {
+        // Numerical trouble: fall back to a (scaled) gradient step.
+        dir = grad;
+      }
 
-        if (!cholesky_solve(h, grad, dir)) {
-          // Numerical trouble: fall back to a (scaled) gradient step.
-          dir = grad;
-        }
+      // Newton decrement (stopping criterion): grad^T dir.
+      double decrement = 0;
+      for (std::size_t v = 0; v < nv; ++v) decrement += grad[v] * dir[v];
+      if (decrement < 1e-12) break;
 
-        // Newton decrement (stopping criterion): grad^T dir.
-        double decrement = 0;
-        for (std::size_t v = 0; v < nv; ++v) decrement += grad[v] * dir[v];
-        if (decrement < 1e-12) {
-          settled = true;
-          break;
-        }
-
-        // Backtracking line search on the barrier objective.
-        const double base = barrier_value(x, mu);
-        double step = 1.0;
-        bool moved = false;
-        for (int ls = 0; ls < 60; ++ls, step *= 0.5) {
-          for (std::size_t v = 0; v < nv; ++v) xn[v] = x[v] + step * dir[v];
-          const double val = barrier_value(xn, mu);
-          if (val > base + 1e-4 * step * decrement) {
-            x = xn;
-            moved = true;
-            break;
-          }
-        }
-        if (!moved) {
-          settled = true;
+      // Backtracking line search on the barrier objective.
+      const double base = barrier_value(x, mu);
+      double step = 1.0;
+      bool moved = false;
+      for (int ls = 0; ls < 60; ++ls, step *= 0.5) {
+        for (std::size_t v = 0; v < nv; ++v) xn[v] = x[v] + step * dir[v];
+        const double val = barrier_value(xn, mu);
+        if (val > base + 1e-4 * step * decrement) {
+          x = xn;
+          moved = true;
           break;
         }
       }
-      st.stationary = settled;
-      mu *= 0.15;
+      if (!moved) break;
     }
-    st.reached_tol = mu * n_constraints <= opt.duality_gap_tol;
-    return st;
-  };
+    mu *= 0.15;
+  }
 
   PfSolution out;
-  std::vector<double> x;
-  BarrierStats st;
-  int total_iters = 0;
-  bool have_solution = false;
-
-  // Warm-start attempt: project the previous primal point into the strict
-  // interior of the *new* feasible region, seed μ from the previous duals'
-  // complementarity products, and accept only if the attempt reaches the
-  // duality-gap tolerance at a Newton-stationary point within budget.
-  if (opt.warm != nullptr && opt.warm->path_rate.size() == nv && m > 0) {
-    std::vector<double> xw(nv);
-    for (std::size_t v = 0; v < nv; ++v)
-      xw[v] = opt.warm->path_rate[v] > 0 ? opt.warm->path_rate[v] : t0;
-    // Scale into the strict interior: capacities may have shrunk (or new
-    // columns landed on tight rows) since the previous solve, and even an
-    // unchanged optimum sits on the boundary (tight-row slack ~ tol).  A
-    // uniform shrink to usage 1-δ restores enough slack for the barrier to
-    // be well-conditioned while displacing the point only O(δ) — δ is the
-    // re-centering cost the warm attempt pays, so keep it small.
-    constexpr double kInteriorDelta = 1e-3;
-    std::vector<double> use(m, 0.0);
-    for (std::size_t v = 0; v < nv; ++v)
-      for (const auto& [row, coeff] : s.columns[v].entries)
-        use[row] += coeff * xw[v];
-    double max_use = 0;
-    for (double uv : use) max_use = std::max(max_use, uv);
-    if (max_use >= 1.0 - kInteriorDelta) {
-      const double shrink = (1.0 - kInteriorDelta) / max_use;
-      for (double& xv : xw) xv *= shrink;
-    }
-    // μ₀ ≈ the *median* per-row complementarity λ·slack at the warm point:
-    // on the central path every row's product equals μ exactly, so for a
-    // small delta the majority of rows still report the μ the previous
-    // solve ended at (adjusted by the projection's δ), and the median is
-    // blind to the few rows the delta disturbed — a mean is not.
-    double mu0 = 1e-4;
-    if (opt.warm->dual.size() == p.capacity.size()) {
-      slacks(xw, sl);
-      std::vector<double> comp(m);
-      for (std::size_t row = 0; row < m; ++row)
-        comp[row] = opt.warm->dual[s.row_of[row]] *
-                    p.capacity[s.row_of[row]] * std::max(sl[row], 0.0);
-      std::nth_element(comp.begin(), comp.begin() + m / 2, comp.end());
-      mu0 = comp[m / 2];
-    }
-    // Keep μ₀ above the termination threshold so at least one Newton phase
-    // always re-centers the projected point before we report convergence.
-    const double mu_floor = 4.0 * opt.duality_gap_tol / n_constraints;
-    mu0 = std::clamp(mu0, mu_floor, 0.05);
-
-    BarrierStats warm_st = run_barrier(xw, mu0, opt.warm_newton_budget);
-    total_iters += warm_st.iters;
-    if (warm_st.reached_tol && warm_st.stationary) {
-      x = std::move(xw);
-      st = warm_st;
-      have_solution = true;
-      out.warm_started = true;
-    } else {
-      out.warm_fallback = true;
-    }
-  }
-
-  if (!have_solution) {
-    x.assign(nv, t0);
-    st = run_barrier(x, 1.0, opt.max_newton_steps);
-    total_iters += st.iters;
-  }
-
   // Assemble the solution in original units.
   out.path_rate = x;
   app_sum(x, out.app_rate);
@@ -283,7 +196,6 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
   slacks(x, sl);
   out.dual.assign(p.capacity.size(), 0.0);
   double worst = m == 0 ? 0.0 : -kInf;
-  const double mu_last = st.mu_final;  // μ of the final Newton phase
   for (std::size_t row = 0; row < m; ++row) {
     // λ_row = μ / slack (scaled); the row was divided by C, so the price in
     // original units is λ_scaled / C.
@@ -293,8 +205,8 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
     worst = std::max(worst, -sl[row] * p.capacity[s.row_of[row]]);
   }
   out.max_violation = worst;
-  out.converged = st.reached_tol;
-  out.newton_iters = total_iters;
+  out.converged = mu * n_constraints <= opt.duality_gap_tol;
+  out.newton_iters = iters;
   return out;
 }
 

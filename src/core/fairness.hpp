@@ -42,31 +42,10 @@ struct PfProblem {
   std::size_t var_count() const { return columns.size(); }
 };
 
-/// A previous solution used as the starting iterate of a warm solve.
-/// Valid whenever the variables still describe the same paths: rates are
-/// matched to columns positionally, so the caller must keep index v of
-/// `path_rate` aligned with column v of the new problem (new paths get a
-/// zero / missing entry and fall back to the cold default).  `dual` is
-/// indexed by *original* constraint row and is optional — when present it
-/// seeds the barrier parameter μ from the complementarity products, which
-/// is what makes a small-delta re-solve land within a couple of Newton
-/// phases instead of the full cold μ-schedule.
-struct PfWarmStart {
-  std::vector<double> path_rate;  ///< previous primal point, one per variable
-  std::vector<double> dual;       ///< previous λ per original row (optional)
-};
-
 /// Solver knobs for solve_weighted_pf().
 struct PfOptions {
   double duality_gap_tol{1e-8};  ///< stop when m*μ (scaled) drops below this
   int max_newton_steps{400};     ///< hard cap on Newton iterations
-  /// Previous solution to warm-start from (nullptr = always cold).  The
-  /// warm attempt must reach the duality-gap tolerance *and* Newton
-  /// stationarity within `warm_newton_budget` iterations; otherwise the
-  /// solver transparently falls back to a cold solve, so a warm start can
-  /// cost iterations but never correctness.
-  const PfWarmStart* warm{nullptr};
-  int warm_newton_budget{160};  ///< iteration budget of the warm attempt
 };
 
 /// The allocation returned by solve_weighted_pf().
@@ -79,13 +58,13 @@ struct PfSolution {
   std::vector<double> dual;
   /// Largest constraint violation of the returned point (should be <= 0).
   double max_violation{0.0};
-  /// Newton iterations spent, warm attempt included (solver-cost metric).
+  /// Newton iterations spent (solver-cost metric).
   int newton_iters{0};
-  bool warm_started{false};   ///< the warm attempt converged and was kept
-  bool warm_fallback{false};  ///< warm attempt failed; result is a cold solve
 };
 
-/// Solves the weighted proportional-fairness problem.  Throws
+/// Solves the weighted proportional-fairness problem.  Every call starts
+/// from the same strictly feasible point, so the solution is a function of
+/// `problem` and `options` alone, bit for bit.  Throws
 /// std::invalid_argument on malformed input (empty apps, non-positive
 /// priorities, an application with no variables, or a variable constrained
 /// by a zero-capacity row — such paths must be dropped by the caller).

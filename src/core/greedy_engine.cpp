@@ -136,7 +136,7 @@ NcpId GreedyEngine::best_host(CtId i, WidestPathWorkspace& ws,
   return best;
 }
 
-CommitEffects GreedyEngine::commit(CtId i, NcpId j) {
+void GreedyEngine::commit(CtId i, NcpId j) {
   if (placed_[i]) throw std::logic_error("GreedyEngine: CT placed twice");
   if (j < 0 || j >= static_cast<NcpId>(net().ncp_count()))
     throw std::invalid_argument("GreedyEngine: commit to unknown NCP");
@@ -146,7 +146,6 @@ CommitEffects GreedyEngine::commit(CtId i, NcpId j) {
   ++placed_count_;
   load_.add_ct(g, i, j);
 
-  CommitEffects effects;
   auto route = [&](TtId k, NcpId from, NcpId to) {
     if (from == to) {
       placement_.place_tt(k, {});
@@ -160,7 +159,6 @@ CommitEffects GreedyEngine::commit(CtId i, NcpId j) {
             : shortest_hop_path(net(), from, to);
     if (!path.reachable) return;  // leaves the placement incomplete
     for (LinkId l : path.links) load_.add_tt(g, k, l);
-    if (!path.links.empty()) effects.routed_links = true;
     placement_.place_tt(k, path.links);
   };
 
@@ -172,18 +170,10 @@ CommitEffects GreedyEngine::commit(CtId i, NcpId j) {
     const CtId dst = g.tt(k).dst;
     if (placed_[dst]) route(k, j, placement_.ct_host(dst));
   }
-  return effects;
 }
 
 void GreedyEngine::commit_pins() {
   for (const auto& [ct, ncp] : problem_->pinned) commit(ct, ncp);
-}
-
-bool GreedyEngine::has_placed_relative(CtId i) const {
-  const TaskGraph& g = graph();
-  for (CtId other = 0; other < static_cast<CtId>(g.ct_count()); ++other)
-    if (other != i && placed_[other] && g.related(i, other)) return true;
-  return false;
 }
 
 AssignmentResult GreedyEngine::finish() && {

@@ -19,14 +19,6 @@
 
 namespace sparcle {
 
-/// What a commit changed — the information SparcleAssigner's γ memoization
-/// needs to decide which cached (best host, γ) entries the commit dirtied.
-struct CommitEffects {
-  /// At least one TT route added load to at least one link.  When false,
-  /// only the host NCP's node load changed.
-  bool routed_links{false};
-};
-
 /// Work counters one engine accumulated over its lifetime (snapshot of the
 /// internal relaxed atomics — safe to read while parallel evaluation runs,
 /// exact once the evaluation round joined).  SparcleAssigner flushes these
@@ -94,16 +86,11 @@ class GreedyEngine {
   NcpId best_host(CtId i, WidestPathWorkspace& ws, double* gamma_out) const;
 
   /// Commits CT i to NCP j, booking its load and routing every TT towards
-  /// already-placed direct neighbours along the widest path.  Reports
-  /// which parts of the shared state the commit dirtied.
-  CommitEffects commit(CtId i, NcpId j);
+  /// already-placed direct neighbours along the widest path.
+  void commit(CtId i, NcpId j);
 
   /// Commits all pinned CTs of the bound problem.
   void commit_pins();
-
-  /// True if some *placed* CT is related (ancestor/descendant) to i —
-  /// i.e. γ(i, ·) has link terms, not just the node term.
-  bool has_placed_relative(CtId i) const;
 
   /// Precomputes the probe-TT bits of every related CT pair (Alg. 2 line
   /// 12: the min- or max-bit TT of G(i,i')).  The pairs are a static

@@ -526,7 +526,6 @@ Scheduler::ReoptimizeReport Scheduler::global_reoptimize(
   // Snapshot for rollback.
   const std::vector<PlacedApp> saved_placed = placed_;
   const LoadMap saved_reserved = gr_reserved_;
-  const std::vector<double> saved_dual = pf_last_dual_;
 
   // Re-admission order: GR by descending guarantee, then BE by descending
   // priority (the order the prediction machinery assumes favours).
@@ -566,13 +565,10 @@ Scheduler::ReoptimizeReport Scheduler::global_reoptimize(
                         new_utility > report.old_be_utility + kEps;
   if (!improves) {
     // The snapshot holds the exact pre-reoptimize allocation (rates
-    // included), so restoring it needs no PF re-solve — and re-solving
-    // would land within tolerance but not bit-identically once warm
-    // starts are in play.  The dual state is rolled back with it.
+    // included), so restoring it needs no PF re-solve.
     placed_ = saved_placed;
     gr_reserved_ = saved_reserved;
     rebuild_residual();
-    pf_last_dual_ = saved_dual;
     report.new_be_utility = report.old_be_utility;
     report.new_gr_rate = report.old_gr_rate;
     usage_valid_ = false;
@@ -1034,9 +1030,6 @@ bool Scheduler::reallocate_best_effort() {
   };
   std::vector<VarRef> var_refs;
   std::vector<std::size_t> app_of_placed(placed_.size(), SIZE_MAX);
-  // The previous solve's rates, captured per variable while building the
-  // columns (before any reset) — the warm-start primal point.
-  PfWarmStart warm;
 
   for (std::size_t pi = 0; pi < placed_.size(); ++pi) {
     PlacedApp& pa = placed_[pi];
@@ -1085,7 +1078,6 @@ bool Scheduler::reallocate_best_effort() {
       }
       pf.columns.push_back(std::move(col));
       pf.var_app.push_back(app_of_placed[pi]);
-      warm.path_rate.push_back(pa.path_rates[k]);
       var_refs.push_back({pi, k});
     }
   }
@@ -1105,23 +1097,9 @@ bool Scheduler::reallocate_best_effort() {
     return true;
   }
 
-  PfOptions popt;
-  popt.warm_newton_budget = options_.pf_warm_newton_budget;
-  bool warm_usable = options_.pf_warm_start && !pf_last_dual_.empty();
-  if (warm_usable) {
-    // A warm point needs at least one positive previous rate; a start of
-    // all-cold defaults would just be a worse cold solve.
-    warm_usable = std::any_of(warm.path_rate.begin(), warm.path_rate.end(),
-                              [](double r) { return r > 0; });
-  }
-  if (warm_usable) {
-    warm.dual = pf_last_dual_;
-    popt.warm = &warm;
-  }
-
   PfSolution sol;
   try {
-    sol = solve_weighted_pf(pf, popt);
+    sol = solve_weighted_pf(pf);
   } catch (const std::exception&) {
     zero_be_rates();
     return false;
@@ -1130,32 +1108,18 @@ bool Scheduler::reallocate_best_effort() {
   ++solver_stats_.solves;
   solver_stats_.newton_iters += static_cast<std::uint64_t>(sol.newton_iters);
   solver_stats_.last_newton_iters = sol.newton_iters;
-  if (sol.warm_started)
-    ++solver_stats_.warm_hits;
-  else if (sol.warm_fallback)
-    ++solver_stats_.warm_fallbacks;
-  else
-    ++solver_stats_.warm_misses;
   if (reg) {
-    reg->counter(sol.warm_started    ? "scheduler.solver.warm_start_hits"
-                 : sol.warm_fallback ? "scheduler.solver.warm_start_fallbacks"
-                                     : "scheduler.solver.warm_start_misses")
-        .add(1);
+    // Every solve starts cold; the counter keeps its historical name
+    // (docs/observability.md).
+    reg->counter("scheduler.solver.warm_start_misses").add(1);
     reg->histogram("scheduler.solver.newton_iters", newton_iter_bounds())
         .observe(static_cast<double>(sol.newton_iters));
   }
 
   if (sol.max_violation > 1e-6) {
-    pf_last_dual_.clear();
     zero_be_rates();
     return false;
   }
-  // Persist the dual point for the next solve's warm start (the primal
-  // lives in path_rates until then).
-  if (sol.converged)
-    pf_last_dual_ = std::move(sol.dual);
-  else
-    pf_last_dual_.clear();
 
   for (std::size_t v = 0; v < var_refs.size(); ++v) {
     PlacedApp& pa = placed_[var_refs[v].placed_index];

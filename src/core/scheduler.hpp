@@ -92,15 +92,6 @@ struct SchedulerOptions {
   RepairPolicy repair{};
   /// Options forwarded to the default SPARCLE assigner.
   SparcleAssignerOptions assigner_options{};
-  /// Warm-start the weighted-PF re-solve of problem (4) from the previous
-  /// solve's primal/dual point when the BE path set changed by a small
-  /// delta (admission, removal, repair).  The solver falls back to a cold
-  /// solve whenever the warm attempt misses its budget, so this trades
-  /// iterations, never correctness — docs/perf.md, "Warm-started PF".
-  bool pf_warm_start{true};
-  /// Newton-iteration budget of a warm attempt before the cold fallback
-  /// (forwarded to PfOptions::warm_newton_budget).
-  int pf_warm_newton_budget{160};
   /// Scheduling-policy plugin (docs/policies.md): decision point 2
   /// (candidate ranking — forwarded into the default assigner's options
   /// when assigner_options.policy is unset) and decision point 3 (the
@@ -365,22 +356,12 @@ class Scheduler {
   /// `scheduler.solver.*` metrics (docs/observability.md) for callers
   /// without a metrics registry installed (tests, service stats).
   struct PfSolverStats {
-    std::uint64_t solves{0};          ///< PF solves actually run
-    std::uint64_t warm_hits{0};       ///< warm attempts accepted
-    std::uint64_t warm_misses{0};     ///< solves with no usable warm state
-    std::uint64_t warm_fallbacks{0};  ///< warm attempts that went cold
-    std::uint64_t newton_iters{0};    ///< Newton iterations, all solves
-    int last_newton_iters{0};         ///< iterations of the latest solve
+    std::uint64_t solves{0};        ///< PF solves actually run
+    std::uint64_t newton_iters{0};  ///< Newton iterations, all solves
+    int last_newton_iters{0};       ///< iterations of the latest solve
   };
   /// Telemetry of the PF re-solves this scheduler has run.
   const PfSolverStats& pf_solver_stats() const { return solver_stats_; }
-
-  /// Toggles the warm-start policy at runtime.  Operators can switch a
-  /// misbehaving instance to always-cold without a restart; the fuzzer
-  /// alternates it under churn to cross-check warm against cold solves.
-  void set_pf_warm_start(bool on) { options_.pf_warm_start = on; }
-  /// Current warm-start policy (see SchedulerOptions::pf_warm_start).
-  bool pf_warm_start() const { return options_.pf_warm_start; }
 
  private:
   AdmissionResult submit_best_effort(const Application& app);
@@ -475,10 +456,6 @@ class Scheduler {
   mutable CapacitySnapshot predict_scratch_;
   mutable std::vector<ElementKey> predict_touched_;
   mutable bool predict_scratch_valid_{false};
-  /// Duals of the previous PF solve (row layout of
-  /// reallocate_best_effort()), seeding the next warm start; cleared when
-  /// the previous solve did not converge.
-  std::vector<double> pf_last_dual_;
   PfSolverStats solver_stats_;
   /// Global carried rate after the last healthy (fully repaired or
   /// failure-free) state — the baseline for RepairPolicy's fallback bound.

@@ -19,20 +19,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Memoized (best host, γ) of one unplaced CT.  `valid` entries are exact:
-/// the invalidation rules below dirty every entry a commit could change.
-struct CachedBest {
+/// (best host, γ) of one unplaced CT in the current ranking round.
+struct Candidate {
   NcpId host{kInvalidId};
   double gamma{-kInf};
-  bool valid{false};
-};
-
-/// Memoization counters of one assign() run (see docs/observability.md).
-struct AssignCounters {
-  std::uint64_t rounds{0};
-  std::uint64_t memo_hits{0};
-  std::uint64_t memo_misses{0};
-  std::uint64_t memo_invalidations{0};
 };
 
 /// Flushes the run's counters into the installed registry on every exit
@@ -40,18 +30,14 @@ struct AssignCounters {
 /// is installed.
 class MetricsFlush {
  public:
-  MetricsFlush(const GreedyEngine& engine, const AssignCounters& counters)
-      : engine_(engine), counters_(counters) {}
+  MetricsFlush(const GreedyEngine& engine, const std::uint64_t& rounds)
+      : engine_(engine), rounds_(rounds) {}
   ~MetricsFlush() {
     obs::MetricsRegistry* reg = obs::metrics();
     if (reg == nullptr) return;
     const EngineStats es = engine_.stats();
     reg->counter("assigner.assigns").add(1);
-    reg->counter("assigner.ranking_rounds").add(counters_.rounds);
-    reg->counter("assigner.memo.hits").add(counters_.memo_hits);
-    reg->counter("assigner.memo.misses").add(counters_.memo_misses);
-    reg->counter("assigner.memo.invalidations")
-        .add(counters_.memo_invalidations);
+    reg->counter("assigner.ranking_rounds").add(rounds_);
     reg->counter("assigner.gamma_evals").add(es.gamma_evals);
     reg->counter("assigner.widest_path_calls").add(es.widest_path_calls);
     reg->counter("assigner.bnb_prunes").add(es.bnb_prunes);
@@ -59,7 +45,7 @@ class MetricsFlush {
 
  private:
   const GreedyEngine& engine_;
-  const AssignCounters& counters_;
+  const std::uint64_t& rounds_;
 };
 
 }  // namespace
@@ -93,45 +79,39 @@ AssignmentResult SparcleAssigner::assign(
   engine.commit_pins();  // Alg. 2 lines 3-5
   engine.warm_probe_cache();
 
-  const TaskGraph& graph = engine.graph();
-  const std::size_t total = graph.ct_count();
+  const std::size_t total = engine.graph().ct_count();
 
-  // Memoized per-CT best-host evaluations (lines 7-14 of each round).
-  std::vector<CachedBest> cache(total);
+  // Per-CT best-host evaluations of the current round (lines 7-14).
+  std::vector<Candidate> slots(total);
   const unsigned threads = WorkerPool::resolve_threads(options_.eval_threads);
   std::vector<WidestPathWorkspace> workspaces(threads);
   std::unique_ptr<WorkerPool> pool;  // spawned on first parallel round
-  std::vector<CtId> stale;
-  stale.reserve(total);
+  std::vector<CtId> unplaced;
+  unplaced.reserve(total);
 
-  AssignCounters counters;
-  const MetricsFlush flush(engine, counters);
+  std::uint64_t rounds = 0;
+  const MetricsFlush flush(engine, rounds);
 
-  // Recomputes every invalid cache entry of an unplaced CT.  The engine is
-  // read-only during evaluation and each item writes only its own slot, so
-  // the parallel fan-out is race-free; the (serial) reduction over the
-  // cache afterwards makes the outcome bit-identical to a serial run.
-  const auto refresh_cache = [&] {
-    stale.clear();
-    for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-      if (engine.placed(i)) continue;
-      if (cache[i].valid)
-        ++counters.memo_hits;
-      else
-        stale.push_back(i);
-    }
-    counters.memo_misses += stale.size();
+  // Evaluates every unplaced CT once.  The engine is read-only during
+  // evaluation and each item writes only its own slot, so the parallel
+  // fan-out is race-free; the (serial) reduction over the slots afterwards
+  // makes the outcome bit-identical to a serial run.
+  const auto evaluate_round = [&] {
+    unplaced.clear();
+    for (CtId i = 0; i < static_cast<CtId>(total); ++i)
+      if (!engine.placed(i)) unplaced.push_back(i);
     const auto evaluate = [&](std::size_t idx, unsigned worker) {
-      const CtId i = stale[idx];
+      const CtId i = unplaced[idx];
       double gi = -kInf;
       const NcpId ji = engine.best_host(i, workspaces[worker], &gi);
-      cache[i] = {ji, gi, true};
+      slots[i] = {ji, gi};
     };
-    if (threads > 1 && stale.size() > 1) {
+    if (threads > 1 && unplaced.size() > 1) {
       if (!pool) pool = std::make_unique<WorkerPool>(threads);
-      pool->run(stale.size(), evaluate);
+      pool->run(unplaced.size(), evaluate);
     } else {
-      for (std::size_t idx = 0; idx < stale.size(); ++idx) evaluate(idx, 0);
+      for (std::size_t idx = 0; idx < unplaced.size(); ++idx)
+        evaluate(idx, 0);
     }
   };
 
@@ -141,7 +121,7 @@ AssignmentResult SparcleAssigner::assign(
   bool order_frozen = false;
 
   while (engine.placed_count() < total) {
-    ++counters.rounds;
+    ++rounds;
     CtId chosen = kInvalidId;
     NcpId chosen_host = kInvalidId;
 
@@ -150,7 +130,7 @@ AssignmentResult SparcleAssigner::assign(
     if (options_.dynamic_ranking || !order_frozen) {
       // Lines 7-16: evaluate every unplaced CT's best host, then pick a CT
       // by its best-host γ (see SparcleAssignerOptions on the direction).
-      refresh_cache();
+      evaluate_round();
       if (options_.policy != nullptr && options_.dynamic_ranking) {
         // Policy plugin (decision point 2): hand the round's candidates
         // over in CT order.  policy::DefaultPolicy reproduces the inline
@@ -161,7 +141,7 @@ AssignmentResult SparcleAssigner::assign(
           if (engine.placed(i))
             hosts[i] = engine.host(i);
           else
-            candidates.push_back({i, cache[i].host, cache[i].gamma});
+            candidates.push_back({i, slots[i].host, slots[i].gamma});
         }
         policy::SelectContext ctx;
         ctx.net = problem.net;
@@ -178,14 +158,14 @@ AssignmentResult SparcleAssigner::assign(
       std::vector<std::pair<double, CtId>> ranked;
       for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
         if (engine.placed(i)) continue;
-        const double gi = cache[i].gamma;
+        const double gi = slots[i].gamma;
         ranked.emplace_back(gi, i);
         const bool better =
             most_constrained ? gi < chosen_gamma : gi > chosen_gamma;
         if (better) {
           chosen_gamma = gi;
           chosen = i;
-          chosen_host = cache[i].host;
+          chosen_host = slots[i].host;
         }
       }
       if (!options_.dynamic_ranking) {
@@ -214,24 +194,7 @@ AssignmentResult SparcleAssigner::assign(
       r.message = "no placeable CT (disconnected network?)";
       return r;
     }
-    const CommitEffects effects = engine.commit(chosen, chosen_host);
-
-    // Dirty-tracking: a commit of `chosen` on `chosen_host` can change
-    // γ(i, ·) of an unplaced CT i only through (a) a new placed relative
-    // (i related to chosen), (b) node load on i's cached best host, or
-    // (c) link load anywhere, which matters only to CTs whose γ has link
-    // terms — i.e. CTs with at least one placed relative.  Everything
-    // else keeps an exact cache entry (see docs/perf.md for the proof
-    // sketch and test_assign_equivalence for the property test).
-    for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-      if (engine.placed(i) || !cache[i].valid) continue;
-      if (!options_.memoize_gamma || graph.related(i, chosen) ||
-          cache[i].host == chosen_host ||
-          (effects.routed_links && engine.has_placed_relative(i))) {
-        cache[i].valid = false;
-        ++counters.memo_invalidations;
-      }
-    }
+    engine.commit(chosen, chosen_host);
   }
 
   AssignmentResult result = std::move(engine).finish();

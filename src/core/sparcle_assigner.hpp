@@ -47,15 +47,6 @@ struct SparcleAssignerOptions {
   /// 0 = the paper's algorithm).  See core/local_search.hpp.
   int local_search_rounds{0};
 
-  // --- Performance knobs (never change the produced placement; see
-  // docs/perf.md for the invalidation rules and the equivalence test) ---
-
-  /// Cache each unplaced CT's (best host, γ) across ranking rounds and
-  /// invalidate only the entries a commit can dirty: CTs related to the
-  /// newly placed CT, CTs whose cached best host just absorbed node load,
-  /// and — when the commit routed traffic — CTs with placed relatives
-  /// (their γ has link terms).  Off = the fresh-per-round reference.
-  bool memoize_gamma{true};
   /// Worker threads for the per-round candidate evaluation.  0 = auto
   /// (the SPARCLE_THREADS environment variable when set, otherwise the
   /// hardware concurrency); 1 = serial.  The reduction is deterministic,

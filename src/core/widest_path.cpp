@@ -8,30 +8,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-namespace {
-/// Scratch for the legacy (non-buffered) entry points.  Constructing a
-/// WidestPathWorkspace per call costs four vector allocations — measurable
-/// on BM_WidestPath — so the wrappers share one workspace per thread.  The
-/// kernel is not re-entrant (prepare() invalidates in-flight state), so a
-/// weight functor must not call back into these wrappers; the buffered
-/// entry points have the same constraint on their caller-owned workspace.
-WidestPathWorkspace& legacy_workspace() {
-  thread_local WidestPathWorkspace ws;
-  return ws;
-}
-}  // namespace
-
-WidestPathResult widest_path(const Network& net, NcpId from, NcpId to,
-                             const std::function<double(LinkId)>& weight) {
-  return widest_path_buffered(net, from, to, weight, legacy_workspace());
-}
-
-WidestPathResult best_tt_path(const Network& net, const CapacitySnapshot& cap,
-                              const LoadMap& load, double tt_bits, NcpId from,
-                              NcpId to) {
-  return best_tt_path(net, cap, load, tt_bits, from, to, legacy_workspace());
-}
-
 WidestPathResult best_tt_path(const Network& net, const CapacitySnapshot& cap,
                               const LoadMap& load, double tt_bits, NcpId from,
                               NcpId to, WidestPathWorkspace& ws) {
@@ -57,8 +33,9 @@ WidestPathResult shortest_hop_path(const Network& net, NcpId from, NcpId to) {
     q.pop();
     for (LinkId l : net.incident_links(v)) {
       if (!net.can_traverse(l, v)) continue;
-      // Same "unusable link" rule as widest_path: a link with non-positive
-      // (or NaN) bandwidth is dead and must never carry a TT route.
+      // Same "unusable link" rule as widest_path_buffered: a link with
+      // non-positive (or NaN) bandwidth is dead and must never carry a TT
+      // route.
       if (!(net.link(l).bandwidth > 0)) continue;
       const NcpId u = net.other_end(l, v);
       if (seen[u]) continue;

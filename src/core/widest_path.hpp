@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -18,14 +17,10 @@
 /// l is the processing rate the TT would see on it:
 ///   weight(l) = C_l^(b) / (a_k^(b) + Σ_{TTs already on l} a^(b)).
 ///
-/// Two call layers:
-///  - the legacy std::function entry points (widest_path / best_tt_path /
-///    shortest_hop_path), which allocate per call — convenient for tests
-///    and one-off queries;
-///  - the buffered kernel (widest_path_buffered / widest_path_width),
-///    a template over the weight functor with a caller-owned reusable
-///    WidestPathWorkspace — the assignment hot path runs thousands of
-///    queries per round and pays zero allocations after warm-up.
+/// The kernel (widest_path_buffered / widest_path_width) is a template
+/// over the weight functor and runs on a caller-owned reusable
+/// WidestPathWorkspace — the assignment hot path runs thousands of
+/// queries per round and pays zero allocations after warm-up.
 
 namespace sparcle {
 
@@ -239,9 +234,10 @@ inline void check_endpoints(const Network& net, NcpId from, NcpId to,
 
 }  // namespace detail
 
-/// Buffered kernel with route reconstruction.  Identical semantics to
-/// widest_path() below but allocation-free apart from the result's link
-/// vector, and free of the std::function indirection.
+/// Widest path between two NCPs under an arbitrary per-link weight, with
+/// route reconstruction.  Links with non-positive weight are unusable.
+/// Deterministic tie-break (lower NCP index wins among equal widths).
+/// Allocation-free apart from the result's link vector.
 template <typename WeightFn>
 WidestPathResult widest_path_buffered(const Network& net, NcpId from,
                                       NcpId to, const WeightFn& weight,
@@ -318,20 +314,9 @@ struct TtPathWeight {
   }
 };
 
-/// Generic widest path between two NCPs under an arbitrary per-link weight.
-/// Links with non-positive weight are unusable.  Deterministic tie-break
-/// (lower NCP index wins among equal widths).
-WidestPathResult widest_path(const Network& net, NcpId from, NcpId to,
-                             const std::function<double(LinkId)>& weight);
-
 /// Algorithm 1 proper: the best path P*_k(from, to) for a TT carrying
 /// `tt_bits` per data unit, given residual `cap` and the bits already
 /// placed on each link in `load` (eq. (3)).
-WidestPathResult best_tt_path(const Network& net, const CapacitySnapshot& cap,
-                              const LoadMap& load, double tt_bits, NcpId from,
-                              NcpId to);
-
-/// Buffered variant of best_tt_path for hot paths.
 WidestPathResult best_tt_path(const Network& net, const CapacitySnapshot& cap,
                               const LoadMap& load, double tt_bits, NcpId from,
                               NcpId to, WidestPathWorkspace& ws);
@@ -340,8 +325,8 @@ WidestPathResult best_tt_path(const Network& net, const CapacitySnapshot& cap,
 /// This is the routing the non-network-aware baselines use; `reachable`
 /// is false when the NCPs are disconnected.  `width` reports the minimum
 /// raw bandwidth along the route (informational).  Honors the same
-/// "unusable link" rule as widest_path: links with non-positive (or NaN)
-/// bandwidth are never traversed.
+/// "unusable link" rule as widest_path_buffered: links with non-positive
+/// (or NaN) bandwidth are never traversed.
 WidestPathResult shortest_hop_path(const Network& net, NcpId from, NcpId to);
 
 }  // namespace sparcle

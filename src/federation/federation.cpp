@@ -283,8 +283,6 @@ ServiceStats FederatedService::stats() const {
     out.invariant_violations += s.invariant_violations;
     if (out.first_violation.empty()) out.first_violation = s.first_violation;
     out.pf_solves += s.pf_solves;
-    out.pf_warm_hits += s.pf_warm_hits;
-    out.pf_warm_fallbacks += s.pf_warm_fallbacks;
     out.pf_newton_iters += s.pf_newton_iters;
     for (const auto& [name, v] : s.metrics) out.metrics[name] += v;
   }

@@ -290,8 +290,6 @@ ServiceStats SchedulerService::stats() const {
   s.resolves_saved = snap.counter_or("service.resolves_saved");
   s.invariant_violations = snap.counter_or("service.invariant_violations");
   s.pf_solves = snap.counter_or("service.pf.solves");
-  s.pf_warm_hits = snap.counter_or("service.pf.warm_hits");
-  s.pf_warm_fallbacks = snap.counter_or("service.pf.warm_fallbacks");
   s.pf_newton_iters = snap.counter_or("service.pf.newton_iters");
   for (const auto& [name, value] : snap.counters)
     s.metrics[name] = static_cast<double>(value);
@@ -663,19 +661,11 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
     const Scheduler::PfSolverStats pf = scheduler_.pf_solver_stats();
     if (pf.solves > prev_pf_.solves)
       bump("service.pf.solves", pf.solves - prev_pf_.solves);
-    if (pf.warm_hits > prev_pf_.warm_hits)
-      bump("service.pf.warm_hits", pf.warm_hits - prev_pf_.warm_hits);
-    if (pf.warm_fallbacks > prev_pf_.warm_fallbacks)
-      bump("service.pf.warm_fallbacks",
-           pf.warm_fallbacks - prev_pf_.warm_fallbacks);
     if (pf.newton_iters > prev_pf_.newton_iters)
       bump("service.pf.newton_iters", pf.newton_iters - prev_pf_.newton_iters);
     if (pf.solves > prev_pf_.solves)
       window_.add("pf_solves",
                   static_cast<double>(pf.solves - prev_pf_.solves));
-    if (pf.warm_hits > prev_pf_.warm_hits)
-      window_.add("pf_warm_hits",
-                  static_cast<double>(pf.warm_hits - prev_pf_.warm_hits));
     prev_pf_ = pf;
   }
   window_.add("batches");

@@ -188,10 +188,8 @@ struct ServiceStats {
   std::string first_violation;       ///< first checker report, if any
   // Snapshot of the wrapped scheduler's PF solver telemetry (see
   // Scheduler::PfSolverStats), refreshed after every batch.
-  std::uint64_t pf_solves{0};          ///< weighted-PF solves actually run
-  std::uint64_t pf_warm_hits{0};       ///< solves converged from a warm start
-  std::uint64_t pf_warm_fallbacks{0};  ///< warm attempts that went cold
-  std::uint64_t pf_newton_iters{0};    ///< Newton iterations, all solves
+  std::uint64_t pf_solves{0};        ///< weighted-PF solves actually run
+  std::uint64_t pf_newton_iters{0};  ///< Newton iterations, all solves
   /// Every registered service instrument (counters and gauges) by name —
   /// the registry snapshot the named fields above are read from.
   std::map<std::string, double> metrics;

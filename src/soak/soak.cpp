@@ -618,8 +618,8 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
   result.submit_p99_us = latency.quantile(0.99);
   result.decision_digest = digest.h;
 
-  // RSS drift: warmed-up quarter epoch → last (allocator pools, memo
-  // caches and the PF warm state settle during the first quarter).
+  // RSS drift: warmed-up quarter epoch → last (allocator pools and the
+  // scheduler's lazily built indexes settle during the first quarter).
   if (result.epochs.size() >= 4) {
     const double warm = result.epochs[result.epochs.size() / 4].rss_mb;
     const double end = result.epochs.back().rss_mb;

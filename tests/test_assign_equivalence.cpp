@@ -1,10 +1,8 @@
 /// \file test_assign_equivalence.cpp
-/// The perf layers of SparcleAssigner (γ memoization with dirty-tracking,
-/// floor-pruned evaluation, parallel candidate rounds) must be *invisible*:
-/// the produced placement has to be bit-identical to the fresh-per-round
-/// serial reference (memoize_gamma=false, eval_threads=1) on every
-/// scenario.  This is the property test backing the invalidation rules
-/// documented in docs/perf.md.
+/// The perf layers of SparcleAssigner (floor-pruned evaluation, parallel
+/// candidate rounds) must be *invisible*: the produced placement has to be
+/// bit-identical to the serial reference (eval_threads=1) on every
+/// scenario.  This is the property test backing docs/perf.md.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +42,8 @@ void expect_identical(const AssignmentResult& fast,
 
 class AssignEquivalence : public ::testing::TestWithParam<int> {};
 
+// The name is kept from when a γ memo also ran on the fast side, so the
+// test's ID stays stable across history.
 TEST_P(AssignEquivalence, MemoizedParallelMatchesFreshSerialReference) {
   const int seed = GetParam();
   const TopologyKind topologies[] = {TopologyKind::kStar, TopologyKind::kFull,
@@ -74,11 +74,9 @@ TEST_P(AssignEquivalence, MemoizedParallelMatchesFreshSerialReference) {
         for (auto ranking : rankings) {
           SparcleAssignerOptions fast_opts;
           fast_opts.ranking = ranking;
-          fast_opts.memoize_gamma = true;
           fast_opts.eval_threads = 3;  // force the pool even on 1 core
 
           SparcleAssignerOptions ref_opts = fast_opts;
-          ref_opts.memoize_gamma = false;
           ref_opts.eval_threads = 1;
 
           const AssignmentResult fast =
@@ -112,7 +110,6 @@ TEST_P(AssignEquivalence, StaticRankingMatchesReference) {
   fast_opts.dynamic_ranking = false;
   fast_opts.eval_threads = 2;
   SparcleAssignerOptions ref_opts = fast_opts;
-  ref_opts.memoize_gamma = false;
   ref_opts.eval_threads = 1;
 
   const AssignmentResult fast = SparcleAssigner(fast_opts).assign(p);

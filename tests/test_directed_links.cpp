@@ -40,8 +40,9 @@ TEST(DirectedLinks, CanTraverseRespectsDirection) {
 TEST(DirectedLinks, WidestPathGoesTheLongWayAround) {
   const Network net = make_directed_ring();
   // 1 -> 0 cannot use d01 backwards: must go 1 -> 2 -> 0.
-  const auto r = widest_path(net, 1, 0,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  WidestPathWorkspace ws;
+  const auto r = widest_path_buffered(
+      net, 1, 0, [&](LinkId l) { return net.link(l).bandwidth; }, ws);
   ASSERT_TRUE(r.reachable);
   ASSERT_EQ(r.links.size(), 2u);
   EXPECT_EQ(r.links[0], 1);  // d12
@@ -61,7 +62,9 @@ TEST(DirectedLinks, UnreachableWhenAllArrowsPointWrong) {
   net.add_ncp("a", ResourceVector::scalar(1));
   net.add_ncp("b", ResourceVector::scalar(1));
   net.add_directed_link("ab", 0, 1, 10);
-  const auto r = widest_path(net, 1, 0, [](LinkId) { return 1.0; });
+  WidestPathWorkspace ws;
+  const auto r =
+      widest_path_buffered(net, 1, 0, [](LinkId) { return 1.0; }, ws);
   EXPECT_FALSE(r.reachable);
 }
 

@@ -426,15 +426,13 @@ TEST(ChromeTrace, CapacityCapKeepsTheNewestEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: assigner memo counters match the known call pattern
+// End-to-end: assigner counters match the known call pattern
 
-/// With kMostConstrainedFirst and U unplaced CTs, every round refreshes
-/// each still-unplaced CT exactly once (hit or miss) and commits one CT,
-/// so over the whole assign:  hits + misses == U(U+1)/2  and every miss
-/// after the U cold ones was caused by exactly one invalidation:
-/// misses == U + invalidations.  With memoization off every entry is
-/// invalidated after every commit: hits == 0, misses == U(U+1)/2,
-/// invalidations == U(U-1)/2.
+/// With kMostConstrainedFirst and U unplaced CTs, one assign() runs U
+/// ranking rounds, each evaluating every still-unplaced CT once and
+/// committing one.  Installing a registry records that and nothing else:
+/// the placement equals an uninstrumented run's.  (The name is kept from
+/// when a γ memo had counters of its own, so the test's ID stays stable.)
 TEST(ObsE2E, AssignerMemoCountersMatchCallPattern) {
   Rng rng(7);
   workload::ScenarioSpec spec;
@@ -446,58 +444,28 @@ TEST(ObsE2E, AssignerMemoCountersMatchCallPattern) {
   const std::uint64_t u =
       static_cast<std::uint64_t>(sc.graph->ct_count() - sc.pinned.size());
   ASSERT_GE(u, 2u);
-  const std::uint64_t evals = u * (u + 1) / 2;
 
   SparcleAssignerOptions opt;
   opt.ranking = SparcleAssignerOptions::Ranking::kMostConstrainedFirst;
   opt.eval_threads = 1;
 
-  const auto run = [&](bool memoize) {
-    MetricsRegistry reg;
-    AssignmentResult result;
-    {
-      Observability o;
-      o.metrics = &reg;
-      ScopedInstall session(o);
-      SparcleAssignerOptions o2 = opt;
-      o2.memoize_gamma = memoize;
-      result = SparcleAssigner(o2).assign(p);
-    }
-    const Json root = JsonParser(reg.to_json()).parse();
-    const auto& c = root.at("counters");
-    struct Out {
-      AssignmentResult result;
-      std::uint64_t assigns, rounds, hits, misses, invalidations;
-    } out;
-    out.result = std::move(result);
-    out.assigns = static_cast<std::uint64_t>(c.at("assigner.assigns").number);
-    out.rounds =
-        static_cast<std::uint64_t>(c.at("assigner.ranking_rounds").number);
-    out.hits = static_cast<std::uint64_t>(c.at("assigner.memo.hits").number);
-    out.misses =
-        static_cast<std::uint64_t>(c.at("assigner.memo.misses").number);
-    out.invalidations = static_cast<std::uint64_t>(
-        c.at("assigner.memo.invalidations").number);
-    return out;
-  };
+  MetricsRegistry reg;
+  AssignmentResult traced;
+  {
+    Observability o;
+    o.metrics = &reg;
+    ScopedInstall session(o);
+    traced = SparcleAssigner(opt).assign(p);
+  }
+  ASSERT_TRUE(traced.feasible) << traced.message;
+  const Json root = JsonParser(reg.to_json()).parse();
+  const auto& c = root.at("counters");
+  EXPECT_EQ(c.at("assigner.assigns").number, 1.0);
+  EXPECT_EQ(c.at("assigner.ranking_rounds").number, static_cast<double>(u));
 
-  const auto memo = run(true);
-  ASSERT_TRUE(memo.result.feasible) << memo.result.message;
-  EXPECT_EQ(memo.assigns, 1u);
-  EXPECT_EQ(memo.rounds, u);
-  EXPECT_EQ(memo.hits + memo.misses, evals);
-  EXPECT_EQ(memo.misses, u + memo.invalidations);
-  EXPECT_GT(memo.hits, 0u);  // memoization actually saved work here
-
-  const auto fresh = run(false);
-  ASSERT_TRUE(fresh.result.feasible) << fresh.result.message;
-  EXPECT_EQ(fresh.hits, 0u);
-  EXPECT_EQ(fresh.misses, evals);
-  EXPECT_EQ(fresh.invalidations, u * (u - 1) / 2);
-  // The memoized run placed every CT identically (perf knob, not policy).
+  const AssignmentResult plain = SparcleAssigner(opt).assign(p);
   for (CtId i = 0; i < static_cast<CtId>(sc.graph->ct_count()); ++i)
-    EXPECT_EQ(memo.result.placement.ct_host(i),
-              fresh.result.placement.ct_host(i));
+    EXPECT_EQ(traced.placement.ct_host(i), plain.placement.ct_host(i));
 }
 
 // ---------------------------------------------------------------------------

@@ -185,6 +185,11 @@ struct BadCase {
   const char* expect;  // substring of the error
 };
 
+// Without this gtest prints the struct's raw bytes, i.e. the addresses of
+// its string literals, which ASLR moves on every run; ctest's discovered
+// test names carry that text, so they would change with every build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class ScenarioIoErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ScenarioIoErrors, RejectsMalformedInput) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "core/scheduler.hpp"
+#include "testutil.hpp"
+#include "workload/rng.hpp"
 #include "workload/task_graphs.hpp"
 
 namespace sparcle {
@@ -178,6 +184,89 @@ TEST(SchedulerLifecycle, RemoveReaddCycleIsStable) {
   }
   EXPECT_DOUBLE_EQ(sched.gr_residual_capacities().ncp(1)[0], 10.0);
   EXPECT_DOUBLE_EQ(sched.gr_residual_capacities().ncp(2)[0], 10.0);
+}
+
+/// Three relays of unequal capacity between a pinned source and sink, so
+/// BE apps spread over the relays and share them.
+Network make_mesh_net() {
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("src", ResourceVector::scalar(1.0));
+  net.add_ncp("r1", ResourceVector::scalar(12.0), 0.05);
+  net.add_ncp("r2", ResourceVector::scalar(8.0), 0.05);
+  net.add_ncp("r3", ResourceVector::scalar(10.0), 0.05);
+  net.add_ncp("dst", ResourceVector::scalar(1.0));
+  net.add_link("s1", 0, 1, 1000.0);
+  net.add_link("s2", 0, 2, 1000.0);
+  net.add_link("s3", 0, 3, 1000.0);
+  net.add_link("1d", 1, 4, 1000.0);
+  net.add_link("2d", 2, 4, 1000.0);
+  net.add_link("3d", 3, 4, 1000.0);
+  return net;
+}
+
+Application make_mesh_app(const std::string& name, double priority) {
+  Application app = make_app(name, QoeSpec::best_effort(priority));
+  app.pinned = {{0, 0}, {2, 4}};
+  return app;
+}
+
+/// Same placed apps, hosts and rates, compared bit for bit.
+void expect_bit_identical(const Scheduler& a, const Scheduler& b,
+                          const char* how) {
+  ASSERT_EQ(a.placed().size(), b.placed().size()) << how;
+  for (std::size_t i = 0; i < a.placed().size(); ++i) {
+    const PlacedApp& x = a.placed()[i];
+    const PlacedApp& y = b.placed()[i];
+    ASSERT_EQ(x.app.name, y.app.name) << how;
+    ASSERT_EQ(x.paths.size(), y.paths.size()) << how << " " << x.app.name;
+    for (std::size_t k = 0; k < x.paths.size(); ++k)
+      for (CtId c = 0; c < static_cast<CtId>(x.app.graph->ct_count()); ++c)
+        EXPECT_EQ(x.paths[k].placement.ct_host(c),
+                  y.paths[k].placement.ct_host(c))
+            << how << " " << x.app.name << " path " << k << " ct " << c;
+    EXPECT_EQ(std::memcmp(&x.allocated_rate, &y.allocated_rate,
+                          sizeof(double)),
+              0)
+        << how << " " << x.app.name << ": " << x.allocated_rate << " vs "
+        << y.allocated_rate;
+    ASSERT_EQ(x.path_rates.size(), y.path_rates.size()) << how;
+    EXPECT_EQ(std::memcmp(x.path_rates.data(), y.path_rates.data(),
+                          x.path_rates.size() * sizeof(double)),
+              0)
+        << how << " " << x.app.name;
+  }
+}
+
+// Problem (4) is solved cold on every change, so BE rates are a function
+// of the placed set alone: the order of submits, batching, and apps that
+// came and went on the way must not move a bit.  Replaying a decision
+// journal relies on this.
+TEST(SchedulerLifecycle, BeRatesDependOnlyOnPlacedSet) {
+  Rng rng(testutil::test_seed());
+  std::vector<Application> apps;
+  for (int i = 0; i < 8; ++i)
+    apps.push_back(
+        make_mesh_app("app" + std::to_string(i), rng.uniform(0.5, 4.0)));
+
+  Scheduler one_by_one(make_mesh_net());
+  for (const Application& app : apps)
+    ASSERT_TRUE(one_by_one.submit(app).admitted) << app.name;
+
+  Scheduler batched(make_mesh_net());
+  batched.begin_batch();
+  for (const Application& app : apps)
+    ASSERT_TRUE(batched.submit(app).admitted) << app.name;
+  batched.end_batch();
+
+  Scheduler detour(make_mesh_net());
+  for (const Application& app : apps)
+    ASSERT_TRUE(detour.submit(app).admitted) << app.name;
+  ASSERT_TRUE(detour.submit(make_mesh_app("extra", 2.0)).admitted);
+  ASSERT_TRUE(detour.remove("extra"));
+
+  ASSERT_GT(one_by_one.total_be_rate(), 0.0);
+  expect_bit_identical(one_by_one, batched, "batched");
+  expect_bit_identical(one_by_one, detour, "admit+remove");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -25,6 +26,14 @@ Network make_diamond_net() {
   net.add_link("l23", 2, 3, 5);
   net.add_link("l12", 1, 2, 1);
   return net;
+}
+
+/// One-off query on a fresh workspace.
+template <typename WeightFn>
+WidestPathResult widest(const Network& net, NcpId from, NcpId to,
+                        const WeightFn& weight) {
+  WidestPathWorkspace ws;
+  return widest_path_buffered(net, from, to, weight, ws);
 }
 
 /// Brute-force widest path by enumerating all simple paths (DFS).
@@ -53,8 +62,8 @@ double brute_force_width(const Network& net, NcpId from, NcpId to,
 
 TEST(WidestPath, PicksTheWiderArm) {
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 0, 3,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  const auto r =
+      widest(net, 0, 3, [&](LinkId l) { return net.link(l).bandwidth; });
   ASSERT_TRUE(r.reachable);
   EXPECT_DOUBLE_EQ(r.width, 10.0);  // via 0-1-3: min(10,20)
   ASSERT_EQ(r.links.size(), 2u);
@@ -64,7 +73,7 @@ TEST(WidestPath, PicksTheWiderArm) {
 
 TEST(WidestPath, SameEndpointsGiveInfiniteWidth) {
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 2, 2, [](LinkId) { return 1.0; });
+  const auto r = widest(net, 2, 2, [](LinkId) { return 1.0; });
   EXPECT_TRUE(r.reachable);
   EXPECT_EQ(r.width, kInf);
   EXPECT_TRUE(r.links.empty());
@@ -74,14 +83,14 @@ TEST(WidestPath, UnreachableWhenCut) {
   Network net(ResourceSchema::cpu_only());
   net.add_ncp("a", ResourceVector::scalar(1));
   net.add_ncp("b", ResourceVector::scalar(1));
-  const auto r = widest_path(net, 0, 1, [](LinkId) { return 1.0; });
+  const auto r = widest(net, 0, 1, [](LinkId) { return 1.0; });
   EXPECT_FALSE(r.reachable);
 }
 
 TEST(WidestPath, ZeroWeightLinksAreUnusable) {
   const Network net = make_diamond_net();
   // Kill both arms except 0-2-3.
-  const auto r = widest_path(net, 0, 3, [&](LinkId l) {
+  const auto r = widest(net, 0, 3, [&](LinkId l) {
     return (l == 2 || l == 3) ? net.link(l).bandwidth : 0.0;
   });
   ASSERT_TRUE(r.reachable);
@@ -91,8 +100,8 @@ TEST(WidestPath, ZeroWeightLinksAreUnusable) {
 
 TEST(WidestPath, ReturnedRouteIsContiguous) {
   const Network net = make_diamond_net();
-  const auto r = widest_path(net, 1, 2,
-                             [&](LinkId l) { return net.link(l).bandwidth; });
+  const auto r =
+      widest(net, 1, 2, [&](LinkId l) { return net.link(l).bandwidth; });
   ASSERT_TRUE(r.reachable);
   NcpId at = 1;
   for (LinkId l : r.links) at = net.other_end(l, at);
@@ -102,7 +111,7 @@ TEST(WidestPath, ReturnedRouteIsContiguous) {
 TEST(WidestPath, RouteWidthMatchesReportedWidth) {
   const Network net = make_diamond_net();
   const auto weight = [&](LinkId l) { return net.link(l).bandwidth; };
-  const auto r = widest_path(net, 0, 3, weight);
+  const auto r = widest(net, 0, 3, weight);
   ASSERT_TRUE(r.reachable);
   double w = kInf;
   for (LinkId l : r.links) w = std::min(w, weight(l));
@@ -111,7 +120,7 @@ TEST(WidestPath, RouteWidthMatchesReportedWidth) {
 
 TEST(WidestPath, OutOfRangeEndpointThrows) {
   const Network net = make_diamond_net();
-  EXPECT_THROW(widest_path(net, 0, 9, [](LinkId) { return 1.0; }),
+  EXPECT_THROW(widest(net, 0, 9, [](LinkId) { return 1.0; }),
                std::invalid_argument);
 }
 
@@ -129,7 +138,8 @@ TEST(BestTtPath, AccountsForExistingLoads) {
   g.finalize();
   load.add_tt(g, 0, 0);
 
-  const auto r = best_tt_path(net, cap, load, 10.0, 0, 3);
+  WidestPathWorkspace ws;
+  const auto r = best_tt_path(net, cap, load, 10.0, 0, 3, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_DOUBLE_EQ(r.width, 0.5);
   EXPECT_EQ(r.links[0], 2);  // via NCP 2
@@ -139,7 +149,8 @@ TEST(BestTtPath, ZeroBitTtOnEmptyLinksIsFree) {
   const Network net = make_diamond_net();
   const CapacitySnapshot cap(net);
   const LoadMap load = LoadMap::zeros(net);
-  const auto r = best_tt_path(net, cap, load, 0.0, 0, 3);
+  WidestPathWorkspace ws;
+  const auto r = best_tt_path(net, cap, load, 0.0, 0, 3, ws);
   ASSERT_TRUE(r.reachable);
   EXPECT_EQ(r.width, kInf);
 }
@@ -155,7 +166,7 @@ TEST_P(WidestPathRandom, MatchesBruteForceOnFullNetworks) {
   for (NcpId from = 0; from < 6; ++from)
     for (NcpId to = 0; to < 6; ++to) {
       if (from == to) continue;
-      const auto r = widest_path(gen.net, from, to, weight);
+      const auto r = widest(gen.net, from, to, weight);
       ASSERT_TRUE(r.reachable);
       EXPECT_NEAR(r.width, brute_force_width(gen.net, from, to, weight),
                   1e-12);
@@ -169,7 +180,7 @@ TEST_P(WidestPathRandom, MatchesBruteForceOnStarNetworks) {
   for (NcpId from = 0; from < 7; ++from)
     for (NcpId to = 0; to < 7; ++to) {
       if (from == to) continue;
-      const auto r = widest_path(gen.net, from, to, weight);
+      const auto r = widest(gen.net, from, to, weight);
       ASSERT_TRUE(r.reachable);
       EXPECT_NEAR(r.width, brute_force_width(gen.net, from, to, weight),
                   1e-12);
@@ -205,9 +216,8 @@ TEST(WidestPathWorkspace, ReusableAcrossCallsAndWeightFunctors) {
   const auto inv = widest_path_buffered(net, 0, 3, Inverted{&net}, ws);
   ASSERT_TRUE(inv.reachable);
   EXPECT_DOUBLE_EQ(inv.width, 90.0);  // 0-1-2-3: min(90, 99, 95)
-  const auto again = widest_path(net, 0, 3, [&](LinkId l) {
-    return 100.0 - net.link(l).bandwidth;
-  });
+  // A fresh workspace finds the same route.
+  const auto again = widest(net, 0, 3, Inverted{&net});
   EXPECT_EQ(inv.links, again.links);
 
   // Same workspace on a *different, larger* network.
@@ -252,7 +262,7 @@ TEST(WidestPathWorkspace, WidthProbeHonorsFloorExactly) {
 
 TEST(ShortestHopPath, SkipsDeadLinks) {
   // A NaN-bandwidth link passes add_link's (<= 0) validation but is
-  // unusable under the widest_path rule; shortest_hop_path must honor the
+  // unusable under the widest-path rule; shortest_hop_path must honor the
   // same rule instead of routing a TT over the dead link.
   const double dead = std::numeric_limits<double>::quiet_NaN();
   Network net(ResourceSchema::cpu_only());
@@ -275,9 +285,9 @@ TEST(ShortestHopPath, SkipsDeadLinks) {
   only_dead.add_ncp("b", ResourceVector::scalar(1));
   only_dead.add_link("dead", 0, 1, dead);
   EXPECT_FALSE(shortest_hop_path(only_dead, 0, 1).reachable);
-  EXPECT_FALSE(widest_path(only_dead, 0, 1, [&](LinkId l) {
-                 return only_dead.link(l).bandwidth;
-               }).reachable);
+  const auto none = widest(
+      only_dead, 0, 1, [&](LinkId l) { return only_dead.link(l).bandwidth; });
+  EXPECT_FALSE(none.reachable);
 }
 
 }  // namespace

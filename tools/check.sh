@@ -2,7 +2,7 @@
 # CI-style verification: the tier-1 build + full ctest, then the same under
 # ASan/UBSan (SPARCLE_SANITIZE, see the top-level CMakeLists.txt), with the
 # assignment-equivalence property test called out explicitly since it
-# guards the memoized+parallel fast path.
+# guards the parallel fast path.
 #
 # Usage: tools/check.sh [--skip-sanitize]
 set -euo pipefail
@@ -28,11 +28,6 @@ ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
 echo "=== equivalence property test under sanitizers ==="
 ./build-asan/tests/test_assign_equivalence
-
-echo "=== PF warm-start property test under sanitizers ==="
-# Warm vs cold solver equality across randomized delta chains; the warm
-# path touches saved duals, so run it where use-after-free would show.
-./build-asan/tests/test_fairness_warm
 
 echo "=== invariant fuzz harness under sanitizers ==="
 # The full checker + oracle + shrinking pipeline (docs/testing.md); raise
