@@ -100,7 +100,33 @@ void BM_FairnessSolve(benchmark::State& state) {
   }
   for (auto _ : state) benchmark::DoNotOptimize(solve_weighted_pf(p));
 }
-BENCHMARK(BM_FairnessSolve)->RangeMultiplier(2)->Range(2, 16);
+BENCHMARK(BM_FairnessSolve)->RangeMultiplier(2)->Range(2, 128);
+
+// The shape of the BE re-solves with ~96 apps placed on 64 NCPs: one path
+// per app, each loading 6 rows of a 120-row pool, so most apps share rows
+// with many others and the Newton system is one large block.
+void BM_FairnessSolvePf96Shape(benchmark::State& state) {
+  const auto apps = static_cast<std::size_t>(state.range(0));
+  constexpr int kRows = 120;
+  Rng rng(7);
+  PfProblem p;
+  p.capacity.assign(kRows, 100.0);
+  for (std::size_t a = 0; a < apps; ++a) {
+    PfProblem::Column col;
+    std::vector<char> used(kRows, 0);
+    while (col.entries.size() < 6) {
+      const auto row = static_cast<std::size_t>(rng.uniform_int(0, kRows - 1));
+      if (used[row]) continue;
+      used[row] = 1;
+      col.entries.emplace_back(row, rng.uniform(0.5, 5.0));
+    }
+    p.columns.push_back(std::move(col));
+    p.var_app.push_back(a);
+    p.app_priority.push_back(1.0 + static_cast<double>(a % 3));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(solve_weighted_pf(p));
+}
+BENCHMARK(BM_FairnessSolvePf96Shape)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
 
 }  // namespace
 

@@ -12,6 +12,10 @@ namespace sparcle {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Converged once the scaled duality gap (m + nv) μ drops below this.
+constexpr double kDualityGapTol = 1e-8;
+/// Hard cap on Newton iterations per solve.
+constexpr int kMaxNewtonSteps = 400;
 
 /// Internal normalized problem: rows scaled so capacity == 1, and rows
 /// with no coefficients dropped.
@@ -19,6 +23,11 @@ struct Scaled {
   std::vector<PfProblem::Column> columns;  // coefficients divided by C_row
   std::vector<std::size_t> row_of;         // scaled row -> original row
   std::size_t rows{0};
+  /// The same loads by row: row r's (var, coeff) pairs are
+  /// by_row[row_start[r] .. row_start[r + 1]), in var order and, within a
+  /// var, in its column's entry order.
+  std::vector<std::size_t> row_start;
+  std::vector<std::pair<std::size_t, double>> by_row;
 };
 
 Scaled scale_problem(const PfProblem& p) {
@@ -26,7 +35,7 @@ Scaled scale_problem(const PfProblem& p) {
   std::vector<char> used(p.capacity.size(), 0);
   for (const auto& col : p.columns)
     for (const auto& [row, coeff] : col.entries)
-      if (coeff > 0) used.at(row) = 1;
+      if (coeff > 0) used[row] = 1;
 
   std::vector<std::size_t> new_row(p.capacity.size(), SIZE_MAX);
   Scaled s;
@@ -44,12 +53,25 @@ Scaled scale_problem(const PfProblem& p) {
       if (coeff > 0)
         s.columns[v].entries.emplace_back(new_row[row],
                                           coeff / p.capacity[row]);
+
+  // Counting-sort transpose; visiting vars in order keeps each row's list
+  // sorted by var.
+  s.row_start.assign(s.rows + 1, 0);
+  for (const auto& col : s.columns)
+    for (const auto& entry : col.entries) ++s.row_start[entry.first + 1];
+  for (std::size_t r = 0; r < s.rows; ++r)
+    s.row_start[r + 1] += s.row_start[r];
+  s.by_row.resize(s.row_start[s.rows]);
+  std::vector<std::size_t> next(s.row_start.begin(), s.row_start.end() - 1);
+  for (std::size_t v = 0; v < s.columns.size(); ++v)
+    for (const auto& [row, coeff] : s.columns[v].entries)
+      s.by_row[next[row]++] = {v, coeff};
   return s;
 }
 
 }  // namespace
 
-PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
+PfSolution solve_weighted_pf(const PfProblem& p) {
   const std::size_t nv = p.var_count();
   const std::size_t na = p.app_count();
   if (na == 0 || nv == 0)
@@ -60,8 +82,18 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
     if (!(pr > 0))
       throw std::invalid_argument(
           "solve_weighted_pf: priorities must be positive");
+  for (const auto& col : p.columns)
+    for (const auto& entry : col.entries)
+      if (entry.first >= p.capacity.size())
+        throw std::invalid_argument(
+            "solve_weighted_pf: a column entry names no constraint row");
   std::vector<char> app_has_var(na, 0);
-  for (std::size_t a : p.var_app) app_has_var.at(a) = 1;
+  for (std::size_t a : p.var_app) {
+    if (a >= na)
+      throw std::invalid_argument(
+          "solve_weighted_pf: a variable names no application");
+    app_has_var[a] = 1;
+  }
   for (std::size_t a = 0; a < na; ++a)
     if (!app_has_var[a])
       throw std::invalid_argument(
@@ -116,11 +148,13 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
   // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
   // duality gap drops below tolerance or the iteration cap is spent.
   std::vector<double> x(nv, t0), grad(nv), dir(nv), xn(nv);
+  // The Newton system; only its lower triangle is written or read.
+  Matrix h(nv, nv);
   double mu = 1.0;
   double mu_last = mu;  // μ of the final executed Newton phase
   int iters = 0;
-  int newton_budget = opt.max_newton_steps;
-  while (mu * n_constraints > opt.duality_gap_tol && newton_budget > 0) {
+  int newton_budget = kMaxNewtonSteps;
+  while (mu * n_constraints > kDualityGapTol && newton_budget > 0) {
     mu_last = mu;
     // Newton iterations at this μ.
     for (int it = 0; it < 50 && newton_budget > 0; ++it, --newton_budget) {
@@ -137,25 +171,30 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
         grad[v] = g;
       }
 
-      // Negative Hessian (positive definite).
-      Matrix h(nv, nv, 0.0);
+      // Negative Hessian (positive definite), lower triangle, row v:
+      //   h(v,u) = [same app] P_a / s_a² + [u == v] μ / x_v²
+      //            + Σ_rows μ R_rv R_ru / slack²,
+      // the row sum walking v's entries in column order and, for each, the
+      // vars u <= v that load the same row.  Keep this order (v's entries,
+      // then u's, summed from 0, app and barrier terms added last): the
+      // results must stay bit-identical to the dense oracle in
+      // tests/test_fairness_reference.cpp.
       for (std::size_t v = 0; v < nv; ++v) {
+        double* hv = &h(v, 0);
+        std::fill(hv, hv + v + 1, 0.0);
+        for (const auto& [row, cv] : s.columns[v].entries)
+          for (std::size_t k = s.row_start[row]; k < s.row_start[row + 1];
+               ++k) {
+            const auto& [u, cu] = s.by_row[k];
+            if (u > v) break;
+            hv[u] += mu * cv * cu / (sl[row] * sl[row]);
+          }
         const std::size_t a = p.var_app[v];
         const double app_term = p.app_priority[a] / (sa[a] * sa[a]);
-        for (std::size_t u = 0; u < nv; ++u)
-          if (p.var_app[u] == a) h(v, u) += app_term;
-        h(v, v) += mu / (x[v] * x[v]);
+        for (std::size_t u = 0; u < v; ++u)
+          if (p.var_app[u] == a) hv[u] = app_term + hv[u];
+        hv[v] = (app_term + mu / (x[v] * x[v])) + hv[v];
       }
-      for (std::size_t v = 0; v < nv; ++v)
-        for (std::size_t u = 0; u <= v; ++u) {
-          // Σ_rows μ R_rv R_ru / slack², exploiting sparse columns.
-          double val = 0;
-          for (const auto& [rv, cv] : s.columns[v].entries)
-            for (const auto& [ru, cu] : s.columns[u].entries)
-              if (rv == ru) val += mu * cv * cu / (sl[rv] * sl[rv]);
-          h(v, u) += val;
-          if (u != v) h(u, v) += val;
-        }
 
       if (!cholesky_solve(h, grad, dir)) {
         // Numerical trouble: fall back to a (scaled) gradient step.
@@ -205,7 +244,7 @@ PfSolution solve_weighted_pf(const PfProblem& p, const PfOptions& opt) {
     worst = std::max(worst, -sl[row] * p.capacity[s.row_of[row]]);
   }
   out.max_violation = worst;
-  out.converged = mu * n_constraints <= opt.duality_gap_tol;
+  out.converged = mu * n_constraints <= kDualityGapTol;
   out.newton_iters = iters;
   return out;
 }

@@ -42,12 +42,6 @@ struct PfProblem {
   std::size_t var_count() const { return columns.size(); }
 };
 
-/// Solver knobs for solve_weighted_pf().
-struct PfOptions {
-  double duality_gap_tol{1e-8};  ///< stop when m*μ (scaled) drops below this
-  int max_newton_steps{400};     ///< hard cap on Newton iterations
-};
-
 /// The allocation returned by solve_weighted_pf().
 struct PfSolution {
   bool converged{false};  ///< duality gap reached tolerance within the cap
@@ -64,12 +58,14 @@ struct PfSolution {
 
 /// Solves the weighted proportional-fairness problem.  Every call starts
 /// from the same strictly feasible point, so the solution is a function of
-/// `problem` and `options` alone, bit for bit.  Throws
+/// `problem` alone, bit for bit.  The barrier schedule stops once the
+/// scaled duality gap is below 1e-8 or after 400 Newton steps.  Throws
 /// std::invalid_argument on malformed input (empty apps, non-positive
-/// priorities, an application with no variables, or a variable constrained
-/// by a zero-capacity row — such paths must be dropped by the caller).
-PfSolution solve_weighted_pf(const PfProblem& problem,
-                             const PfOptions& options = {});
+/// priorities, a variable naming no application or a column entry naming
+/// no constraint row, an application with no variables, or a variable
+/// constrained by a zero-capacity row — such paths must be dropped by the
+/// caller).
+PfSolution solve_weighted_pf(const PfProblem& problem);
 
 /// Σ P_i log(Σ paths of i), for reporting utilities of externally chosen
 /// rates (e.g. baseline algorithms in the Fig. 13 benchmark).

@@ -7,8 +7,7 @@
 /// \file smallmat.hpp
 /// Minimal dense linear algebra for the interior-point fairness solver:
 /// a row-major matrix and a Cholesky solve for symmetric positive-definite
-/// systems.  Sized for the small Newton systems (tens of variables) the
-/// resource-allocation problem produces; not a general-purpose BLAS.
+/// systems; not a general-purpose BLAS.
 
 namespace sparcle {
 
@@ -41,9 +40,14 @@ class Matrix {
 };
 
 /// Solves A x = b for symmetric positive-definite A via Cholesky
-/// factorization (A is not modified).  Returns false when A is not
-/// (numerically) positive definite.
-bool cholesky_solve(const Matrix& a, const std::vector<double>& b,
+/// factorization A = L L^T.  Only the lower triangle of `a` is read, and
+/// it is overwritten in place with L (left-looking, one column at a time);
+/// the upper triangle is never read or written.  Every entry of L is the
+/// same k-ordered sum as in the textbook row-by-row algorithm, so the
+/// factor and the solution match it bit for bit.  Returns false when A is
+/// not (numerically) positive definite; `x` is then untouched and `a`
+/// holds a partial factor.
+bool cholesky_solve(Matrix& a, const std::vector<double>& b,
                     std::vector<double>& x);
 
 }  // namespace sparcle

@@ -183,6 +183,23 @@ TEST(Fairness, RejectsMalformedProblems) {
   zero_cap.var_app = {0};
   zero_cap.app_priority = {1.0};
   EXPECT_THROW(solve_weighted_pf(zero_cap), std::invalid_argument);
+
+  PfProblem row_out_of_range;
+  row_out_of_range.capacity = {1.0};
+  row_out_of_range.columns.resize(1);
+  row_out_of_range.columns[0].entries = {{0, 1.0}, {1, 1.0}};
+  row_out_of_range.var_app = {0};
+  row_out_of_range.app_priority = {1.0};
+  EXPECT_THROW(solve_weighted_pf(row_out_of_range), std::invalid_argument);
+
+  PfProblem app_out_of_range;
+  app_out_of_range.capacity = {1.0};
+  app_out_of_range.columns.resize(2);
+  app_out_of_range.columns[0].entries = {{0, 1.0}};
+  app_out_of_range.columns[1].entries = {{0, 1.0}};
+  app_out_of_range.var_app = {0, 1};
+  app_out_of_range.app_priority = {1.0};
+  EXPECT_THROW(solve_weighted_pf(app_out_of_range), std::invalid_argument);
 }
 
 TEST(Fairness, PfUtilityIsMinusInfinityForZeroRateApp) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "reference_cholesky.hpp"
 #include "workload/rng.hpp"
 
 namespace sparcle {
@@ -78,6 +84,93 @@ TEST(CholeskySolve, RandomSpdRoundTrip) {
     std::vector<double> x;
     ASSERT_TRUE(cholesky_solve(a, rhs, x));
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_star[i], 1e-8);
+  }
+}
+
+/// A random n x n SPD matrix B^T B + I, built in the lower triangle only;
+/// the upper triangle is set to `upper`.
+Matrix random_spd_lower(Rng& rng, std::size_t n, double upper) {
+  Matrix b(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.uniform(-1, 1);
+  Matrix a(n, n, upper);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = i == j ? 1.0 : 0.0;
+      for (std::size_t k = 0; k < n; ++k) sum += b(k, i) * b(k, j);
+      a(i, j) = sum;
+    }
+  return a;
+}
+
+TEST(CholeskySolve, NeverReadsOrWritesTheUpperTriangle) {
+  Rng rng(11);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t n : {1u, 2u, 5u, 9u, 33u}) {
+    Matrix a = random_spd_lower(rng, n, nan);
+    std::vector<double> rhs(n);
+    for (double& r : rhs) r = rng.uniform(-5, 5);
+    std::vector<double> want;
+    ASSERT_TRUE(testutil::reference_cholesky_solve(a, rhs, want));
+    std::vector<double> x;
+    ASSERT_TRUE(cholesky_solve(a, rhs, x)) << "n " << n;
+    ASSERT_EQ(x.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(std::isfinite(x[i])) << "n " << n << " i " << i;
+      EXPECT_EQ(std::memcmp(&x[i], &want[i], sizeof(double)), 0)
+          << "n " << n << " i " << i;
+      for (std::size_t j = i + 1; j < n; ++j)
+        EXPECT_TRUE(std::isnan(a(i, j))) << "upper (" << i << ", " << j
+                                         << ") was written";
+    }
+  }
+}
+
+TEST(CholeskySolve, BitIdenticalToRowByRowReference) {
+  // Every n from 1 to 130 covers each remainder of the four-row interleave
+  // and the sizes of the PF Newton systems.
+  Rng rng(12);
+  for (std::size_t n = 1; n <= 130; ++n) {
+    Matrix a = random_spd_lower(rng, n, 0.0);
+    std::vector<double> rhs(n);
+    for (double& r : rhs) r = rng.uniform(-5, 5);
+    Matrix l;
+    std::vector<double> want;
+    ASSERT_TRUE(testutil::reference_cholesky_factor(a, l));
+    ASSERT_TRUE(testutil::reference_cholesky_solve(a, rhs, want));
+    std::vector<double> x;
+    ASSERT_TRUE(cholesky_solve(a, rhs, x)) << "n " << n;
+    ASSERT_EQ(x.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::memcmp(&x[i], &want[i], sizeof(double)), 0)
+          << "n " << n << " x[" << i << "]";
+      for (std::size_t j = 0; j <= i; ++j)
+        ASSERT_EQ(std::memcmp(&a(i, j), &l(i, j), sizeof(double)), 0)
+            << "n " << n << " L(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(CholeskySolve, RejectsMatricesThatAreNotPositiveDefinite) {
+  // A negative last diagonal leaves every pivot but the last one valid; a
+  // NaN below the diagonal first reaches the pivot of its own row.
+  Rng rng(13);
+  const std::vector<double> sentinel{42.0};
+  for (std::size_t n : {3u, 6u, 11u}) {
+    const std::vector<double> rhs(n, 1.0);
+    Matrix a = random_spd_lower(rng, n, 0.0);
+    a(n - 1, n - 1) = -1.0;
+    std::vector<double> want;
+    EXPECT_FALSE(testutil::reference_cholesky_solve(a, rhs, want));
+    std::vector<double> x = sentinel;
+    EXPECT_FALSE(cholesky_solve(a, rhs, x)) << "n " << n;
+    EXPECT_EQ(x, sentinel) << "x must be untouched on failure";
+
+    Matrix with_nan = random_spd_lower(rng, n, 0.0);
+    with_nan(n / 2, 0) = std::numeric_limits<double>::quiet_NaN();
+    x = sentinel;
+    EXPECT_FALSE(cholesky_solve(with_nan, rhs, x)) << "n " << n;
+    EXPECT_EQ(x, sentinel);
   }
 }
 
