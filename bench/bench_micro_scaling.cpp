@@ -14,6 +14,7 @@
 #include "core/fairness.hpp"
 #include "core/sparcle_assigner.hpp"
 #include "core/widest_path.hpp"
+#include "workload/arrivals.hpp"
 #include "workload/scenarios.hpp"
 
 using namespace sparcle;
@@ -57,6 +58,30 @@ BENCHMARK(BM_SparcleAssignTaskGraphSize)
     ->RangeMultiplier(2)
     ->Range(2, 16)
     ->Complexity();
+
+/// Admission-sized assignment on the soak topology (16-NCP stars would
+/// not reach the site sizes that matter, and a full mesh at 1024 NCPs has
+/// ~524k links): one steady arrival assigned on an empty
+/// soak_site(n / 64, 64).
+void BM_SparcleAssignSoakSite(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(20260808);
+  const Network net = soak_site(n / 64, 64, rng);
+  ArrivalSpec spec;
+  spec.arrivals = 1;
+  spec.locality = 0.9;
+  ArrivalGenerator gen(net, spec, 20260808);
+  Arrival arrival;
+  gen.next(arrival);
+  AssignmentProblem p;
+  p.net = &net;
+  p.graph = arrival.app.graph.get();
+  p.capacities = CapacitySnapshot(net);
+  p.pinned = arrival.app.pinned;
+  const SparcleAssigner assigner;
+  for (auto _ : state) benchmark::DoNotOptimize(assigner.assign(p));
+}
+BENCHMARK(BM_SparcleAssignSoakSite)->Arg(256)->Arg(1024);
 
 void BM_WidestPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -10,7 +10,7 @@
 /// Usage:
 ///   sparcle_serve <scenario-file> [--port P] [--bind ADDR]
 ///                 [--max-batch N] [--queue-capacity N] [--deadline-ms N]
-///                 [--threads N] [--window-seconds N] [--idle-timeout-ms N]
+///                 [--window-seconds N] [--idle-timeout-ms N]
 ///                 [--shards N] [--validate]
 ///                 [--oneshot] [--metrics-out FILE] [--decision-log FILE]
 ///                 [--trace-out FILE] [--trace-capacity N]
@@ -24,8 +24,6 @@
 ///   --max-batch       admission requests coalesced per scheduler batch
 ///   --queue-capacity  bound on queued requests (backpressure beyond it)
 ///   --deadline-ms     default per-request deadline (0 = none)
-///   --threads         worker threads for candidate evaluation (also
-///                     settable via SPARCLE_THREADS; 0 = auto)
 ///   --window-seconds  live telemetry window width (default 60)
 ///   --idle-timeout-ms close connections idle for this long (0 = never)
 ///   --validate        run the invariant checker after every batch
@@ -77,7 +75,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <scenario-file> [--port P] [--bind ADDR] "
                "[--max-batch N] [--queue-capacity N] [--deadline-ms N]\n"
-               "       [--threads N] [--window-seconds N] "
+               "       [--window-seconds N] "
                "[--idle-timeout-ms N] [--shards N] [--validate] "
                "[--oneshot] [--metrics-out FILE] [--decision-log FILE]\n"
                "       [--trace-out FILE] [--trace-capacity N] "
@@ -294,10 +292,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       svc_options.default_deadline = std::chrono::milliseconds(std::atoi(v));
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      sched_options.assigner_options.eval_threads = std::atoi(v);
     } else if (arg == "--window-seconds") {
       const char* v = next();
       if (!v) return usage(argv[0]);

@@ -1,6 +1,7 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -20,9 +21,6 @@ GreedyEngine::GreedyEngine(const AssignmentProblem& problem,
       placed_(problem.graph->ct_count(), 0) {
   if (problem.net == nullptr || problem.graph == nullptr)
     throw std::invalid_argument("GreedyEngine: problem missing net or graph");
-  // Force the network's lazy CSR adjacency build now, while we are single
-  // threaded; parallel gamma evaluation reads it concurrently later.
-  if (net().ncp_count() > 0) (void)net().incident_links(0);
 }
 
 double GreedyEngine::node_term(CtId i, NcpId j) const {
@@ -74,60 +72,67 @@ double GreedyEngine::probe_bits(CtId i, CtId other) const {
   return compute_probe_bits(i, other);
 }
 
-double GreedyEngine::gamma(CtId i, NcpId j) const {
-  return gamma(i, j, scratch_, -kInf);
+const GreedyEngine::WidthTree& GreedyEngine::width_tree(NcpId root,
+                                                        double bits) const {
+  // Keys compare by bit pattern so a NaN probe size still hits its tree.
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  WidthTree* slot = nullptr;
+  for (WidthTree& t : trees_) {
+    if (t.root == root && same_bits(t.bits, bits)) {
+      if (t.generation == generation_) return t;
+      slot = &t;
+      break;
+    }
+    if (slot == nullptr && t.generation != generation_) slot = &t;
+  }
+  if (slot == nullptr) slot = &trees_.emplace_back();
+  slot->root = root;
+  slot->bits = bits;
+  slot->generation = generation_;
+  ++widest_path_calls_;
+  widest_widths_to(net(), root, TtPathWeight{&capacities(), &load_, bits},
+                   scratch_, slot->width);
+  return *slot;
 }
 
-double GreedyEngine::gamma(CtId i, NcpId j, WidestPathWorkspace& ws,
-                           double floor) const {
+void GreedyEngine::collect_relative_widths(CtId i) const {
+  // Link terms: widest paths towards each placed related CT, probed with
+  // the min- (or max-) bit TT of G(i, i') (Alg. 2 line 12).  Pointers into
+  // trees_ stay valid while it grows: moving a WidthTree keeps its buffer.
   const TaskGraph& g = graph();
-  const CapacitySnapshot& cap = capacities();
-  gamma_evals_.fetch_add(1, std::memory_order_relaxed);
-
-  // Node term: min_r C_j^(r) / (a_i^(r) + existing load on j).
-  double rate = node_term(i, j);
-  if (rate <= floor) return rate;
-
-  // Link terms: widest path towards each placed reachable CT, probed with
-  // the minimum-bit TT of G(i, i') (Alg. 2 line 12).
+  relative_widths_.clear();
   for (CtId other = 0; other < static_cast<CtId>(g.ct_count()); ++other) {
-    if (!placed_[other] || other == i) continue;
-    if (!g.related(i, other)) continue;
-    const NcpId jo = placement_.ct_host(other);
-    if (jo == j) continue;
-    const TtPathWeight weight{&cap, &load_, probe_bits(i, other)};
-    widest_path_calls_.fetch_add(1, std::memory_order_relaxed);
-    const WidestWidthResult probe =
-        widest_path_width(net(), j, jo, weight, ws, floor);
-    if (probe.pruned) {
-      bnb_prunes_.fetch_add(1, std::memory_order_relaxed);
-      return std::min(rate, probe.width);  // <= floor
-    }
-    if (!probe.reachable) return 0.0;
-    rate = std::min(rate, probe.width);
-    if (rate <= floor) return rate;
+    if (!placed_[other] || other == i || !g.related(i, other)) continue;
+    relative_widths_.push_back(
+        width_tree(placement_.ct_host(other), probe_bits(i, other))
+            .width.data());
+  }
+}
+
+double GreedyEngine::gamma_from_trees(CtId i, NcpId j) const {
+  ++gamma_evals_;
+  double rate = node_term(i, j);
+  for (const double* width : relative_widths_) {
+    if (!(width[j] > 0)) return 0.0;  // j cannot reach that host
+    rate = std::min(rate, width[j]);
   }
   return rate;
 }
 
-NcpId GreedyEngine::best_host(CtId i, double* gamma_out) const {
-  return best_host(i, scratch_, gamma_out);
+double GreedyEngine::gamma(CtId i, NcpId j) const {
+  collect_relative_widths(i);
+  return gamma_from_trees(i, j);
 }
 
-NcpId GreedyEngine::best_host(CtId i, WidestPathWorkspace& ws,
-                              double* gamma_out) const {
+NcpId GreedyEngine::best_host(CtId i, double* gamma_out) const {
+  collect_relative_widths(i);
   NcpId best = kInvalidId;
   double best_gamma = -kInf;
   for (NcpId j = 0; j < static_cast<NcpId>(net().ncp_count()); ++j) {
-    // Exact branch-and-bound: γ(i,j) <= node_term(i,j), and a tie goes to
-    // the lower NCP id (already the incumbent), so a candidate whose bound
-    // cannot *strictly* beat the incumbent is skipped outright.
-    if (best != kInvalidId && node_term(i, j) <= best_gamma) {
-      bnb_prunes_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const double g = gamma(i, j, ws, best_gamma);
-    if (g > best_gamma || (g == best_gamma && j < best)) {
+    const double g = gamma_from_trees(i, j);
+    if (g > best_gamma) {  // strict: the lower id keeps a tie
       best_gamma = g;
       best = j;
     }
@@ -145,13 +150,14 @@ void GreedyEngine::commit(CtId i, NcpId j) {
   placed_[i] = 1;
   ++placed_count_;
   load_.add_ct(g, i, j);
+  ++generation_;  // the loads below change every tree's link weights
 
   auto route = [&](TtId k, NcpId from, NcpId to) {
     if (from == to) {
       placement_.place_tt(k, {});
       return;
     }
-    widest_path_calls_.fetch_add(1, std::memory_order_relaxed);
+    ++widest_path_calls_;
     const WidestPathResult path =
         routing_ == Routing::kWidestPath
             ? best_tt_path(net(), capacities(), load_, g.tt(k).bits_per_unit,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -19,14 +18,13 @@
 
 namespace sparcle {
 
-/// Work counters one engine accumulated over its lifetime (snapshot of the
-/// internal relaxed atomics — safe to read while parallel evaluation runs,
-/// exact once the evaluation round joined).  SparcleAssigner flushes these
-/// into the installed obs::MetricsRegistry under `assigner.*`.
+/// Work counters one engine accumulated over its lifetime.
+/// SparcleAssigner flushes these into the installed obs::MetricsRegistry
+/// under `assigner.*`.
 struct EngineStats {
   std::uint64_t gamma_evals{0};       ///< γ(i,j) evaluations
-  std::uint64_t widest_path_calls{0}; ///< Dijkstra runs (probes + routing)
-  std::uint64_t bnb_prunes{0};        ///< candidates cut by the exact bound
+  /// Dijkstra runs: widest-width tree builds for γ plus TT routes.
+  std::uint64_t widest_path_calls{0};
 };
 
 /// Incremental commit engine for one-CT-at-a-time assignment.
@@ -61,29 +59,16 @@ class GreedyEngine {
 
   /// γ_{i,j} (eq. (2)): the bottleneck rate placing CT i on NCP j would
   /// impose given everything committed so far.  0 when NCP j cannot reach
-  /// the host of a placed reachable CT.  Uses the engine's internal
-  /// scratch workspace — not safe to call concurrently; use the overload
-  /// below with per-thread workspaces for parallel evaluation.
+  /// the host of a placed related CT.  The link terms are read off
+  /// widest-width trees rooted at those hosts (see widest_widths_to),
+  /// built on first use and kept until the next commit().  Not safe to
+  /// call concurrently.
   double gamma(CtId i, NcpId j) const;
-
-  /// γ_{i,j} with a caller-owned workspace and an exact branch-and-bound
-  /// floor: evaluation aborts as soon as the running rate can no longer
-  /// exceed `floor`, returning a value <= floor (possibly inexact) in that
-  /// case and the exact γ otherwise.  Pass -infinity for an exact answer.
-  /// Thread-safe across distinct workspaces while no commit is running
-  /// (the engine state is read-only here); call warm_probe_cache() once
-  /// before concurrent use.
-  double gamma(CtId i, NcpId j, WidestPathWorkspace& ws, double floor) const;
 
   /// argmax_j γ_{i,j}; stores the γ value in *gamma_out when non-null.
   /// Deterministic tie-break: among hosts with equal γ the lowest NCP id
-  /// wins.  This is the spec any reordered or parallel evaluation must
-  /// match; the returned γ is always exact even though losing candidates
-  /// are pruned against the incumbent.
+  /// wins.
   NcpId best_host(CtId i, double* gamma_out = nullptr) const;
-
-  /// best_host with a caller-owned workspace (for parallel per-CT rounds).
-  NcpId best_host(CtId i, WidestPathWorkspace& ws, double* gamma_out) const;
 
   /// Commits CT i to NCP j, booking its load and routing every TT towards
   /// already-placed direct neighbours along the widest path.
@@ -94,28 +79,40 @@ class GreedyEngine {
 
   /// Precomputes the probe-TT bits of every related CT pair (Alg. 2 line
   /// 12: the min- or max-bit TT of G(i,i')).  The pairs are a static
-  /// property of the task graph, so this is computed once and makes
-  /// gamma() allocation-free; it is also required before calling gamma()
-  /// from multiple threads.
+  /// property of the task graph, so this is computed once and spares
+  /// gamma() the per-call TT scan.
   void warm_probe_cache();
 
   /// Finalizes: returns the (possibly incomplete) placement and rate.
   AssignmentResult finish() &&;
 
   /// Snapshot of the work counters (see EngineStats).
-  EngineStats stats() const {
-    return {gamma_evals_.load(std::memory_order_relaxed),
-            widest_path_calls_.load(std::memory_order_relaxed),
-            bnb_prunes_.load(std::memory_order_relaxed)};
-  }
+  EngineStats stats() const { return {gamma_evals_, widest_path_calls_}; }
 
  private:
+  /// Widths towards one placed host for one probe-TT size: a
+  /// widest_widths_to tree, current while `generation` matches the
+  /// engine's.
+  struct WidthTree {
+    NcpId root{kInvalidId};
+    double bits{0.0};
+    std::uint64_t generation{0};
+    std::vector<double> width;  ///< width[j]: j → root
+  };
+
   /// min_r C_j^(r) / (a_i^(r) + existing load on j) — the node term of
-  /// eq. (2) and an upper bound on γ(i,j).
+  /// eq. (2).
   double node_term(CtId i, NcpId j) const;
   /// bits_per_unit of the probe TT of G(i, other) (cached when warm).
   double probe_bits(CtId i, CtId other) const;
   double compute_probe_bits(CtId i, CtId other) const;
+  /// The current tree for (root, bits), building it if needed.
+  const WidthTree& width_tree(NcpId root, double bits) const;
+  /// Fills relative_widths_ with the trees towards the hosts of i's placed
+  /// related CTs, in CT order.
+  void collect_relative_widths(CtId i) const;
+  /// γ(i, j) from node_term and the trees in relative_widths_.
+  double gamma_from_trees(CtId i, NcpId j) const;
 
   const AssignmentProblem* problem_;
   bool probe_min_bits_;
@@ -127,13 +124,16 @@ class GreedyEngine {
   /// probe_bits_[i * ct_count + other]; valid only when probe_warm_.
   std::vector<double> probe_bits_;
   bool probe_warm_{false};
-  /// Scratch for the serial gamma()/best_host()/commit() entry points.
+  /// Scratch for the Dijkstra runs of gamma()/best_host()/commit().
   mutable WidestPathWorkspace scratch_;
-  /// Relaxed work counters (see stats()); atomic because the per-round
-  /// candidate evaluation calls gamma()/best_host() from worker threads.
-  mutable std::atomic<std::uint64_t> gamma_evals_{0};
-  mutable std::atomic<std::uint64_t> widest_path_calls_{0};
-  mutable std::atomic<std::uint64_t> bnb_prunes_{0};
+  /// Tree storage, reused across commits; commit() bumps generation_,
+  /// which retires every tree because the link loads changed.
+  mutable std::vector<WidthTree> trees_;
+  std::uint64_t generation_{1};
+  /// width vectors of collect_relative_widths().
+  mutable std::vector<const double*> relative_widths_;
+  mutable std::uint64_t gamma_evals_{0};
+  mutable std::uint64_t widest_path_calls_{0};
 };
 
 }  // namespace sparcle

@@ -2,24 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 namespace sparcle {
-
-WorkerPool::WorkerPool(unsigned threads) {
-  const unsigned spawn = threads > 1 ? threads - 1 : 0;
-  workers_.reserve(spawn);
-  for (unsigned w = 0; w < spawn; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w + 1); });
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
 
 unsigned WorkerPool::resolve_threads(int requested, unsigned cap) {
   if (requested > 0) return static_cast<unsigned>(requested);
@@ -29,64 +14,6 @@ unsigned WorkerPool::resolve_threads(int requested, unsigned cap) {
   }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   return cap == 0 ? hw : std::min(hw, cap);
-}
-
-void WorkerPool::work(unsigned worker) {
-  for (;;) {
-    const std::size_t item = next_.fetch_add(1, std::memory_order_relaxed);
-    if (item >= count_) return;
-    try {
-      (*fn_)(item, worker);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_) error_ = std::current_exception();
-    }
-  }
-}
-
-void WorkerPool::worker_loop(unsigned worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] { return stop_ || round_ != seen; });
-      if (stop_) return;
-      seen = round_;
-    }
-    work(worker);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--busy_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-void WorkerPool::run(
-    std::size_t count,
-    const std::function<void(std::size_t, unsigned)>& fn) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i, 0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    count_ = count;
-    next_.store(0, std::memory_order_relaxed);
-    busy_ = workers_.size();
-    ++round_;
-  }
-  start_cv_.notify_all();
-  work(0);  // the calling thread participates as worker 0
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return busy_ == 0; });
-  fn_ = nullptr;
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
 }
 
 }  // namespace sparcle

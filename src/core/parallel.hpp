@@ -1,71 +1,23 @@
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
 /// \file parallel.hpp
-/// A small persistent worker pool for embarrassingly parallel evaluation
-/// rounds (SPARCLE's per-round best-host candidate scan).  Work items are
-/// claimed from an atomic counter, so the *schedule* is nondeterministic,
-/// but callers write results into per-item slots and reduce serially —
-/// making the overall output bit-identical to a serial run.
+/// The thread-count resolver left over from the per-round worker pool that
+/// once fanned SPARCLE's best-host candidate scan out across threads.  The
+/// scan is now serial (it reads each widest-width tree many times, and
+/// threads cost more than they saved), and nothing in the library consumes
+/// the resolved count.  It stays only for source compatibility.
 
 namespace sparcle {
 
-/// Persistent pool of worker threads with an atomic work-claiming run().
-class WorkerPool {
- public:
-  /// A pool that runs work on `threads` workers total (the calling thread
-  /// participates, so `threads - 1` OS threads are spawned).  threads <= 1
-  /// means run() executes inline.
-  explicit WorkerPool(unsigned threads);
-  /// Joins all workers (any in-flight run() must have returned).
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;             ///< non-copyable
-  WorkerPool& operator=(const WorkerPool&) = delete;  ///< non-copyable
-
-  /// Total workers, including the calling thread.
-  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
-
-  /// Runs fn(item, worker) for every item in [0, count).  `worker` is in
-  /// [0, size()) and is stable within one item — use it to index
-  /// per-worker scratch state.  Blocks until every item completed.  The
-  /// first exception thrown by fn is rethrown here (remaining items may be
-  /// skipped).  Not reentrant.
-  void run(std::size_t count,
-           const std::function<void(std::size_t item, unsigned worker)>& fn);
-
-  /// Maps a user-facing thread-count knob to a concrete pool size.
+/// Namespace for resolve_threads (the pool itself is gone).
+struct WorkerPool {
+  /// Maps a user-facing thread-count knob to a concrete count.
   /// `requested > 0` wins outright.  Otherwise (auto) the `SPARCLE_THREADS`
   /// environment variable is consulted (a positive integer overrides
-  /// everything else — the operator knob documented in the README), and
-  /// failing that the hardware concurrency is used, clamped to `cap` when
-  /// `cap` is non-zero (`cap == 0` means "no cap beyond the hardware").
+  /// everything else), and failing that the hardware concurrency is used,
+  /// clamped to `cap` when `cap` is non-zero (`cap == 0` means "no cap
+  /// beyond the hardware").  Has no effect on assignment.
   static unsigned resolve_threads(int requested, unsigned cap = 0);
-
- private:
-  void work(unsigned worker);
-  void worker_loop(unsigned worker);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t, unsigned)>* fn_{nullptr};
-  std::size_t count_{0};
-  std::atomic<std::size_t> next_{0};  // lock-free work-item claim
-  std::size_t busy_{0};  // workers still draining the current round
-  std::uint64_t round_{0};    // bumped per run() to wake the workers
-  bool stop_{false};
-  std::exception_ptr error_;
 };
 
 }  // namespace sparcle

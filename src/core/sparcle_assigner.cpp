@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/greedy_engine.hpp"
 #include "core/local_search.hpp"
-#include "core/parallel.hpp"
-#include "core/widest_path.hpp"
 #include "obs/obs.hpp"
 
 namespace sparcle {
@@ -40,7 +37,6 @@ class MetricsFlush {
     reg->counter("assigner.ranking_rounds").add(rounds_);
     reg->counter("assigner.gamma_evals").add(es.gamma_evals);
     reg->counter("assigner.widest_path_calls").add(es.widest_path_calls);
-    reg->counter("assigner.bnb_prunes").add(es.bnb_prunes);
   }
 
  private:
@@ -83,35 +79,18 @@ AssignmentResult SparcleAssigner::assign(
 
   // Per-CT best-host evaluations of the current round (lines 7-14).
   std::vector<Candidate> slots(total);
-  const unsigned threads = WorkerPool::resolve_threads(options_.eval_threads);
-  std::vector<WidestPathWorkspace> workspaces(threads);
-  std::unique_ptr<WorkerPool> pool;  // spawned on first parallel round
-  std::vector<CtId> unplaced;
-  unplaced.reserve(total);
 
   std::uint64_t rounds = 0;
   const MetricsFlush flush(engine, rounds);
 
-  // Evaluates every unplaced CT once.  The engine is read-only during
-  // evaluation and each item writes only its own slot, so the parallel
-  // fan-out is race-free; the (serial) reduction over the slots afterwards
-  // makes the outcome bit-identical to a serial run.
+  // Evaluates every unplaced CT once.  Between commits the engine's
+  // widest-width trees are shared by every CT probing the same host.
   const auto evaluate_round = [&] {
-    unplaced.clear();
-    for (CtId i = 0; i < static_cast<CtId>(total); ++i)
-      if (!engine.placed(i)) unplaced.push_back(i);
-    const auto evaluate = [&](std::size_t idx, unsigned worker) {
-      const CtId i = unplaced[idx];
+    for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
+      if (engine.placed(i)) continue;
       double gi = -kInf;
-      const NcpId ji = engine.best_host(i, workspaces[worker], &gi);
+      const NcpId ji = engine.best_host(i, &gi);
       slots[i] = {ji, gi};
-    };
-    if (threads > 1 && unplaced.size() > 1) {
-      if (!pool) pool = std::make_unique<WorkerPool>(threads);
-      pool->run(unplaced.size(), evaluate);
-    } else {
-      for (std::size_t idx = 0; idx < unplaced.size(); ++idx)
-        evaluate(idx, 0);
     }
   };
 

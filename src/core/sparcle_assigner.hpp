@@ -47,10 +47,8 @@ struct SparcleAssignerOptions {
   /// 0 = the paper's algorithm).  See core/local_search.hpp.
   int local_search_rounds{0};
 
-  /// Worker threads for the per-round candidate evaluation.  0 = auto
-  /// (the SPARCLE_THREADS environment variable when set, otherwise the
-  /// hardware concurrency); 1 = serial.  The reduction is deterministic,
-  /// so the result is bit-identical for any value.
+  /// Has no effect: each round is evaluated serially.  Kept only for
+  /// source compatibility with callers that still set it.
   int eval_threads{0};
 
   /// Candidate-ranking policy plugin (decision point 2 of

@@ -17,10 +17,11 @@
 /// l is the processing rate the TT would see on it:
 ///   weight(l) = C_l^(b) / (a_k^(b) + Σ_{TTs already on l} a^(b)).
 ///
-/// The kernel (widest_path_buffered / widest_path_width) is a template
+/// The kernel (widest_path_buffered / widest_widths_to) is a template
 /// over the weight functor and runs on a caller-owned reusable
-/// WidestPathWorkspace — the assignment hot path runs thousands of
-/// queries per round and pays zero allocations after warm-up.
+/// WidestPathWorkspace, so repeated queries pay no allocations after
+/// warm-up.  widest_widths_to answers one root against every source at
+/// once: γ's link terms (eq. (2)) read a whole candidate scan off it.
 
 namespace sparcle {
 
@@ -31,17 +32,6 @@ struct WidestPathResult {
   double width{0.0};
   /// Links from source to destination, in hop order; empty when from == to.
   std::vector<LinkId> links;
-};
-
-/// Width-only probe result (no route reconstruction, no allocation).
-struct WidestWidthResult {
-  /// Destination reached with width > floor.
-  bool reachable{false};
-  /// The search aborted because no remaining path can exceed the caller's
-  /// floor; `width` then holds an upper bound (<= floor) on the true
-  /// width, and `reachable` is false even if a path <= floor exists.
-  bool pruned{false};
-  double width{0.0};  ///< exact width, or the upper bound when pruned
 };
 
 /// Caller-owned scratch buffers for the Dijkstra kernel.  Buffers are
@@ -177,28 +167,24 @@ class WidestPathWorkspace {
 
 namespace detail {
 
-/// Shared Dijkstra core.  Returns +1 when `to` was settled, 0 when the
-/// search exhausted the reachable set without meeting `to`, and -1 when it
-/// aborted because the widest remaining frontier width is <= `floor`
-/// (only possible with floor > 0).  On -1, *bound holds that frontier
-/// width.  phi/prev for settled nodes live in `ws`.
-template <typename WeightFn>
-int run_widest_dijkstra(const Network& net, NcpId from, NcpId to,
-                        const WeightFn& weight, WidestPathWorkspace& ws,
-                        double floor, double* bound) {
+/// Shared Dijkstra core: settles nodes outward from `root` in (width desc,
+/// node id asc) order until `stop` is settled (returns true) or the
+/// reachable set is exhausted (returns false; pass kInvalidId to settle
+/// everything).  With kReversed the arrows of directed links are walked
+/// backwards, so phi(v) is the width of the best v → root path instead of
+/// root → v.  phi/prev for settled nodes live in `ws`.
+template <bool kReversed, typename WeightFn>
+bool run_widest_dijkstra(const Network& net, NcpId root, NcpId stop,
+                         const WeightFn& weight, WidestPathWorkspace& ws) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ws.prepare(net.ncp_count());
-  ws.relax(from, kInf, kInvalidId);
-  ws.push(kInf, from);
+  ws.relax(root, kInf, kInvalidId);
+  ws.push(kInf, root);
   while (!ws.heap_empty()) {
     const auto [w, v] = ws.pop();
     if (ws.done(v)) continue;
-    if (w <= floor) {  // no remaining path can beat the caller's floor
-      *bound = w;
-      return -1;
-    }
     ws.mark_done(v);
-    if (v == to) return 1;
+    if (v == stop) return true;
     // `w` is phi(v): the first non-settled pop of a node always carries its
     // current (largest) label, so re-reading the array is redundant.  The
     // CSR row guarantees v is an endpoint of every incident link, so the
@@ -210,7 +196,7 @@ int run_widest_dijkstra(const Network& net, NcpId from, NcpId to,
     // compares false).
     for (LinkId l : net.incident_links(v)) {
       const Link& lk = net.link(l);
-      if (lk.directed && lk.a != v) continue;  // against the arrow
+      if (lk.directed && (kReversed ? lk.b : lk.a) != v) continue;  // wrong way
       const double lw = weight(l);
       const NcpId u = lk.a ^ lk.b ^ v;
       const double cand = lw < w ? lw : w;
@@ -221,7 +207,7 @@ int run_widest_dijkstra(const Network& net, NcpId from, NcpId to,
       }
     }
   }
-  return 0;
+  return false;
 }
 
 inline void check_endpoints(const Network& net, NcpId from, NcpId to,
@@ -249,9 +235,7 @@ WidestPathResult widest_path_buffered(const Network& net, NcpId from,
     result.width = std::numeric_limits<double>::infinity();
     return result;
   }
-  double bound = 0.0;
-  if (detail::run_widest_dijkstra(net, from, to, weight, ws, 0.0, &bound) !=
-      1)
+  if (!detail::run_widest_dijkstra<false>(net, from, to, weight, ws))
     return result;  // cut off
   if (!(ws.phi(to) > 0) || ws.prev(to) == kInvalidId) return result;
   result.reachable = true;
@@ -265,37 +249,22 @@ WidestPathResult widest_path_buffered(const Network& net, NcpId from,
   return result;
 }
 
-/// Width-only buffered probe with exact branch-and-bound pruning: when no
-/// path wider than `floor` exists the search aborts early and reports
-/// `pruned` with an upper bound instead of the exact width.  Pass
-/// floor <= 0 for an exact reachability answer.
+/// Widths of the widest v → `root` paths for every NCP v at once: one
+/// Dijkstra from `root` over reversed arrows.  `out` is resized to the
+/// NCP count; out[root] is +infinity and out[v] is 0 when v cannot reach
+/// `root`.  Every out[v] equals widest_path_buffered(v, root).width bit
+/// for bit: a width is a max of mins over the same link weights, which
+/// involves no rounding, so the search direction cannot change it.
 template <typename WeightFn>
-WidestWidthResult widest_path_width(const Network& net, NcpId from, NcpId to,
-                                    const WeightFn& weight,
-                                    WidestPathWorkspace& ws,
-                                    double floor = 0.0) {
-  detail::check_endpoints(net, from, to, "widest_path");
-  WidestWidthResult r;
-  if (from == to) {
-    r.reachable = true;
-    r.width = std::numeric_limits<double>::infinity();
-    return r;
+void widest_widths_to(const Network& net, NcpId root, const WeightFn& weight,
+                      WidestPathWorkspace& ws, std::vector<double>& out) {
+  detail::check_endpoints(net, root, root, "widest_widths_to");
+  detail::run_widest_dijkstra<true>(net, root, kInvalidId, weight, ws);
+  out.resize(net.ncp_count());
+  for (NcpId v = 0; v < static_cast<NcpId>(out.size()); ++v) {
+    const double w = ws.phi(v);  // -infinity when never reached
+    out[v] = w > 0 ? w : 0.0;
   }
-  double bound = 0.0;
-  switch (detail::run_widest_dijkstra(net, from, to, weight, ws, floor,
-                                      &bound)) {
-    case 1:
-      r.reachable = true;
-      r.width = ws.phi(to);
-      break;
-    case -1:
-      r.pruned = true;
-      r.width = bound;
-      break;
-    default:
-      break;  // unreachable
-  }
-  return r;
 }
 
 /// Algorithm 1's per-link weight (eq. (3)): the rate a TT carrying

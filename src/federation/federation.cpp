@@ -9,6 +9,10 @@
 #include <stdexcept>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/availability.hpp"
 #include "obs/obs.hpp"
 #include "obs/prometheus.hpp"
@@ -53,6 +57,12 @@ FederatedService::FederatedService(Network net, FederationOptions options)
 }
 
 FederatedService::~FederatedService() { stop(); }
+
+FederatedService::TrimOnTeardown::~TrimOnTeardown() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // PlacementService surface

@@ -227,6 +227,16 @@ class FederatedService : public service::PlacementService {
   Completion stamp_timeline(Completion on_done,
                             std::chrono::steady_clock::time_point enqueued);
 
+  /// Returns the heap pages a torn-down federation freed to the OS.  Each
+  /// shard thread allocates from its own glibc arena, and glibc keeps a
+  /// freed arena's pages mapped, so set-up after set-up would otherwise
+  /// stack resident memory.  Declared first, so destroyed last: after
+  /// every shard and thread has stopped and freed its state.
+  struct TrimOnTeardown {
+    ~TrimOnTeardown();
+  };
+  TrimOnTeardown trim_on_teardown_;
+
   Network net_;      ///< the full site
   ShardPlan plan_;   ///< immutable partition of net_
   FederationOptions options_;

@@ -81,9 +81,9 @@ struct RepairCandidate {
 /// The swappable scheduling policy.  The base-class implementations ARE
 /// the pre-refactor hard-coded rules, so `class MyPolicy : public
 /// SchedulingPolicy` overrides only the decision points it cares about.
-/// Implementations must be deterministic, stateless across calls (they
-/// may be consulted concurrently by parallel evaluation rounds), and must
-/// return in-range indices.
+/// Implementations must be deterministic, stateless across calls (one
+/// policy object may be shared by schedulers on different threads), and
+/// must return in-range indices.
 class SchedulingPolicy {
  public:
   virtual ~SchedulingPolicy() = default;

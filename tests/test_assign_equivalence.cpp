@@ -1,11 +1,13 @@
 /// \file test_assign_equivalence.cpp
-/// The perf layers of SparcleAssigner (floor-pruned evaluation, parallel
-/// candidate rounds) must be *invisible*: the produced placement has to be
-/// bit-identical to the serial reference (eval_threads=1) on every
-/// scenario.  This is the property test backing docs/perf.md.
+/// SparcleAssigner reads γ's link terms off widest-width trees; its
+/// placements must be bit-identical to the point-to-point, floor-pruned γ
+/// it replaced (tests/reference_assigner.hpp) on every scenario of this
+/// grid.  test_assign_reference.cpp runs the same oracle on larger and
+/// hostile sites.  This is the property test backing docs/perf.md.
 
 #include <gtest/gtest.h>
 
+#include "reference_assigner.hpp"
 #include "testutil.hpp"
 
 #include <vector>
@@ -22,28 +24,10 @@ using workload::Scenario;
 using workload::ScenarioSpec;
 using workload::TopologyKind;
 
-void expect_identical(const AssignmentResult& fast,
-                      const AssignmentResult& ref, const TaskGraph& graph,
-                      const std::string& label) {
-  ASSERT_EQ(fast.feasible, ref.feasible) << label;
-  EXPECT_EQ(fast.rate, ref.rate) << label;  // bit-identical, not just near
-  for (CtId i = 0; i < static_cast<CtId>(graph.ct_count()); ++i)
-    EXPECT_EQ(fast.placement.ct_host(i), ref.placement.ct_host(i))
-        << label << " ct " << i;
-  for (TtId k = 0; k < static_cast<TtId>(graph.tt_count()); ++k) {
-    ASSERT_EQ(fast.placement.tt_placed(k), ref.placement.tt_placed(k))
-        << label << " tt " << k;
-    if (fast.placement.tt_placed(k)) {
-      EXPECT_EQ(fast.placement.tt_route(k), ref.placement.tt_route(k))
-          << label << " tt " << k;
-    }
-  }
-}
-
 class AssignEquivalence : public ::testing::TestWithParam<int> {};
 
-// The name is kept from when a γ memo also ran on the fast side, so the
-// test's ID stays stable across history.
+// The name is kept from when a γ memo and a parallel round ran on the fast
+// side, so the test's ID stays stable across history.
 TEST_P(AssignEquivalence, MemoizedParallelMatchesFreshSerialReference) {
   const int seed = GetParam();
   const TopologyKind topologies[] = {TopologyKind::kStar, TopologyKind::kFull,
@@ -72,24 +56,18 @@ TEST_P(AssignEquivalence, MemoizedParallelMatchesFreshSerialReference) {
         const AssignmentProblem p = sc.problem();
 
         for (auto ranking : rankings) {
-          SparcleAssignerOptions fast_opts;
-          fast_opts.ranking = ranking;
-          fast_opts.eval_threads = 3;  // force the pool even on 1 core
-
-          SparcleAssignerOptions ref_opts = fast_opts;
-          ref_opts.eval_threads = 1;
-
-          const AssignmentResult fast =
-              SparcleAssigner(fast_opts).assign(p);
-          const AssignmentResult ref = SparcleAssigner(ref_opts).assign(p);
-
+          SparcleAssignerOptions opts;
+          opts.ranking = ranking;
           const std::string label =
               "seed=" + std::to_string(seed) +
               " topo=" + workload::to_string(topo) +
               " graph=" + workload::to_string(gk) +
               " case=" + workload::to_string(bc) +
               " ranking=" + std::to_string(static_cast<int>(ranking));
-          expect_identical(fast, ref, *sc.graph, label);
+          testutil::expect_same_assignment(
+              SparcleAssigner(opts).assign(p),
+              testutil::reference_assign(p, opts, label), *sc.graph,
+              label);
         }
       }
 }
@@ -105,16 +83,13 @@ TEST_P(AssignEquivalence, StaticRankingMatchesReference) {
   const Scenario sc = workload::make_scenario(spec, rng);
   const AssignmentProblem p = sc.problem();
 
-  SparcleAssignerOptions fast_opts;
-  fast_opts.ranking = SparcleAssignerOptions::Ranking::kMostConstrainedFirst;
-  fast_opts.dynamic_ranking = false;
-  fast_opts.eval_threads = 2;
-  SparcleAssignerOptions ref_opts = fast_opts;
-  ref_opts.eval_threads = 1;
-
-  const AssignmentResult fast = SparcleAssigner(fast_opts).assign(p);
-  const AssignmentResult ref = SparcleAssigner(ref_opts).assign(p);
-  expect_identical(fast, ref, *sc.graph, "static-ranking");
+  SparcleAssignerOptions opts;
+  opts.ranking = SparcleAssignerOptions::Ranking::kMostConstrainedFirst;
+  opts.dynamic_ranking = false;
+  testutil::expect_same_assignment(
+      SparcleAssigner(opts).assign(p),
+      testutil::reference_assign(p, opts, "static-ranking"), *sc.graph,
+      "static-ranking");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignEquivalence, ::testing::Range(1, 13));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -233,31 +235,87 @@ TEST(WidestPathWorkspace, ReusableAcrossCallsAndWeightFunctors) {
   EXPECT_EQ(chain.links.size(), 11u);
 }
 
-TEST(WidestPathWorkspace, WidthProbeHonorsFloorExactly) {
-  const Network net = make_diamond_net();
-  WidestPathWorkspace ws;
-  const auto bandwidth = [&](LinkId l) { return net.link(l).bandwidth; };
-
-  // Floor below the true width: exact answer, not pruned.
-  auto r = widest_path_width(net, 0, 3, bandwidth, ws, 5.0);
-  EXPECT_TRUE(r.reachable);
-  EXPECT_FALSE(r.pruned);
-  EXPECT_DOUBLE_EQ(r.width, 10.0);
-
-  // Floor at/above the true width: pruned with an upper bound <= floor.
-  r = widest_path_width(net, 0, 3, bandwidth, ws, 10.0);
-  EXPECT_FALSE(r.reachable);
-  EXPECT_TRUE(r.pruned);
-  EXPECT_LE(r.width, 10.0);
-
-  // Unreachable destination is reported as unreachable, never pruned,
-  // when the floor is non-positive.
+TEST(WidestWidthsTo, UnreachableSourcesReadZero) {
   Network cut(ResourceSchema::cpu_only());
   cut.add_ncp("a", ResourceVector::scalar(1));
   cut.add_ncp("b", ResourceVector::scalar(1));
-  r = widest_path_width(cut, 0, 1, [](LinkId) { return 1.0; }, ws, 0.0);
-  EXPECT_FALSE(r.reachable);
-  EXPECT_FALSE(r.pruned);
+  WidestPathWorkspace ws;
+  std::vector<double> out;
+  widest_widths_to(cut, 0, [](LinkId) { return 1.0; }, ws, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], kInf);  // the root itself
+  EXPECT_EQ(out[1], 0.0);
+  EXPECT_THROW(widest_widths_to(cut, 2, [](LinkId) { return 1.0; }, ws, out),
+               std::invalid_argument);
+}
+
+TEST(WidestWidthsTo, WalksDirectedLinksAgainstTheArrow) {
+  // 0 -> 1 -> 2 plus a wide 2 -> 0 back edge: towards root 2, node 0
+  // reads the forward chain and node 2's back edge is no help.
+  Network net(ResourceSchema::cpu_only());
+  for (int i = 0; i < 3; ++i)
+    net.add_ncp("n" + std::to_string(i), ResourceVector::scalar(1));
+  net.add_directed_link("d01", 0, 1, 4.0);
+  net.add_directed_link("d12", 1, 2, 3.0);
+  net.add_directed_link("d20", 2, 0, 50.0);
+  const auto bandwidth = [&](LinkId l) { return net.link(l).bandwidth; };
+  WidestPathWorkspace ws;
+  std::vector<double> out;
+  widest_widths_to(net, 2, bandwidth, ws, out);
+  EXPECT_EQ(out[0], 3.0);
+  EXPECT_EQ(out[1], 3.0);
+  widest_widths_to(net, 0, bandwidth, ws, out);
+  EXPECT_EQ(out[2], 50.0);
+  EXPECT_EQ(out[1], 3.0);  // 1 -> 2 -> 0
+}
+
+/// The tree kernel against the point-to-point one it replaces for γ: every
+/// out[v] must be widest_path_buffered(v, root).width bit for bit (0 when v
+/// cannot reach root), on random sparse graphs with directed links, dead
+/// (zero or NaN) weights and heavily tied weights, both below and above
+/// the workspace's 64-node bitmask cut-over.
+TEST(WidestWidthsTo, MatchesPointToPointWidthsBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(20261017);
+  WidestPathWorkspace tree_ws, point_ws;
+  std::vector<double> out;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(2, trial % 2 ? 90 : 40));
+    const bool directed = trial % 3 != 0;
+    Network net(ResourceSchema::cpu_only());
+    for (int v = 0; v < n; ++v)
+      net.add_ncp("n" + std::to_string(v), ResourceVector::scalar(1));
+    const int links = static_cast<int>(rng.uniform_int(0, 3 * n));
+    std::vector<double> weight;
+    for (int k = 0; k < links; ++k) {
+      const NcpId a = static_cast<NcpId>(rng.uniform_int(0, n - 1));
+      const NcpId b = static_cast<NcpId>(rng.uniform_int(0, n - 1));
+      if (a == b) continue;
+      if (directed && rng.bernoulli(0.7))
+        net.add_directed_link("l" + std::to_string(k), a, b, 1.0);
+      else
+        net.add_link("l" + std::to_string(k), a, b, 1.0);
+      const double u = rng.uniform(0.0, 1.0);
+      weight.push_back(u < 0.1    ? 0.0
+                       : u < 0.15 ? nan
+                       : u < 0.5  ? static_cast<double>(rng.uniform_int(1, 3))
+                                  : rng.uniform(0.01, 100.0));
+    }
+    const auto w = [&](LinkId l) { return weight[l]; };
+    for (NcpId root = 0; root < n; ++root) {
+      widest_widths_to(net, root, w, tree_ws, out);
+      ASSERT_EQ(out.size(), static_cast<std::size_t>(n));
+      for (NcpId v = 0; v < n; ++v) {
+        const WidestPathResult r =
+            widest_path_buffered(net, v, root, w, point_ws);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[v]),
+                  std::bit_cast<std::uint64_t>(r.width))
+            << "trial " << trial << " root " << root << " from " << v
+            << ": tree " << out[v] << " vs point " << r.width;
+        EXPECT_EQ(out[v] > 0, r.reachable);
+      }
+    }
+  }
 }
 
 TEST(ShortestHopPath, SkipsDeadLinks) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI-style verification: the tier-1 build + full ctest, then the same under
 # ASan/UBSan (SPARCLE_SANITIZE, see the top-level CMakeLists.txt), with the
-# assignment-equivalence property test called out explicitly since it
-# guards the parallel fast path.
+# assignment oracle tests called out explicitly since they prove the
+# widest-width-tree γ decides exactly as the point-to-point γ it replaced.
 #
 # Usage: tools/check.sh [--skip-sanitize]
 set -euo pipefail
@@ -26,8 +26,9 @@ cmake -B build-asan -S . -DSPARCLE_SANITIZE=address,undefined \
 cmake --build build-asan -j "${JOBS}"
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
-echo "=== equivalence property test under sanitizers ==="
+echo "=== assignment oracle tests under sanitizers ==="
 ./build-asan/tests/test_assign_equivalence
+./build-asan/tests/test_assign_reference
 
 echo "=== invariant fuzz harness under sanitizers ==="
 # The full checker + oracle + shrinking pipeline (docs/testing.md); raise
