@@ -2,16 +2,19 @@
 /// Google-benchmark microbenchmarks: the polynomial runtime claims of
 /// Theorem 2 (Algorithm 2 in network and task-graph size) plus the cost of
 /// the widest-path routine, the exact availability analysis, and the
-/// proportional-fairness solve.
+/// proportional-fairness solve, alone and inside the scheduler's BE
+/// re-solve.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "core/availability.hpp"
 #include "core/fairness.hpp"
+#include "core/scheduler.hpp"
 #include "core/sparcle_assigner.hpp"
 #include "core/widest_path.hpp"
 #include "workload/arrivals.hpp"
@@ -127,9 +130,11 @@ void BM_FairnessSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FairnessSolve)->RangeMultiplier(2)->Range(2, 128);
 
-// The shape of the BE re-solves with ~96 apps placed on 64 NCPs: one path
-// per app, each loading 6 rows of a 120-row pool, so most apps share rows
-// with many others and the Newton system is one large block.
+// Roughly the size of the BE re-solves with ~96 apps placed on 64 NCPs:
+// one path per app, each loading 6 rows drawn uniformly from a 120-row
+// pool.  Real pf96 problems are regional (an app's paths stay mostly
+// inside its home region), so their Hessian is far sparser than this
+// one's; BM_BeResolveSoakSite below solves the scheduler's own problems.
 void BM_FairnessSolvePf96Shape(benchmark::State& state) {
   const auto apps = static_cast<std::size_t>(state.range(0));
   constexpr int kRows = 120;
@@ -152,6 +157,41 @@ void BM_FairnessSolvePf96Shape(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(solve_weighted_pf(p));
 }
 BENCHMARK(BM_FairnessSolvePf96Shape)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
+
+/// One paced admission batch of the `pf96` benchmark workload on the
+/// scheduler's own PF problems: a Scheduler with W steady arrivals in
+/// flight (locality 0.9, GR fraction 0.1) removes the oldest and submits
+/// the next, so the batch ends in one BE re-solve over ~W placed apps.
+/// W = 96 runs on pf96's 64-NCP site, W = 400 on 256 NCPs.
+void BM_BeResolveSoakSite(benchmark::State& state) {
+  const auto window = static_cast<std::size_t>(state.range(0));
+  Rng site_rng(42);
+  Scheduler sched(soak_site(window > 96 ? 16 : 4, 16, site_rng));
+  ArrivalSpec spec;
+  spec.arrivals = 1000000;
+  spec.horizon = static_cast<double>(spec.arrivals);
+  spec.gr_fraction = 0.1;
+  spec.locality = 0.9;
+  ArrivalGenerator gen(sched.network(), spec, 20260808);
+  std::deque<std::string> in_flight;
+  Arrival arrival;
+  sched.begin_batch();
+  while (in_flight.size() < window && gen.next(arrival)) {
+    sched.submit(arrival.app);
+    in_flight.push_back(arrival.app.name);
+  }
+  sched.end_batch();
+  for (auto _ : state) {
+    sched.begin_batch();
+    sched.remove(in_flight.front());
+    in_flight.pop_front();
+    gen.next(arrival);
+    sched.submit(arrival.app);
+    in_flight.push_back(arrival.app.name);
+    benchmark::DoNotOptimize(sched.end_batch());
+  }
+}
+BENCHMARK(BM_BeResolveSoakSite)->Arg(96)->Arg(400);
 
 }  // namespace
 

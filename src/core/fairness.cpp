@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -41,6 +42,10 @@ Scaled scale_problem(const PfProblem& p) {
   Scaled s;
   for (std::size_t e = 0; e < p.capacity.size(); ++e) {
     if (!used[e]) continue;
+    if (!std::isfinite(p.capacity[e]))
+      throw std::invalid_argument(
+          "solve_weighted_pf: a loaded constraint row has a non-finite "
+          "capacity");
     if (p.capacity[e] <= 0)
       throw std::invalid_argument(
           "solve_weighted_pf: a loaded constraint row has zero capacity");
@@ -69,6 +74,64 @@ Scaled scale_problem(const PfProblem& p) {
   return s;
 }
 
+/// The Newton system's factor, laid out once per solve, with the factor
+/// slot of every Hessian term in the assembly's walk order: v's row
+/// terms, then its application terms (ending at app_end[v]), then its
+/// diagonal (diag_slot[v]).
+struct NewtonSystem {
+  SparseCholesky h;
+  std::vector<std::size_t> term_slot, app_end, diag_slot;
+};
+
+/// The negative Hessian's pattern is the pairs of variables that load a
+/// common row or belong to one application; its factor is ordered by
+/// minimum degree.
+NewtonSystem lay_out_newton_system(const PfProblem& p, const Scaled& s) {
+  const std::size_t nv = s.columns.size();
+  std::vector<std::vector<std::size_t>> app_vars(p.app_count());
+  for (std::size_t v = 0; v < nv; ++v) app_vars[p.var_app[v]].push_back(v);
+  // visit(u) for every term of row v of the lower triangle, in the
+  // assembly's order: the row terms (u <= v), then the app terms (u < v).
+  auto walk = [&](std::size_t v, auto&& visit) {
+    for (const auto& entry : s.columns[v].entries)
+      for (std::size_t k = s.row_start[entry.first];
+           k < s.row_start[entry.first + 1] && s.by_row[k].first <= v; ++k)
+        visit(s.by_row[k].first);
+    for (std::size_t u : app_vars[p.var_app[v]]) {
+      if (u >= v) break;
+      visit(u);
+    }
+  };
+
+  // Each pair once: seen[u] == v marks u as met in row v, at slot[u].
+  std::vector<std::size_t> seen(nv, SIZE_MAX), slot(nv);
+  SymmetricPattern pattern{nv, {}};
+  std::size_t terms = 0;
+  for (std::size_t v = 0; v < nv; ++v)
+    walk(v, [&](std::size_t u) {
+      ++terms;
+      if (seen[u] == v) return;
+      seen[u] = v;
+      pattern.entries.emplace_back(v, u);
+    });
+  NewtonSystem sys{SparseCholesky(pattern), {}, std::vector<std::size_t>(nv),
+                   std::vector<std::size_t>(nv)};
+  std::fill(seen.begin(), seen.end(), SIZE_MAX);
+  sys.term_slot.reserve(terms);
+  for (std::size_t v = 0; v < nv; ++v) {
+    walk(v, [&](std::size_t u) {
+      if (seen[u] != v) {
+        seen[u] = v;
+        slot[u] = sys.h.slot(v, u);
+      }
+      sys.term_slot.push_back(slot[u]);
+    });
+    sys.app_end[v] = sys.term_slot.size();
+    sys.diag_slot[v] = sys.h.slot(v, v);
+  }
+  return sys;
+}
+
 }  // namespace
 
 PfSolution solve_weighted_pf(const PfProblem& p) {
@@ -79,14 +142,18 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
   if (p.var_app.size() != nv)
     throw std::invalid_argument("solve_weighted_pf: var_app size mismatch");
   for (double pr : p.app_priority)
-    if (!(pr > 0))
+    if (!(pr > 0) || !std::isfinite(pr))
       throw std::invalid_argument(
-          "solve_weighted_pf: priorities must be positive");
+          "solve_weighted_pf: priorities must be positive and finite");
   for (const auto& col : p.columns)
-    for (const auto& entry : col.entries)
-      if (entry.first >= p.capacity.size())
+    for (const auto& [row, coeff] : col.entries) {
+      if (row >= p.capacity.size())
         throw std::invalid_argument(
             "solve_weighted_pf: a column entry names no constraint row");
+      if (!std::isfinite(coeff))
+        throw std::invalid_argument(
+            "solve_weighted_pf: a column entry has a non-finite load");
+    }
   std::vector<char> app_has_var(na, 0);
   for (std::size_t a : p.var_app) {
     if (a >= na)
@@ -144,18 +211,23 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
 
   const double n_constraints = static_cast<double>(m + nv);
 
+  NewtonSystem sys = lay_out_newton_system(p, s);
+  std::vector<double>& hv = sys.h.values();
+
   // The log-barrier μ-continuation loop from the strictly feasible start:
   // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
   // duality gap drops below tolerance or the iteration cap is spent.
   std::vector<double> x(nv, t0), grad(nv), dir(nv), xn(nv);
-  // The Newton system; only its lower triangle is written or read.
-  Matrix h(nv, nv);
   double mu = 1.0;
   double mu_last = mu;  // μ of the final executed Newton phase
   int iters = 0;
   int newton_budget = kMaxNewtonSteps;
   while (mu * n_constraints > kDualityGapTol && newton_budget > 0) {
     mu_last = mu;
+    // The barrier value at x for this μ, once known: the line search's
+    // accepted value is the next step's base.
+    bool base_known = false;
+    double base = 0;
     // Newton iterations at this μ.
     for (int it = 0; it < 50 && newton_budget > 0; ++it, --newton_budget) {
       ++iters;
@@ -171,32 +243,33 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
         grad[v] = g;
       }
 
-      // Negative Hessian (positive definite), lower triangle, row v:
-      //   h(v,u) = [same app] P_a / s_a² + [u == v] μ / x_v²
-      //            + Σ_rows μ R_rv R_ru / slack²,
+      // Negative Hessian (positive definite), entry (v, u) for u <= v:
+      //   [same app] P_a / s_a² + [u == v] μ / x_v²
+      //   + Σ_rows μ R_rv R_ru / slack²,
       // the row sum walking v's entries in column order and, for each, the
       // vars u <= v that load the same row.  Keep this order (v's entries,
       // then u's, summed from 0, app and barrier terms added last): the
       // results must stay bit-identical to the dense oracle in
       // tests/test_fairness_reference.cpp.
+      std::fill(hv.begin(), hv.end(), 0.0);
+      std::size_t t = 0;
       for (std::size_t v = 0; v < nv; ++v) {
-        double* hv = &h(v, 0);
-        std::fill(hv, hv + v + 1, 0.0);
-        for (const auto& [row, cv] : s.columns[v].entries)
-          for (std::size_t k = s.row_start[row]; k < s.row_start[row + 1];
-               ++k) {
-            const auto& [u, cu] = s.by_row[k];
-            if (u > v) break;
-            hv[u] += mu * cv * cu / (sl[row] * sl[row]);
-          }
+        for (const auto& [row, cv] : s.columns[v].entries) {
+          const double mu_cv = mu * cv;
+          const double sl2 = sl[row] * sl[row];
+          for (std::size_t k = s.row_start[row];
+               k < s.row_start[row + 1] && s.by_row[k].first <= v; ++k)
+            hv[sys.term_slot[t++]] += mu_cv * s.by_row[k].second / sl2;
+        }
         const std::size_t a = p.var_app[v];
         const double app_term = p.app_priority[a] / (sa[a] * sa[a]);
-        for (std::size_t u = 0; u < v; ++u)
-          if (p.var_app[u] == a) hv[u] = app_term + hv[u];
-        hv[v] = (app_term + mu / (x[v] * x[v])) + hv[v];
+        for (; t < sys.app_end[v]; ++t)
+          hv[sys.term_slot[t]] = app_term + hv[sys.term_slot[t]];
+        const std::size_t d = sys.diag_slot[v];
+        hv[d] = (app_term + mu / (x[v] * x[v])) + hv[d];
       }
 
-      if (!cholesky_solve(h, grad, dir)) {
+      if (!sys.h.solve(grad, dir)) {
         // Numerical trouble: fall back to a (scaled) gradient step.
         dir = grad;
       }
@@ -207,7 +280,8 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
       if (decrement < 1e-12) break;
 
       // Backtracking line search on the barrier objective.
-      const double base = barrier_value(x, mu);
+      if (!base_known) base = barrier_value(x, mu);
+      base_known = true;
       double step = 1.0;
       bool moved = false;
       for (int ls = 0; ls < 60; ++ls, step *= 0.5) {
@@ -215,6 +289,7 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
         const double val = barrier_value(xn, mu);
         if (val > base + 1e-4 * step * decrement) {
           x = xn;
+          base = val;
           moved = true;
           break;
         }
@@ -246,6 +321,7 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
   out.max_violation = worst;
   out.converged = mu * n_constraints <= kDualityGapTol;
   out.newton_iters = iters;
+  out.factor_entries = sys.h.factor_entries();
   return out;
 }
 

@@ -54,17 +54,24 @@ struct PfSolution {
   double max_violation{0.0};
   /// Newton iterations spent (solver-cost metric).
   int newton_iters{0};
+  /// Entries of each Newton step's Cholesky factor: its sparse columns
+  /// plus its dense clique block (a dense factor has nv(nv+1)/2).
+  std::size_t factor_entries{0};
 };
 
 /// Solves the weighted proportional-fairness problem.  Every call starts
 /// from the same strictly feasible point, so the solution is a function of
 /// `problem` alone, bit for bit.  The barrier schedule stops once the
-/// scaled duality gap is below 1e-8 or after 400 Newton steps.  Throws
-/// std::invalid_argument on malformed input (empty apps, non-positive
-/// priorities, a variable naming no application or a column entry naming
-/// no constraint row, an application with no variables, or a variable
-/// constrained by a zero-capacity row — such paths must be dropped by the
-/// caller).
+/// scaled duality gap is below 1e-8 or after 400 Newton steps.  Each
+/// Newton system is solved by a SparseCholesky (core/smallmat.hpp) over
+/// the pattern of variables that share a loaded row or an application.
+/// Throws std::invalid_argument on malformed input: empty apps; a
+/// priority that is not positive or not finite; a variable naming no
+/// application or a column entry naming no constraint row; a column
+/// entry whose load is not finite (NaN or ±inf); an application with no
+/// variables; a loaded row whose capacity is not finite; or a variable
+/// constrained by a zero-capacity row — such paths must be dropped by
+/// the caller.
 PfSolution solve_weighted_pf(const PfProblem& problem);
 
 /// Σ P_i log(Σ paths of i), for reporting utilities of externally chosen

@@ -1005,6 +1005,11 @@ namespace {
 std::vector<double> newton_iter_bounds() {
   return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
 }
+/// Bucket bounds of the per-solve factor-size histogram
+/// (`scheduler.solver.factor_entries`): powers of four.
+std::vector<double> factor_entry_bounds() {
+  return {16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};
+}
 }  // namespace
 
 bool Scheduler::reallocate_best_effort() {
@@ -1114,6 +1119,8 @@ bool Scheduler::reallocate_best_effort() {
     reg->counter("scheduler.solver.warm_start_misses").add(1);
     reg->histogram("scheduler.solver.newton_iters", newton_iter_bounds())
         .observe(static_cast<double>(sol.newton_iters));
+    reg->histogram("scheduler.solver.factor_entries", factor_entry_bounds())
+        .observe(static_cast<double>(sol.factor_entries));
   }
 
   if (sol.max_violation > 1e-6) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace sparcle {
 namespace {
@@ -200,6 +201,64 @@ TEST(Fairness, RejectsMalformedProblems) {
   app_out_of_range.var_app = {0, 1};
   app_out_of_range.app_priority = {1.0};
   EXPECT_THROW(solve_weighted_pf(app_out_of_range), std::invalid_argument);
+
+  // Non-finite input: two apps sharing one row, whose answer is (10, 20).
+  PfProblem two_apps;
+  two_apps.capacity = {30.0};
+  two_apps.columns.resize(2);
+  two_apps.columns[0].entries = {{0, 1.0}};
+  two_apps.columns[1].entries = {{0, 1.0}};
+  two_apps.var_app = {0, 1};
+  two_apps.app_priority = {1.0, 2.0};
+  const PfSolution sane = solve_weighted_pf(two_apps);
+  ASSERT_TRUE(sane.converged);
+  EXPECT_NEAR(sane.app_rate[0], 10.0, 1e-6);
+  EXPECT_NEAR(sane.app_rate[1], 20.0, 1e-6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double capacity : {nan, inf}) {
+    PfProblem bad = two_apps;
+    bad.capacity[0] = capacity;
+    EXPECT_THROW(solve_weighted_pf(bad), std::invalid_argument) << capacity;
+  }
+  for (double priority : {nan, inf}) {
+    PfProblem bad = two_apps;
+    bad.app_priority[0] = priority;
+    EXPECT_THROW(solve_weighted_pf(bad), std::invalid_argument) << priority;
+  }
+  for (double coeff : {nan, inf, -inf}) {
+    PfProblem bad = two_apps;
+    bad.columns[1].entries[0].second = coeff;
+    EXPECT_THROW(solve_weighted_pf(bad), std::invalid_argument) << coeff;
+  }
+  // An unloaded row's capacity is never read.
+  PfProblem unloaded_nan = two_apps;
+  unloaded_nan.capacity.push_back(nan);
+  EXPECT_NO_THROW(solve_weighted_pf(unloaded_nan));
+}
+
+TEST(Fairness, FactorEntriesCountTheSparseFactor) {
+  // Apps on private rows: a diagonal Hessian, one entry per variable.
+  PfProblem apart;
+  apart.capacity = {10.0, 20.0, 30.0};
+  for (std::size_t a = 0; a < 3; ++a) {
+    apart.columns.push_back({{{a, 1.0}}});
+    apart.var_app.push_back(a);
+    apart.app_priority.push_back(1.0);
+  }
+  EXPECT_EQ(solve_weighted_pf(apart).factor_entries, 3u);
+
+  // One shared row makes the Hessian dense: nv(nv+1)/2 entries.
+  PfProblem shared = apart;
+  for (auto& col : shared.columns) col.entries.emplace_back(2, 1.0);
+  EXPECT_EQ(solve_weighted_pf(shared).factor_entries, 6u);
+
+  // A chain 0-1-2 eliminates an end first: one sparse column of two
+  // entries, then the 2-clique's three.
+  PfProblem chain = apart;
+  chain.columns[1].entries = {{0, 1.0}, {2, 1.0}};
+  chain.columns[2].entries = {{2, 1.0}};
+  EXPECT_EQ(solve_weighted_pf(chain).factor_entries, 5u);
 }
 
 TEST(Fairness, PfUtilityIsMinusInfinityForZeroRateApp) {

@@ -3,10 +3,15 @@
 /// bit for bit, what the dense reference below returns.  The reference is
 /// the straightforward solver: the same barrier schedule and constants,
 /// an all-pairs column scan for every Hessian entry, and the row-by-row
-/// Cholesky of reference_cholesky.hpp.  The library assembles each
-/// Hessian row from a by-row transpose and factors in place; both keep
+/// Cholesky of reference_cholesky.hpp applied to P H P^T, where P is the
+/// minimum_degree_order() of the Hessian pattern the reference derives
+/// itself (variables sharing a loaded row or an application).  The
+/// library assembles each Hessian entry from a by-row transpose and
+/// factors it sparse, with a dense block for the final clique; both keep
 /// every entry's summation order, so any change to that order shows up
-/// here as a differing bit.
+/// here as a differing bit.  The same reference in identity order is the
+/// dense solver the sparse one replaced; a second check bounds how far
+/// the library's numbers drift from it.
 
 #include <gtest/gtest.h>
 
@@ -68,7 +73,34 @@ Scaled scale_problem(const PfProblem& p) {
   return s;
 }
 
-PfSolution reference_solve(const PfProblem& p) {
+/// The elimination order the reference factors the Newton system in.
+enum class Order {
+  kMinimumDegree,  ///< minimum_degree_order() of the Hessian pattern
+  kIdentity,       ///< the natural order of the dense solver
+};
+
+/// The Newton system's elimination order: pairs u < v that load a common
+/// loaded row or belong to one application are the pattern.
+std::vector<std::size_t> newton_order(const PfProblem& p, const Scaled& s,
+                                      Order order) {
+  const std::size_t nv = s.columns.size();
+  std::vector<std::size_t> perm(nv);
+  for (std::size_t v = 0; v < nv; ++v) perm[v] = v;
+  if (order == Order::kIdentity) return perm;
+  SymmetricPattern pattern{nv, {}};
+  for (std::size_t v = 0; v < nv; ++v)
+    for (std::size_t u = 0; u < v; ++u) {
+      bool linked = p.var_app[u] == p.var_app[v];
+      for (const auto& [rv, cv] : s.columns[v].entries)
+        for (const auto& [ru, cu] : s.columns[u].entries)
+          if (rv == ru) linked = true;
+      if (linked) pattern.entries.emplace_back(v, u);
+    }
+  return minimum_degree_order(pattern);
+}
+
+PfSolution reference_solve(const PfProblem& p,
+                           Order order = Order::kMinimumDegree) {
   const std::size_t nv = p.var_count();
   const std::size_t na = p.app_count();
   if (na == 0 || nv == 0)
@@ -130,6 +162,7 @@ PfSolution reference_solve(const PfProblem& p) {
   };
 
   const double n_constraints = static_cast<double>(m + nv);
+  const std::vector<std::size_t> perm = newton_order(p, s, order);
 
   // The log-barrier μ-continuation loop from the strictly feasible start:
   // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
@@ -176,7 +209,16 @@ PfSolution reference_solve(const PfProblem& p) {
           if (u != v) h(u, v) += val;
         }
 
-      if (!testutil::reference_cholesky_solve(h, grad, dir)) {
+      // Solve P H P^T (P d) = P g.
+      Matrix hp(nv, nv);
+      std::vector<double> gp(nv), dp;
+      for (std::size_t i = 0; i < nv; ++i) {
+        gp[i] = grad[perm[i]];
+        for (std::size_t j = 0; j < nv; ++j) hp(i, j) = h(perm[i], perm[j]);
+      }
+      if (testutil::reference_cholesky_solve(hp, gp, dp)) {
+        for (std::size_t i = 0; i < nv; ++i) dir[perm[i]] = dp[i];
+      } else {
         // Numerical trouble: fall back to a (scaled) gradient step.
         dir = grad;
       }
@@ -340,36 +382,76 @@ PfProblem pf96_problem(Rng& rng) {
   return ::testing::AssertionSuccess();
 }
 
-// 200 + 80 + 24 = 304 problems in all.
+// ---- The problem sets: 200 + 80 + 24 = 304 problems in all ------------
+
+std::vector<PfProblem> random_problems() {
+  Rng rng(testutil::test_seed() + 1601);
+  std::vector<PfProblem> out;
+  for (int i = 0; i < 200; ++i)
+    out.push_back(testutil::random_problem(
+        rng, static_cast<std::size_t>(rng.uniform_int(2, 12)),
+        static_cast<std::size_t>(rng.uniform_int(3, 12))));
+  return out;
+}
+
+std::vector<PfProblem> messy_problems() {
+  Rng rng(testutil::test_seed() + 1602);
+  std::vector<PfProblem> out;
+  for (int i = 0; i < 80; ++i) out.push_back(messy_problem(rng));
+  return out;
+}
+
+std::vector<PfProblem> pf96_problems() {
+  Rng rng(testutil::test_seed() + 1603);
+  std::vector<PfProblem> out;
+  for (int i = 0; i < 24; ++i) out.push_back(pf96_problem(rng));
+  return out;
+}
 
 TEST(FairnessReference, RandomProblemsMatchBitForBit) {
-  Rng rng(testutil::test_seed() + 1601);
-  for (int i = 0; i < 200; ++i) {
-    const PfProblem p =
-        testutil::random_problem(
-            rng, static_cast<std::size_t>(rng.uniform_int(2, 12)),
-            static_cast<std::size_t>(rng.uniform_int(3, 12)));
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(p), reference_solve(p)))
+  const std::vector<PfProblem> problems = random_problems();
+  for (std::size_t i = 0; i < problems.size(); ++i)
+    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
+                              reference_solve(problems[i])))
         << "problem " << i;
-  }
 }
 
 TEST(FairnessReference, UnsortedAndRepeatedRowColumnsMatchBitForBit) {
-  Rng rng(testutil::test_seed() + 1602);
-  for (int i = 0; i < 80; ++i) {
-    const PfProblem p = messy_problem(rng);
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(p), reference_solve(p)))
+  const std::vector<PfProblem> problems = messy_problems();
+  for (std::size_t i = 0; i < problems.size(); ++i)
+    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
+                              reference_solve(problems[i])))
         << "problem " << i;
-  }
 }
 
 TEST(FairnessReference, Pf96ShapedProblemsMatchBitForBit) {
-  Rng rng(testutil::test_seed() + 1603);
-  for (int i = 0; i < 24; ++i) {
-    const PfProblem p = pf96_problem(rng);
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(p), reference_solve(p)))
-        << "problem " << i << " (" << p.var_count() << " vars)";
-  }
+  const std::vector<PfProblem> problems = pf96_problems();
+  for (std::size_t i = 0; i < problems.size(); ++i)
+    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
+                              reference_solve(problems[i])))
+        << "problem " << i << " (" << problems[i].var_count() << " vars)";
+}
+
+// The minimum-degree order changes each factor entry's summation order,
+// so the rates move off the dense solver's by rounding only.
+TEST(FairnessReference, DriftFromTheDenseOrderIsRoundingOnly) {
+  for (const auto& problems :
+       {random_problems(), messy_problems(), pf96_problems()})
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      const PfSolution got = solve_weighted_pf(problems[i]);
+      const PfSolution dense = reference_solve(problems[i], Order::kIdentity);
+      ASSERT_EQ(got.app_rate.size(), dense.app_rate.size());
+      for (std::size_t a = 0; a < dense.app_rate.size(); ++a)
+        ASSERT_LE(std::abs(got.app_rate[a] - dense.app_rate[a]),
+                  1e-8 * std::abs(dense.app_rate[a]))
+            << "problem " << i << " app " << a;
+      ASSERT_LE(std::abs(got.utility - dense.utility),
+                1e-12 * std::abs(dense.utility))
+          << "problem " << i;
+      ASSERT_EQ(got.converged, dense.converged) << "problem " << i;
+      ASSERT_EQ(got.max_violation > 1e-6, dense.max_violation > 1e-6)
+          << "problem " << i;
+    }
 }
 
 }  // namespace

@@ -539,6 +539,13 @@ TEST(ObsE2E, SchedulerEmitsDecisionRowsAndNestedSpans) {
   EXPECT_EQ(reg.counter("scheduler.submits").value(), 2u);
   EXPECT_EQ(reg.counter("scheduler.admitted").value(), 1u);
   EXPECT_EQ(reg.counter("scheduler.rejected").value(), 1u);
+  // Every PF solve records its factor size beside its Newton iterations.
+  const Histogram* factor =
+      reg.find_histogram("scheduler.solver.factor_entries");
+  ASSERT_NE(factor, nullptr);
+  EXPECT_EQ(factor->count(),
+            reg.counter("scheduler.solver.warm_start_misses").value());
+  EXPECT_GE(factor->sum(), static_cast<double>(factor->count()));
 
   // Every assigner span nests inside some scheduler.submit span.
   const Json root = JsonParser(trace.to_json()).parse();

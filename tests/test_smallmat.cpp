@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "reference_cholesky.hpp"
@@ -172,6 +174,127 @@ TEST(CholeskySolve, RejectsMatricesThatAreNotPositiveDefinite) {
     EXPECT_FALSE(cholesky_solve(with_nan, rhs, x)) << "n " << n;
     EXPECT_EQ(x, sentinel);
   }
+}
+
+// ---- SparseCholesky ------------------------------------------------------
+
+/// The test patterns, as pairs (i, j) with j < i.
+SymmetricPattern test_pattern(const std::string& kind, std::size_t n) {
+  SymmetricPattern pattern{n, {}};
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) {
+      const bool in = kind == "full"     ? true
+                      : kind == "banded" ? i - j <= 3
+                      : kind == "block"  ? i / 7 == j / 7
+                      : kind == "arrow"  ? j == 0
+                                         : false;
+      if (in) pattern.entries.emplace_back(i, j);
+    }
+  return pattern;
+}
+
+/// A random symmetric diagonally dominant (so positive-definite) matrix
+/// on `pattern`, both triangles set.
+Matrix random_spd_on(Rng& rng, const SymmetricPattern& pattern) {
+  const std::size_t n = pattern.n;
+  Matrix a(n, n, 0.0);
+  for (const auto& [i, j] : pattern.entries)
+    a(i, j) = a(j, i) = rng.uniform(-1, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    double off = 0;
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) off += std::abs(a(i, j));
+    a(i, i) = 1.0 + off + rng.uniform(0, 1);
+  }
+  return a;
+}
+
+/// Writes A's pattern entries and diagonal into `chol`'s slots.
+void fill(SparseCholesky& chol, const SymmetricPattern& pattern,
+          const Matrix& a) {
+  std::fill(chol.values().begin(), chol.values().end(), 0.0);
+  for (std::size_t i = 0; i < pattern.n; ++i)
+    chol.values()[chol.slot(i, i)] = a(i, i);
+  for (const auto& [i, j] : pattern.entries)
+    chol.values()[chol.slot(i, j)] = a(i, j);
+}
+
+TEST(SparseCholesky, BitIdenticalToDenseSolveOfThePermutedMatrix) {
+  Rng rng(14);
+  for (const char* kind : {"empty", "banded", "block", "arrow", "full"})
+    for (std::size_t n = 1; n <= 130; ++n) {
+      const SymmetricPattern pattern = test_pattern(kind, n);
+      const Matrix a = random_spd_on(rng, pattern);
+      std::vector<double> b(n);
+      for (double& v : b) v = rng.uniform(-5, 5);
+
+      SparseCholesky chol(pattern);
+      ASSERT_EQ(chol.order(), minimum_degree_order(pattern));
+      ASSERT_LE(chol.factor_entries(), n * (n + 1) / 2);
+      fill(chol, pattern, a);
+      std::vector<double> x;
+      ASSERT_TRUE(chol.solve(b, x)) << kind << " n " << n;
+
+      // The oracle: the row-by-row dense solve of P A P^T.
+      const std::vector<std::size_t>& perm = chol.order();
+      Matrix ap(n, n);
+      std::vector<double> bp(n), yp;
+      for (std::size_t i = 0; i < n; ++i) {
+        bp[i] = b[perm[i]];
+        for (std::size_t j = 0; j < n; ++j) ap(i, j) = a(perm[i], perm[j]);
+      }
+      ASSERT_TRUE(testutil::reference_cholesky_solve(ap, bp, yp));
+      ASSERT_EQ(x.size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(std::memcmp(&x[perm[i]], &yp[i], sizeof(double)), 0)
+            << kind << " n " << n << " position " << i;
+    }
+}
+
+TEST(SparseCholesky, FullPatternIsOneDenseBlockInNaturalOrder) {
+  for (std::size_t n : {1u, 2u, 7u, 64u}) {
+    const SparseCholesky chol(test_pattern("full", n));
+    EXPECT_EQ(chol.clique_size(), n);
+    EXPECT_EQ(chol.factor_entries(), n * (n + 1) / 2);
+    for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(chol.order()[k], k);
+  }
+}
+
+TEST(SparseCholesky, ArrowHubIsEliminatedLastWithoutFill) {
+  // Natural order would fill the whole factor; minimum degree takes the
+  // leaves first, lowest index first, and leaves the hub for last.
+  const std::size_t n = 9;
+  const SparseCholesky chol(test_pattern("arrow", n));
+  const std::vector<std::size_t> want{1, 2, 3, 4, 5, 6, 7, 0, 8};
+  EXPECT_EQ(chol.order(), want);
+  EXPECT_EQ(chol.clique_size(), 2u);  // the hub and the last leaf
+  EXPECT_EQ(chol.factor_entries(), 2 * n - 1);
+  EXPECT_THROW(chol.slot(1, 2), std::out_of_range);
+  EXPECT_THROW(chol.slot(0, n), std::out_of_range);
+  EXPECT_THROW(minimum_degree_order({1, {{0, 1}}}), std::invalid_argument);
+}
+
+TEST(SparseCholesky, RejectsMatricesThatAreNotPositiveDefinite) {
+  // A negative pivot in a sparse column and one in the clique block.
+  Rng rng(15);
+  const std::vector<double> sentinel{42.0};
+  const std::size_t n = 20;
+  const SymmetricPattern pattern = test_pattern("banded", n);
+  for (bool in_clique : {false, true}) {
+    SparseCholesky chol(pattern);
+    ASSERT_LT(chol.clique_size(), n);
+    Matrix a = random_spd_on(rng, pattern);
+    const std::size_t k = in_clique ? n - 1 : 0;
+    const std::size_t i = chol.order()[k];
+    a(i, i) = -1.0;
+    fill(chol, pattern, a);
+    std::vector<double> x = sentinel;
+    EXPECT_FALSE(chol.solve(std::vector<double>(n, 1.0), x)) << in_clique;
+    EXPECT_EQ(x, sentinel) << "x must be untouched on failure";
+  }
+  SparseCholesky chol(pattern);
+  std::vector<double> x;
+  EXPECT_THROW(chol.solve({1.0}, x), std::invalid_argument);
 }
 
 }  // namespace

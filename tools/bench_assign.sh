@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Refreshes the BENCH_assign.json trajectory: runs the assignment and
-# PF-solve microbenchmarks (bench_micro_scaling with SPARCLE_BENCH_JSON
-# set), pulls out the per-size means, and appends one labeled entry to the
-# checked-in trajectory file.
+# Refreshes the BENCH_assign.json trajectory: runs the assignment,
+# PF-solve and scheduler BE re-solve microbenchmarks (bench_micro_scaling
+# with SPARCLE_BENCH_JSON set), pulls out the per-size means, and appends
+# one labeled entry to the checked-in trajectory file.
 #
 # Usage: tools/bench_assign.sh <label> [build-dir]
 #   e.g. tools/bench_assign.sh pr7-after build
@@ -29,7 +29,7 @@ cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
 
 SPARCLE_BENCH_JSON="${SCRATCH}" \
   "./${BUILD}/bench/bench_micro_scaling" \
-  --benchmark_filter='BM_SparcleAssign|BM_WidestPath|BM_FairnessSolve' \
+  --benchmark_filter='BM_SparcleAssign|BM_WidestPath|BM_FairnessSolve|BM_BeResolveSoakSite' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_BENCH_TOLERANCE:-0.03}" <<'EOF'

@@ -3,6 +3,10 @@
 # ASan/UBSan (SPARCLE_SANITIZE, see the top-level CMakeLists.txt), with the
 # assignment oracle tests called out explicitly since they prove the
 # widest-width-tree γ decides exactly as the point-to-point γ it replaced.
+# The sanitized build aborts on the first UBSan finding
+# (-fno-sanitize-recover=undefined) and bounds-checks the standard
+# containers (-D_GLIBCXX_ASSERTIONS), so any report fails its test; no
+# log needs searching for "runtime error".
 #
 # Usage: tools/check.sh [--skip-sanitize]
 set -euo pipefail
