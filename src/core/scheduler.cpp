@@ -106,6 +106,7 @@ void Scheduler::begin_batch() {
     throw std::logic_error("Scheduler::begin_batch: a batch is already open");
   batch_active_ = true;
   batch_dirty_ = false;
+  batch_placed_changed_ = false;
   batch_deferred_ = 0;
   batch_added_be_.clear();
 }
@@ -153,7 +154,7 @@ Scheduler::BatchReport Scheduler::end_batch() {
   batch_dirty_ = false;
   batch_deferred_ = 0;
   batch_added_be_.clear();
-  healthy_rate_ = global_rate();
+  if (batch_placed_changed_) healthy_rate_ = global_rate();
   run_validation_hook();
   return report;
 }
@@ -407,6 +408,7 @@ bool Scheduler::remove(const std::string& app_name) {
     usage_valid_ = false;  // placed indices shifted
     maybe_reallocate();
     healthy_rate_ = global_rate();
+    batch_placed_changed_ = true;
     run_validation_hook();
     return true;
   }
@@ -851,6 +853,7 @@ AdmissionResult Scheduler::submit(const Application& app) {
   if (result.admitted) {
     index_new_app();  // keep the element->path index warm for repair()
     healthy_rate_ = global_rate();
+    batch_placed_changed_ = true;
   }
   run_validation_hook();
   return result;

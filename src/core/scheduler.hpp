@@ -138,14 +138,22 @@ class Scheduler {
   /// admitted mid-batch reads 0 until end_batch() publishes the solved
   /// allocation (read it back via placed()).  The batched admission path
   /// of service::SchedulerService is the production consumer.  Throws
-  /// std::logic_error if a batch is already open.  rebalance(), repair()
-  /// and global_reoptimize() must not be called inside a batch.
+  /// std::logic_error if a batch is already open.  Control functions run
+  /// inside a batch too: SchedulerService::apply() runs them between
+  /// begin_batch() and end_batch(), and the federation drives each
+  /// shard's mark_failed(), mark_recovered() and repair() that way.
+  /// mark_failed() and mark_recovered() defer their re-solve like
+  /// remove(); repair() and rebalance() run their own.  Only
+  /// global_reoptimize() must not be called inside a batch: its trial
+  /// re-admissions would compare utilities of unsolved rates.
   void begin_batch();
 
   /// Closes the batch opened by begin_batch(): runs the single deferred
   /// PF re-solve (evicting batch-admitted BE apps, newest first, in the
-  /// unlikely case the solve fails), refreshes the healthy-rate baseline,
-  /// and runs the validation hook once on the settled state.  Throws
+  /// unlikely case the solve fails), refreshes the healthy-rate baseline
+  /// if the batch admitted or removed an application (as those calls do
+  /// outside a batch; a churn-only batch leaves it to repair()), and runs
+  /// the validation hook once on the settled state.  Throws
   /// std::logic_error if no batch is open.
   BatchReport end_batch();
 
@@ -462,6 +470,7 @@ class Scheduler {
   double healthy_rate_{0.0};
   bool batch_active_{false};  ///< between begin_batch() and end_batch()
   bool batch_dirty_{false};   ///< a PF re-solve was deferred this batch
+  bool batch_placed_changed_{false};  ///< this batch admitted or removed
   std::size_t batch_deferred_{0};  ///< re-solves coalesced this batch
   /// BE apps admitted during the open batch, in admission order (eviction
   /// candidates if the final PF solve fails).

@@ -15,7 +15,7 @@
 /// Swappable scheduling policies (docs/policies.md).  The scheduler used
 /// to hard-code one dynamic-ranking greedy rule at each of its three
 /// decision points; this module extracts them behind one interface so the
-/// tournament harness (bench_tournament, tools/soak) can race alternatives
+/// tournament harness (sparcle_soak, tools/soak.sh) can race alternatives
 /// over adversarial workload matrices:
 ///
 ///   1. *admission ordering* — which queued application to admit next

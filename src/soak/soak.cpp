@@ -8,6 +8,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
@@ -99,288 +100,181 @@ bool is_gr(const Application& app) {
   return app.qoe.cls == QoeClass::kGuaranteedRate;
 }
 
-void record_epoch(const Scheduler& scheduler, double sim_time,
-                  std::size_t arrivals, std::size_t admitted,
-                  SoakResult& result) {
-  SoakEpoch e;
-  e.sim_time = sim_time;
-  e.arrivals = arrivals;
-  e.admitted = admitted;
-  e.placed = scheduler.placed().size();
-  for (const PlacedApp& pa : scheduler.placed())
-    (is_gr(pa.app) ? e.gr_rate : e.be_rate) += pa.allocated_rate;
-  e.rss_mb = process_rss_mb();
-  result.epochs.push_back(e);
-}
-
-void check_invariants(const Scheduler& scheduler, double sim_time,
-                      const SoakOptions& options, SoakResult& result) {
-  const check::CheckReport report = check::check_scheduler_state(scheduler);
-  if (report.ok()) return;
-  std::ostringstream msg;
-  msg << "soak invariant failure: policy=" << options.policy
-      << " scenario=" << workload::to_string(options.arrivals.pattern)
-      << " seed=" << options.seed << " sim_time=" << sim_time
-      << " (rerun with SPARCLE_TEST_SEED=" << options.seed << ")\n"
-      << report.to_string();
-  result.violations.push_back(msg.str());
+/// Adds the modeled power of one application's paths at their allocated
+/// rates (a PlacedApp or a federation::CrossApp) to `watts`.
+template <class Placed>
+void add_power(const EnergyModel& energy, const Placed& pa, double& watts) {
+  for (std::size_t p = 0; p < pa.paths.size(); ++p) {
+    const double rate = p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
+    watts += energy.total_power(*pa.app.graph, pa.paths[p].placement, rate);
+  }
 }
 
 // ---------------------------------------------------------------------
-// Federated soak: the same event loop, timebase, queueing, and drift
-// windows as run_soak, but the backend is a federation::FederatedService
-// (SoakOptions::federated_shards regional shards) instead of one raw
-// Scheduler.  Invariant epochs run the federation conservation check,
-// which itself runs the per-shard invariant battery on every shard.
-// The decision digest fingerprints (name, verdict, rate, path count) —
-// per-CT hosts live inside the shards and are already covered by the
-// per-shard checker — so federated digests are comparable only to
-// federated digests.
-SoakResult run_federated_soak(const Network& net, const SoakOptions& options) {
-  using service::ServiceResult;
+// The system under soak.  run_soak's one event loop drives either a raw
+// Scheduler or a federation::FederatedService through this seam; each
+// backend holds only what differs between the two.
 
-  SoakResult result;
-  result.policy = options.policy;
-  result.scenario = workload::to_string(options.arrivals.pattern);
-  result.seed = options.seed;
+class Backend {
+ public:
+  Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+  virtual ~Backend() = default;
+  /// Submits one application; true when it was admitted.
+  virtual bool submit(const Application& app) = 0;
+  /// Folds the decision fields of `app`, just admitted, into `digest`
+  /// (after the loop folded its name and verdict).
+  virtual void fold_admission(const Application& app, Digest& digest) = 0;
+  /// Removes a departing session; true when it was placed.
+  virtual bool remove(const std::string& name) = 0;
+  /// Marks the event's element failed or recovered, then repairs.
+  virtual void churn(const sim::ChurnEvent& event) = 0;
+  /// Fills the epoch's placed count and carried rates.
+  virtual void sample(SoakEpoch& epoch) = 0;
+  /// Runs the full invariant battery: empty when clean, else the
+  /// violation message, with `where` (policy, scenario, seed, time)
+  /// after the backend's own lead words.
+  virtual std::string check(const std::string& where) = 0;
+  /// Final carried rates and modeled energy of the placement.
+  virtual void finish(SoakResult& result) = 0;
+};
 
-  const std::shared_ptr<const policy::SchedulingPolicy> pol =
-      policy::make_policy(options.policy);
-  federation::FederationOptions fed_options;
-  fed_options.shards = options.federated_shards;
-  fed_options.scheduler = options.scheduler;
-  fed_options.scheduler.policy = pol;
-  federation::FederatedService fed(net, fed_options);
+// One raw Scheduler.  The digest fingerprints the committed placement,
+// not just the verdict: per-path CT hosts, then the allocated rate.
+class SchedulerBackend final : public Backend {
+ public:
+  SchedulerBackend(const Network& net, SchedulerOptions options)
+      : scheduler_(net, std::move(options)) {}
 
-  workload::ArrivalGenerator gen(net, options.arrivals,
-                                 options.seed ^ 0xa55a11);
-  sim::ChurnTrace churn;
-  if (options.churn)
-    churn = sim::generate_burst_churn(net, options.burst,
-                                      options.arrivals.horizon,
-                                      options.seed ^ 0xc0ffee);
-
-  std::deque<QueuedArrival> pending;
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures;
-  Digest digest;
-  LatencyHistogram latency;
-
-  const std::size_t stats_epochs =
-      std::max<std::size_t>(2, options.stats_epochs);
-  const std::size_t epoch_arrivals =
-      std::max<std::size_t>(1, options.arrivals.arrivals / stats_epochs);
-  const std::size_t check_every =
-      options.invariant_epochs == 0
-          ? 0
-          : std::max<std::size_t>(1, stats_epochs / options.invariant_epochs);
-
-  const std::size_t total_arrivals = options.arrivals.arrivals;
-  const std::size_t warm_lo = total_arrivals / 4;
-  const std::size_t warm_mid = total_arrivals * 5 / 8;
-  std::size_t admitted_window_a = 0, admitted_window_b = 0;
-
-  const auto record_fed_epoch = [&](double sim_time) {
-    SoakEpoch e;
-    e.sim_time = sim_time;
-    e.arrivals = result.arrivals;
-    e.admitted = result.admitted;
-    const std::shared_ptr<const service::ServiceSnapshot> snap =
-        fed.snapshot();
-    e.placed = snap->apps.size();
-    e.gr_rate = snap->total_gr_rate;
-    e.be_rate = snap->total_be_rate;
-    e.rss_mb = process_rss_mb();
-    result.epochs.push_back(e);
-  };
-  const auto check_fed = [&](double sim_time) {
-    fed.drain();
-    const federation::ConservationReport report =
-        federation::check_federation(fed);
-    if (report.ok()) return;
-    std::ostringstream msg;
-    msg << "federated soak invariant failure: shards="
-        << options.federated_shards << " policy=" << options.policy
-        << " scenario=" << workload::to_string(options.arrivals.pattern)
-        << " seed=" << options.seed << " sim_time=" << sim_time
-        << " (rerun with SPARCLE_TEST_SEED=" << options.seed << ")\n"
-        << report.to_string();
-    result.violations.push_back(msg.str());
-  };
-
-  double now = 0.0;
-  double next_tick = options.tick_seconds;
-  std::size_t churn_at = 0;
-  workload::Arrival upcoming;
-  bool have_arrival = gen.next(upcoming);
-  std::size_t epochs_recorded = 0;
-
-  const auto run_tick = [&](double t) {
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].deadline < t) {
-        ++result.reneged;
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    for (std::size_t budget = options.admit_per_tick;
-         budget > 0 && !pending.empty(); --budget) {
-      std::vector<policy::PendingApp> views;
-      views.reserve(pending.size());
-      for (const QueuedArrival& q : pending)
-        views.push_back({&q.arrival.app, q.arrival.time, q.deadline, q.size,
-                         q.bits});
-      std::size_t pick = pol->pick_next(views);
-      if (pick >= pending.size()) pick = 0;
-      QueuedArrival q = std::move(pending[pick]);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const ServiceResult admission = fed.submit(q.arrival.app).get();
-      const auto t1 = std::chrono::steady_clock::now();
-      latency.record(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-
-      const bool admitted =
-          admission.status == ServiceResult::Status::kAdmitted;
-      digest.str(q.arrival.app.name);
-      digest.u64(admitted ? 1 : 0);
-      if (admitted) {
-        ++result.admitted;
-        if (result.arrivals >= warm_lo && result.arrivals < warm_mid)
-          ++admitted_window_a;
-        else if (result.arrivals >= warm_mid)
-          ++admitted_window_b;
-        if (is_gr(q.arrival.app)) ++result.gr_admitted;
-        digest.f64(admission.rate);
-        digest.u64(admission.paths);
-        departures.push({t + q.arrival.lifetime, q.arrival.app.name});
-      } else {
-        ++result.rejected;
-      }
-    }
-  };
-
-  while (have_arrival || !pending.empty()) {
-    const double t_arrival = have_arrival ? upcoming.time : kInf;
-    const double t_depart =
-        departures.empty() ? kInf : departures.top().time;
-    const double t_churn =
-        churn_at < churn.events.size() ? churn.events[churn_at].time : kInf;
-    const double t_tick = pending.empty() && !have_arrival ? kInf : next_tick;
-    const double t = std::min({t_arrival, t_depart, t_churn, t_tick});
-    if (t == kInf) break;
-    now = t;
-
-    if (t_depart <= t) {
-      const Departure d = departures.top();
-      departures.pop();
-      if (fed.remove(d.name).get().status == ServiceResult::Status::kRemoved)
-        ++result.departed;
-      continue;
-    }
-    if (t_churn <= t) {
-      const sim::ChurnEvent& ev = churn.events[churn_at++];
-      if (ev.fail)
-        fed.mark_failed(ev.element);
-      else
-        fed.mark_recovered(ev.element);
-      ++result.churn_events;
-      fed.repair(ev.element);
-      ++result.repairs;
-      continue;
-    }
-    if (t_tick <= t) {
-      run_tick(t);
-      next_tick += options.tick_seconds;
-      continue;
-    }
-
-    ++result.arrivals;
-    if (is_gr(upcoming.app)) ++result.gr_arrivals;
-    if (pending.size() >= options.queue_capacity) {
-      ++result.queue_full;
-    } else {
-      QueuedArrival q;
-      q.deadline = upcoming.time + upcoming.patience;
-      q.size = upcoming.app.graph->total_ct_requirement()[0];
-      q.bits = upcoming.app.graph->total_tt_bits();
-      q.arrival = std::move(upcoming);
-      pending.push_back(std::move(q));
-    }
-    have_arrival = gen.next(upcoming);
-
-    if (result.arrivals % epoch_arrivals == 0 &&
-        epochs_recorded < stats_epochs) {
-      record_fed_epoch(now);
-      ++epochs_recorded;
-      if (check_every != 0 && epochs_recorded % check_every == 0)
-        check_fed(now);
+  bool submit(const Application& app) override {
+    return scheduler_.submit(app).admitted;
+  }
+  void fold_admission(const Application& app, Digest& digest) override {
+    for (const PlacedApp& pa : scheduler_.placed()) {
+      if (pa.app.name != app.name) continue;
+      for (const PathInfo& path : pa.paths)
+        for (CtId i = 0; i < static_cast<CtId>(pa.app.graph->ct_count()); ++i)
+          digest.u64(static_cast<std::uint64_t>(path.placement.ct_host(i) + 1));
+      digest.f64(pa.allocated_rate);
+      return;
     }
   }
-  record_fed_epoch(now);
-  if (options.invariant_epochs != 0) check_fed(now);
+  bool remove(const std::string& name) override {
+    return scheduler_.remove(name);
+  }
+  void churn(const sim::ChurnEvent& event) override {
+    if (event.fail)
+      scheduler_.mark_failed(event.element);
+    else
+      scheduler_.mark_recovered(event.element);
+    scheduler_.repair(event.element);
+  }
+  void sample(SoakEpoch& epoch) override {
+    epoch.placed = scheduler_.placed().size();
+    for (const PlacedApp& pa : scheduler_.placed())
+      (is_gr(pa.app) ? epoch.gr_rate : epoch.be_rate) += pa.allocated_rate;
+  }
+  std::string check(const std::string& where) override {
+    const check::CheckReport report = check::check_scheduler_state(scheduler_);
+    if (report.ok()) return {};
+    return "soak invariant failure: " + where + report.to_string();
+  }
+  void finish(SoakResult& result) override {
+    const EnergyModel energy(scheduler_.network());
+    for (const PlacedApp& pa : scheduler_.placed()) {
+      (is_gr(pa.app) ? result.final_gr_rate : result.final_be_rate) +=
+          pa.allocated_rate;
+      add_power(energy, pa, result.energy_watts);
+    }
+  }
 
-  result.admit_ratio =
-      result.arrivals == 0
-          ? 0.0
-          : static_cast<double>(result.admitted) / result.arrivals;
-  result.gr_admit_ratio =
-      result.gr_arrivals == 0
-          ? 1.0
-          : static_cast<double>(result.gr_admitted) / result.gr_arrivals;
+ private:
+  Scheduler scheduler_;
+};
 
-  {
+// A federation::FederatedService over SoakOptions::federated_shards
+// regional shards: shard-local arrivals run the stock per-shard pipeline,
+// cross-shard arrivals two-phase reserve/commit.  The invariant check is
+// the federation conservation check, which runs the per-shard battery on
+// every shard.  Per-CT hosts live inside the shards (and are covered by
+// that battery), so the digest folds the admitted rate and path count:
+// federated digests are comparable only to federated digests.
+class FederatedBackend final : public Backend {
+ public:
+  FederatedBackend(const Network& net, federation::FederationOptions options)
+      : fed_(net, std::move(options)) {}
+
+  bool submit(const Application& app) override {
+    last_ = fed_.submit(app).get();
+    return last_.status == service::ServiceResult::Status::kAdmitted;
+  }
+  void fold_admission(const Application&, Digest& digest) override {
+    digest.f64(last_.rate);
+    digest.u64(last_.paths);
+  }
+  bool remove(const std::string& name) override {
+    return fed_.remove(name).get().status ==
+           service::ServiceResult::Status::kRemoved;
+  }
+  void churn(const sim::ChurnEvent& event) override {
+    if (event.fail)
+      fed_.mark_failed(event.element);
+    else
+      fed_.mark_recovered(event.element);
+    fed_.repair(event.element);
+  }
+  void sample(SoakEpoch& epoch) override {
     const std::shared_ptr<const service::ServiceSnapshot> snap =
-        fed.snapshot();
+        fed_.snapshot();
+    epoch.placed = snap->apps.size();
+    epoch.gr_rate = snap->total_gr_rate;
+    epoch.be_rate = snap->total_be_rate;
+  }
+  std::string check(const std::string& where) override {
+    fed_.drain();
+    const federation::ConservationReport report =
+        federation::check_federation(fed_);
+    if (report.ok()) return {};
+    return "federated soak invariant failure: shards=" +
+           std::to_string(fed_.shard_count()) + " " + where +
+           report.to_string();
+  }
+  void finish(SoakResult& result) override {
+    const std::shared_ptr<const service::ServiceSnapshot> snap =
+        fed_.snapshot();
     result.final_gr_rate = snap->total_gr_rate;
     result.final_be_rate = snap->total_be_rate;
+    // Shard-local placements priced against each shard's sub-network,
+    // committed cross-shard paths against the full site.
+    for (std::size_t s = 0; s < fed_.shard_count(); ++s) {
+      const EnergyModel energy(fed_.plan().shards[s].net);
+      fed_.shard(s).inspect([&](const Scheduler& sc) {
+        for (const PlacedApp& pa : sc.placed())
+          add_power(energy, pa, result.energy_watts);
+      });
+    }
+    const EnergyModel energy(fed_.network());
+    for (const auto& [name, ca] : fed_.cross_apps())
+      add_power(energy, ca, result.energy_watts);
   }
-  // Energy: shard-local placements priced against each shard's
-  // sub-network, committed cross-shard paths against the full site.
-  for (std::size_t s = 0; s < fed.shard_count(); ++s) {
-    const EnergyModel energy(fed.plan().shards[s].net);
-    fed.shard(s).inspect([&](const Scheduler& sc) {
-      for (const PlacedApp& pa : sc.placed())
-        for (std::size_t p = 0; p < pa.paths.size(); ++p) {
-          const double rate =
-              p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
-          result.energy_watts += energy.total_power(
-              *pa.app.graph, pa.paths[p].placement, rate);
-        }
-    });
-  }
-  {
-    const EnergyModel energy(net);
-    for (const auto& [name, ca] : fed.cross_apps())
-      for (std::size_t p = 0; p < ca.paths.size(); ++p) {
-        const double rate =
-            p < ca.path_rates.size() ? ca.path_rates[p] : 0.0;
-        result.energy_watts += energy.total_power(
-            *ca.app.graph, ca.paths[p].placement, rate);
-      }
-  }
-  const double carried = result.final_gr_rate + result.final_be_rate;
-  result.energy_efficiency =
-      result.energy_watts > 0 ? carried / result.energy_watts : 0.0;
-  result.submit_p50_us = latency.quantile(0.50);
-  result.submit_p99_us = latency.quantile(0.99);
-  result.decision_digest = digest.h;
 
-  if (result.epochs.size() >= 4) {
-    const double warm = result.epochs[result.epochs.size() / 4].rss_mb;
-    const double end = result.epochs.back().rss_mb;
-    if (warm > 0) result.rss_drift = (end - warm) / warm;
-  }
-  if (warm_mid > warm_lo && result.arrivals > warm_mid) {
-    const double r1 = static_cast<double>(admitted_window_a) /
-                      static_cast<double>(warm_mid - warm_lo);
-    const double r2 = static_cast<double>(admitted_window_b) /
-                      static_cast<double>(result.arrivals - warm_mid);
-    if (r1 > 0) result.admit_rate_drift = std::abs(r2 - r1) / r1;
-  }
-  return result;
+ private:
+  federation::FederatedService fed_;
+  service::ServiceResult last_;  ///< the latest submit's outcome
+};
+
+std::unique_ptr<Backend> make_backend(
+    const Network& net, const SoakOptions& options,
+    std::shared_ptr<const policy::SchedulingPolicy> pol) {
+  SchedulerOptions sched_options = options.scheduler;
+  sched_options.policy = std::move(pol);
+  if (options.federated_shards == 0)
+    return std::make_unique<SchedulerBackend>(net, std::move(sched_options));
+  federation::FederationOptions fed_options;
+  fed_options.shards = options.federated_shards;
+  fed_options.scheduler = std::move(sched_options);
+  return std::make_unique<FederatedBackend>(net, std::move(fed_options));
 }
 
 }  // namespace
@@ -415,8 +309,6 @@ SoakResult run_soak(const SoakOptions& options) {
 }
 
 SoakResult run_soak(const Network& net, const SoakOptions& options) {
-  if (options.federated_shards > 0) return run_federated_soak(net, options);
-
   SoakResult result;
   result.policy = options.policy;
   result.scenario = workload::to_string(options.arrivals.pattern);
@@ -424,9 +316,7 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
 
   const std::shared_ptr<const policy::SchedulingPolicy> pol =
       policy::make_policy(options.policy);
-  SchedulerOptions sched_options = options.scheduler;
-  sched_options.policy = pol;
-  Scheduler scheduler(net, sched_options);
+  const std::unique_ptr<Backend> backend = make_backend(net, options, pol);
 
   workload::ArrivalGenerator gen(net, options.arrivals,
                                  options.seed ^ 0xa55a11);
@@ -459,6 +349,25 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
   const std::size_t warm_mid = total_arrivals * 5 / 8;
   std::size_t admitted_window_a = 0, admitted_window_b = 0;
 
+  const auto record_epoch = [&](double sim_time) {
+    SoakEpoch e;
+    e.sim_time = sim_time;
+    e.arrivals = result.arrivals;
+    e.admitted = result.admitted;
+    backend->sample(e);
+    e.rss_mb = process_rss_mb();
+    result.epochs.push_back(e);
+  };
+  const auto check_invariants = [&](double sim_time) {
+    std::ostringstream where;
+    where << "policy=" << options.policy
+          << " scenario=" << workload::to_string(options.arrivals.pattern)
+          << " seed=" << options.seed << " sim_time=" << sim_time
+          << " (rerun with SPARCLE_TEST_SEED=" << options.seed << ")\n";
+    std::string violation = backend->check(where.str());
+    if (!violation.empty()) result.violations.push_back(std::move(violation));
+  };
+
   double now = 0.0;
   double next_tick = options.tick_seconds;
   std::size_t churn_at = 0;
@@ -490,31 +399,21 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
 
       const auto t0 = std::chrono::steady_clock::now();
-      const AdmissionResult admission = scheduler.submit(q.arrival.app);
+      const bool admitted = backend->submit(q.arrival.app);
       const auto t1 = std::chrono::steady_clock::now();
       latency.record(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
 
       digest.str(q.arrival.app.name);
-      digest.u64(admission.admitted ? 1 : 0);
-      if (admission.admitted) {
+      digest.u64(admitted ? 1 : 0);
+      if (admitted) {
         ++result.admitted;
         if (result.arrivals >= warm_lo && result.arrivals < warm_mid)
           ++admitted_window_a;
         else if (result.arrivals >= warm_mid)
           ++admitted_window_b;
         if (is_gr(q.arrival.app)) ++result.gr_admitted;
-        // Fingerprint the committed placement, not just the verdict.
-        for (const PlacedApp& pa : scheduler.placed()) {
-          if (pa.app.name != q.arrival.app.name) continue;
-          for (const PathInfo& path : pa.paths)
-            for (CtId i = 0;
-                 i < static_cast<CtId>(pa.app.graph->ct_count()); ++i)
-              digest.u64(static_cast<std::uint64_t>(
-                  path.placement.ct_host(i) + 1));
-          digest.f64(pa.allocated_rate);
-          break;
-        }
+        backend->fold_admission(q.arrival.app, digest);
         departures.push({t + q.arrival.lifetime, q.arrival.app.name});
       } else {
         ++result.rejected;
@@ -542,17 +441,12 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
     if (t_depart <= t) {
       const Departure d = departures.top();
       departures.pop();
-      if (scheduler.remove(d.name)) ++result.departed;
+      if (backend->remove(d.name)) ++result.departed;
       continue;
     }
     if (t_churn <= t) {
-      const sim::ChurnEvent& ev = churn.events[churn_at++];
-      if (ev.fail)
-        scheduler.mark_failed(ev.element);
-      else
-        scheduler.mark_recovered(ev.element);
+      backend->churn(churn.events[churn_at++]);
       ++result.churn_events;
-      scheduler.repair(ev.element);
       ++result.repairs;
       continue;
     }
@@ -579,15 +473,14 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
 
     if (result.arrivals % epoch_arrivals == 0 &&
         epochs_recorded < stats_epochs) {
-      record_epoch(scheduler, now, result.arrivals, result.admitted, result);
+      record_epoch(now);
       ++epochs_recorded;
       if (check_every != 0 && epochs_recorded % check_every == 0)
-        check_invariants(scheduler, now, options, result);
+        check_invariants(now);
     }
   }
-  record_epoch(scheduler, now, result.arrivals, result.admitted, result);
-  if (options.invariant_epochs != 0)
-    check_invariants(scheduler, now, options, result);
+  record_epoch(now);
+  if (options.invariant_epochs != 0) check_invariants(now);
 
   // ------------------------------------------------------------------
   // Summary metrics.
@@ -600,17 +493,7 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
           ? 1.0
           : static_cast<double>(result.gr_admitted) / result.gr_arrivals;
 
-  EnergyModel energy(net);
-  for (const PlacedApp& pa : scheduler.placed()) {
-    (is_gr(pa.app) ? result.final_gr_rate : result.final_be_rate) +=
-        pa.allocated_rate;
-    for (std::size_t p = 0; p < pa.paths.size(); ++p) {
-      const double rate =
-          p < pa.path_rates.size() ? pa.path_rates[p] : 0.0;
-      result.energy_watts += energy.total_power(
-          *pa.app.graph, pa.paths[p].placement, rate);
-    }
-  }
+  backend->finish(result);
   const double carried = result.final_gr_rate + result.final_be_rate;
   result.energy_efficiency =
       result.energy_watts > 0 ? carried / result.energy_watts : 0.0;

@@ -13,8 +13,10 @@
 /// Long-horizon soak engine and policy tournament (docs/policies.md).
 ///
 /// run_soak() replays one adversarial arrival stream (workload/arrivals)
-/// against a Scheduler carrying one scheduling-policy plugin, through a
-/// bounded admission queue that models the batched admission daemon:
+/// against a Scheduler carrying one scheduling-policy plugin — or, with
+/// SoakOptions::federated_shards, a FederatedService whose shards carry
+/// it; one event loop drives either backend — through a bounded
+/// admission queue that models the batched admission daemon:
 /// arrivals queue up, a scheduler *tick* every `tick_seconds` admits up
 /// to `admit_per_tick` of them in the order the policy's pick_next()
 /// dictates, and queued entries renege once their patience lapses.
@@ -24,17 +26,19 @@
 ///
 ///   * cumulative counters (admitted / rejected / reneged / queue-full),
 ///   * sampled epochs (carried rates, placed count, process RSS),
-///   * full invariant checks (check_scheduler_state) at sampled epochs —
-///     every violation string carries the seed and policy for replay,
+///   * full invariant checks (check_scheduler_state, or the federation
+///     conservation check) at sampled epochs — every violation string
+///     carries the seed and policy for replay,
 ///   * an order-sensitive FNV-1a digest of every admission decision, the
 ///     determinism witness of tests/test_policy.cpp,
 ///   * drift gates: RSS growth between the warmed-up quarter epoch and
-///     the end, and admitted-fraction drift between the stream's halves.
+///     the end, and admitted-fraction drift between two post-warm-up
+///     windows of the stream.
 ///
 /// run_tournament() sweeps the policies × scenarios matrix — every
 /// policy races the *identical* network, arrival stream, and churn trace
 /// within a scenario — and the report writers emit the comparative
-/// JSON/CSV consumed by bench_tournament and tools/soak.sh.
+/// JSON/CSV that sparcle_soak prints and tools/soak.sh records.
 
 namespace sparcle::soak {
 
@@ -110,12 +114,16 @@ struct SoakResult {
   /// Relative RSS growth from the warmed-up quarter epoch to the last
   /// (negative = shrank); NaN-free, 0 where RSS is unsupported.
   double rss_drift{0.0};
-  /// |second-half admit ratio − first-half| / first-half, halves split at
-  /// the stream's median arrival.
+  /// |late admit ratio − early admit ratio| / early admit ratio, where
+  /// early counts arrivals [N/4, 5N/8) and late [5N/8, N) of the N-arrival
+  /// stream (the first quarter is warm-up).
   double admit_rate_drift{0.0};
-  /// Order-sensitive FNV-1a fingerprint of every admission decision
-  /// (name, verdict, per-path CT hosts, rate bits) — bit-identical runs
-  /// produce equal digests.
+  /// Order-sensitive FNV-1a fingerprint of every admission decision —
+  /// bit-identical runs produce equal digests.  Each backend folds its
+  /// own fields: the single scheduler the name, verdict, per-path CT
+  /// hosts and allocated rate bits; the federation the name, verdict,
+  /// rate bits and path count.  Federated digests are therefore
+  /// comparable only to federated digests.
   std::uint64_t decision_digest{0};
 
   std::vector<SoakEpoch> epochs;

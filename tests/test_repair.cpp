@@ -6,7 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <vector>
+
 #include "core/scheduler.hpp"
+#include "sim/churn_injector.hpp"
+#include "testutil.hpp"
+#include "workload/arrivals.hpp"
 
 namespace sparcle {
 namespace {
@@ -221,6 +228,96 @@ TEST(Repair, RepeatedCyclesStayFeasible) {
                 sched.network().ncp(j).capacity[0] + 1e-6);
     ASSERT_GE(sched.total_gr_rate() + 1e-9, 1.0);
   }
+}
+
+// Replays one steady arrival stream (sessions depart after their
+// lifetime) merged with a burst-churn trace against a fresh scheduler,
+// and returns every repair's report.  `batched` wraps each call in its
+// own begin_batch()/end_batch(), the way SchedulerService::apply drives
+// a federation shard (mark_failed and repair in separate batches).
+std::vector<Scheduler::RepairReport> replay_churn(const Network& net,
+                                                  std::uint64_t seed,
+                                                  bool batched) {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  Scheduler sched(net);
+  const auto call = [&](const auto& fn) {
+    if (batched) sched.begin_batch();
+    fn();
+    if (batched) sched.end_batch();
+  };
+
+  workload::ArrivalSpec spec;
+  spec.arrivals = 60;
+  spec.horizon = 2000.0;
+  spec.gr_fraction = 0.3;
+  workload::ArrivalGenerator gen(net, spec, seed);
+  sim::BurstChurnConfig burst;
+  burst.burst_rate = 1.0 / 50.0;
+  burst.spread_prob = 0.7;
+  burst.model.default_mttr = 40.0;
+  const sim::ChurnTrace trace =
+      sim::generate_burst_churn(net, burst, spec.horizon, seed);
+
+  std::vector<Scheduler::RepairReport> reports;
+  std::multimap<double, std::string> departures;
+  workload::Arrival arrival;
+  bool have_arrival = gen.next(arrival);
+  std::size_t at = 0;
+  while (have_arrival || at < trace.events.size()) {
+    const double t_arrival = have_arrival ? arrival.time : kNever;
+    const double t_churn =
+        at < trace.events.size() ? trace.events[at].time : kNever;
+    if (!departures.empty() &&
+        departures.begin()->first <= std::min(t_arrival, t_churn)) {
+      const std::string name = departures.begin()->second;
+      departures.erase(departures.begin());
+      call([&] { sched.remove(name); });
+    } else if (t_churn <= t_arrival) {
+      const sim::ChurnEvent& ev = trace.events[at++];
+      call([&] {
+        if (ev.fail)
+          sched.mark_failed(ev.element);
+        else
+          sched.mark_recovered(ev.element);
+      });
+      call([&] { reports.push_back(sched.repair(ev.element)); });
+    } else {
+      bool admitted = false;
+      call([&] { admitted = sched.submit(arrival.app).admitted; });
+      if (admitted)
+        departures.emplace(arrival.time + arrival.lifetime, arrival.app.name);
+      have_arrival = gen.next(arrival);
+    }
+  }
+  return reports;
+}
+
+// A batch that only marks a failure must not move repair()'s fallback
+// baseline: only admissions, removals and the repair passes themselves
+// do, inside a batch or not.  So every repair sees the same baseline
+// and makes the same escalation decision whether the calls are made
+// directly or each in its own batch.
+TEST(Repair, BatchedCallsKeepTheDirectFallbackBaseline) {
+  const std::uint64_t seed = testutil::test_seed() + 1;
+  Rng rng(seed);
+  const Network net = workload::soak_site(4, 6, rng);
+  const std::vector<Scheduler::RepairReport> direct =
+      replay_churn(net, seed, /*batched=*/false);
+  const std::vector<Scheduler::RepairReport> batched =
+      replay_churn(net, seed, /*batched=*/true);
+
+  ASSERT_EQ(direct.size(), batched.size()) << testutil::seed_message(seed);
+  ASSERT_FALSE(direct.empty());
+  std::size_t fallbacks = 0;
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    SCOPED_TRACE("repair #" + std::to_string(i) +
+                 testutil::seed_message(seed));
+    EXPECT_EQ(direct[i].global_rate_before, batched[i].global_rate_before);
+    EXPECT_EQ(direct[i].fell_back, batched[i].fell_back);
+    if (direct[i].fell_back) ++fallbacks;
+  }
+  // The trace is harsh enough that the bound is exercised.
+  EXPECT_GT(fallbacks, 0u) << testutil::seed_message(seed);
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 ///   * invariant checks must stay clean at every sampled epoch,
 ///   * RSS drift (warmed-up quarter → end) must stay under
 ///     SPARCLE_SOAK_MAX_RSS_DRIFT (default 5%),
-///   * first-half vs second-half admitted-fraction drift must stay under
-///     SPARCLE_SOAK_MAX_RATE_DRIFT (default 3%).
+///   * admitted-fraction drift between arrivals [N/4, 5N/8) and
+///     [5N/8, N) must stay under SPARCLE_SOAK_MAX_RATE_DRIFT (default 3%).
 ///
 /// Honors SPARCLE_TEST_SEED (tests/testutil.hpp convention) and
 /// SPARCLE_SOAK_ARRIVALS; every failure line carries the seed so any CI
