@@ -48,10 +48,10 @@ struct FuzzOptions {
   /// event (0 = skip the churn phase).
   std::size_t churn_events{8};
   /// Scheduling-policy plugin (policy::make_policy name) installed for
-  /// the scheduler-pipeline phase of run_scenario_checks; "" = legacy
-  /// hard-coded rules (no plugin).  The optimality oracles always run
-  /// the default algorithm — invariants must hold under ANY policy, but
-  /// optimality claims are the default's alone.
+  /// the scheduler-pipeline phase of run_scenario_checks; "" installs
+  /// none, which means the default policy.  The optimality oracles always
+  /// run the default algorithm — invariants must hold under ANY policy,
+  /// but optimality claims are the default's alone.
   std::string policy{};
   /// Policy axis: when non-empty, fuzz_scheduler draws one of these
   /// names per iteration (from a stream independent of the scenario
@@ -116,7 +116,7 @@ std::string save_repro(const workload::ScenarioFile& scenario,
 struct FuzzFailure {
   std::size_t iteration{0};
   std::uint64_t scenario_seed{0};
-  std::string policy;  ///< plugin active at failure ("" = legacy rules)
+  std::string policy;  ///< plugin active at failure ("" = default)
   std::string phase;
   CheckReport report;
   workload::ScenarioFile scenario;  ///< as generated

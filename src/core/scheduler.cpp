@@ -70,17 +70,6 @@ std::string element_label(const Network& net, ElementKey e) {
 /// (the harness uninstalls by passing nullptr).
 Scheduler::ValidationHook g_validation_hook;
 
-/// Assigner options for the default-constructed SparcleAssigner, with the
-/// scheduler-level policy plugin forwarded when the caller did not set an
-/// assigner-level one.  The raw pointer stays valid because the
-/// scheduler's own options_ copy shares ownership of the plugin.
-SparcleAssignerOptions assigner_options_with_policy(
-    const SchedulerOptions& options) {
-  SparcleAssignerOptions a = options.assigner_options;
-  if (a.policy == nullptr) a.policy = options.policy.get();
-  return a;
-}
-
 /// Σ CT computation requirement (resource 0) — the "job size" the policy
 /// plugins rank by.
 double app_size(const Application& app) {
@@ -91,6 +80,12 @@ double app_size(const Application& app) {
 }
 
 }  // namespace
+
+SparcleAssignerOptions SchedulerOptions::assigner_options_with_policy() const {
+  SparcleAssignerOptions a = assigner_options;
+  if (a.policy == nullptr) a.policy = policy.get();
+  return a;
+}
 
 void Scheduler::set_validation_hook(ValidationHook hook) {
   g_validation_hook = std::move(hook);
@@ -160,10 +155,10 @@ Scheduler::BatchReport Scheduler::end_batch() {
 }
 
 Scheduler::Scheduler(Network net, SchedulerOptions options)
-    : Scheduler(
-          std::move(net),
-          std::make_unique<SparcleAssigner>(assigner_options_with_policy(options)),
-          options) {}
+    : Scheduler(std::move(net),
+                std::make_unique<SparcleAssigner>(
+                    options.assigner_options_with_policy()),
+                options) {}
 
 Scheduler::Scheduler(Network net, std::unique_ptr<Assigner> assigner,
                      SchedulerOptions options)
@@ -312,12 +307,6 @@ bool Scheduler::release_external(const std::string& name) {
     reg->counter("scheduler.external.releases").add(1);
   run_validation_hook();
   return true;
-}
-
-double Scheduler::total_external_rate() const {
-  double sum = 0.0;
-  for (const auto& [name, res] : external_) sum += res.rate;
-  return sum;
 }
 
 bool Scheduler::element_touches_be(const ElementKey& e) const {
@@ -669,37 +658,23 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   }
   competing_valid_ = false;  // shed BE paths shrank eq. (6) footprints
 
-  // Pass 2: restore in policy order (decision point 3; the default — GR
-  // first, largest guarantee first, then BE by descending priority — is
-  // the pre-refactor hard-coded rule).  Ties break on placed order via
-  // stable_sort so a replayed trace reproduces the same state bit for bit.
+  // Pass 2: restore in policy order (decision point 3; the default is GR
+  // first, largest guarantee first, then BE by descending priority).
+  // Ties break on placed order via stable_sort so a replayed trace
+  // reproduces the same state bit for bit.
   std::vector<std::size_t> order(affected.begin(), affected.end());
-  if (options_.policy != nullptr) {
-    std::vector<policy::RepairCandidate> views(placed_.size());
-    for (std::size_t pi : order) {
-      const PlacedApp& pa = placed_[pi];
-      views[pi] = {&pa.app, pa.allocated_rate, pa.paths.size(),
-                   app_size(pa.app)};
-    }
-    const policy::SchedulingPolicy& pol = *options_.policy;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return pol.repair_before(views[a], views[b]);
-                     });
-  } else {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const PlacedApp& pa = placed_[a];
-                       const PlacedApp& pb = placed_[b];
-                       const bool ga =
-                           pa.app.qoe.cls == QoeClass::kGuaranteedRate;
-                       const bool gb =
-                           pb.app.qoe.cls == QoeClass::kGuaranteedRate;
-                       if (ga != gb) return ga;
-                       if (ga) return pa.app.qoe.min_rate > pb.app.qoe.min_rate;
-                       return pa.app.qoe.priority > pb.app.qoe.priority;
-                     });
+  std::vector<policy::RepairCandidate> views(placed_.size());
+  for (std::size_t pi : order) {
+    const PlacedApp& pa = placed_[pi];
+    views[pi] = {&pa.app, pa.allocated_rate, pa.paths.size(),
+                 app_size(pa.app)};
   }
+  const policy::SchedulingPolicy& pol =
+      policy::or_default(options_.policy.get());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return pol.repair_before(views[a], views[b]);
+                   });
 
   for (std::size_t pi : order) {
     PlacedApp& pa = placed_[pi];

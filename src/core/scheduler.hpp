@@ -95,11 +95,17 @@ struct SchedulerOptions {
   /// Scheduling-policy plugin (docs/policies.md): decision point 2
   /// (candidate ranking — forwarded into the default assigner's options
   /// when assigner_options.policy is unset) and decision point 3 (the
-  /// restore order of repair()).  nullptr reproduces the pre-refactor
-  /// hard-coded rules bit for bit, and so does policy::DefaultPolicy
-  /// (tests/test_policy.cpp).  Shared ownership: copies of these options
-  /// keep the plugin alive for the scheduler's lifetime.
+  /// restore order of repair()).  A null policy means
+  /// policy::DefaultPolicy (policy::or_default()).  Shared ownership:
+  /// copies of these options keep the plugin alive for the scheduler's
+  /// lifetime.
   std::shared_ptr<const policy::SchedulingPolicy> policy{};
+
+  /// assigner_options with `policy` forwarded when assigner_options.policy
+  /// is unset: what the default SPARCLE assigner and the federation's
+  /// cross-shard planner run with.  The raw pointer stays valid while a
+  /// copy of these options, which shares ownership of the policy, lives.
+  SparcleAssignerOptions assigner_options_with_policy() const;
 };
 
 /// The admission-control scheduler.  Thread-compatible (external
@@ -312,13 +318,6 @@ class Scheduler {
       const {
     return external_;
   }
-
-  /// Σ over external reservations of rate * per-unit load, by element —
-  /// the checker's counterpart of the GR reserved load.
-  const LoadMap& external_reserved_load() const { return ext_reserved_; }
-
-  /// Total reserved rate over external reservations (pending + committed).
-  double total_external_rate() const;
 
   /// The (copied-in) network this scheduler manages.
   const Network& network() const { return net_; }

@@ -16,12 +16,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// (best host, γ) of one unplaced CT in the current ranking round.
-struct Candidate {
-  NcpId host{kInvalidId};
-  double gamma{-kInf};
-};
-
 /// Flushes the run's counters into the installed registry on every exit
 /// path (including the infeasible early return).  No-op when no registry
 /// is installed.
@@ -77,88 +71,68 @@ AssignmentResult SparcleAssigner::assign(
 
   const std::size_t total = engine.graph().ct_count();
 
-  // Per-CT best-host evaluations of the current round (lines 7-14).
-  std::vector<Candidate> slots(total);
-
   std::uint64_t rounds = 0;
   const MetricsFlush flush(engine, rounds);
 
-  // Evaluates every unplaced CT once.  Between commits the engine's
-  // widest-width trees are shared by every CT probing the same host.
+  // One round's best-host evaluations (lines 7-14): every unplaced CT
+  // with its best host and γ, in CT order, plus the committed host of
+  // every placed CT.  Between commits the engine's widest-width trees
+  // are shared by every CT probing the same host.
+  std::vector<policy::CtCandidate> candidates;
+  std::vector<NcpId> hosts;
   const auto evaluate_round = [&] {
+    candidates.clear();
+    hosts.assign(total, kInvalidId);
     for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-      if (engine.placed(i)) continue;
+      if (engine.placed(i)) {
+        hosts[i] = engine.host(i);
+        continue;
+      }
       double gi = -kInf;
       const NcpId ji = engine.best_host(i, &gi);
-      slots[i] = {ji, gi};
+      candidates.push_back({i, ji, gi});
     }
   };
 
+  const bool most_constrained =
+      options_.ranking == Ranking::kMostConstrainedFirst;
+  const policy::SchedulingPolicy& pol = policy::or_default(options_.policy);
+
   // Static-ranking ablation: the CT order is frozen after the first
-  // evaluation round; hosts are still chosen against current loads.
+  // evaluation round (ascending γ in a most-constrained pass, descending
+  // otherwise); hosts are still chosen against current loads.
   std::vector<CtId> static_order;
-  bool order_frozen = false;
 
   while (engine.placed_count() < total) {
     ++rounds;
     CtId chosen = kInvalidId;
     NcpId chosen_host = kInvalidId;
 
-    const bool most_constrained =
-        options_.ranking == Ranking::kMostConstrainedFirst;
-    if (options_.dynamic_ranking || !order_frozen) {
-      // Lines 7-16: evaluate every unplaced CT's best host, then pick a CT
-      // by its best-host γ (see SparcleAssignerOptions on the direction).
+    if (options_.dynamic_ranking) {
+      // Lines 7-16: evaluate every unplaced CT's best host, then let the
+      // policy pick a CT by its best-host γ (decision point 2; see
+      // SparcleAssignerOptions on the direction).
       evaluate_round();
-      if (options_.policy != nullptr && options_.dynamic_ranking) {
-        // Policy plugin (decision point 2): hand the round's candidates
-        // over in CT order.  policy::DefaultPolicy reproduces the inline
-        // rule below bit for bit (tests/test_policy.cpp).
-        std::vector<policy::CtCandidate> candidates;
-        std::vector<NcpId> hosts(total, kInvalidId);
-        for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-          if (engine.placed(i))
-            hosts[i] = engine.host(i);
-          else
-            candidates.push_back({i, slots[i].host, slots[i].gamma});
-        }
-        policy::SelectContext ctx;
-        ctx.net = problem.net;
-        ctx.graph = problem.graph;
-        ctx.most_constrained_pass = most_constrained;
-        ctx.ct_host = &hosts;
-        const std::size_t pick = options_.policy->select_ct(ctx, candidates);
-        if (pick < candidates.size()) {
-          chosen = candidates[pick].ct;
-          chosen_host = candidates[pick].host;
-        }
-      } else {
-      double chosen_gamma = most_constrained ? kInf : -kInf;
-      std::vector<std::pair<double, CtId>> ranked;
-      for (CtId i = 0; i < static_cast<CtId>(total); ++i) {
-        if (engine.placed(i)) continue;
-        const double gi = slots[i].gamma;
-        ranked.emplace_back(gi, i);
-        const bool better =
-            most_constrained ? gi < chosen_gamma : gi > chosen_gamma;
-        if (better) {
-          chosen_gamma = gi;
-          chosen = i;
-          chosen_host = slots[i].host;
-        }
+      policy::SelectContext ctx;
+      ctx.net = problem.net;
+      ctx.graph = problem.graph;
+      ctx.most_constrained_pass = most_constrained;
+      ctx.ct_host = &hosts;
+      const std::size_t pick = pol.select_ct(ctx, candidates);
+      if (pick < candidates.size()) {
+        chosen = candidates[pick].ct;
+        chosen_host = candidates[pick].host;
       }
-      if (!options_.dynamic_ranking) {
+    } else {
+      if (static_order.empty()) {
+        evaluate_round();
+        std::vector<std::pair<double, CtId>> ranked;
+        for (const policy::CtCandidate& c : candidates)
+          ranked.emplace_back(c.gamma, c.ct);
         std::sort(ranked.begin(), ranked.end());
-        if (!most_constrained)
-          std::reverse(ranked.begin(), ranked.end());
+        if (!most_constrained) std::reverse(ranked.begin(), ranked.end());
         for (const auto& [g, i] : ranked) static_order.push_back(i);
-        order_frozen = true;
       }
-      }
-    }
-
-    if (!options_.dynamic_ranking) {
-      chosen = kInvalidId;
       for (CtId i : static_order) {
         if (!engine.placed(i)) {
           chosen = i;

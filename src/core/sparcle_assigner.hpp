@@ -53,11 +53,11 @@ struct SparcleAssignerOptions {
 
   /// Candidate-ranking policy plugin (decision point 2 of
   /// policy::SchedulingPolicy): each dynamic-ranking round hands the
-  /// evaluated (CT, best host, γ) candidates to the policy instead of the
-  /// built-in argmin/argmax rule.  Non-owning — the caller keeps the
-  /// policy alive for the assigner's lifetime (Scheduler holds it via
-  /// SchedulerOptions::policy).  nullptr (and policy::DefaultPolicy,
-  /// bit-identically) reproduce the paper's greedy; the static-ranking
+  /// evaluated (CT, best host, γ) candidates to the policy, which picks
+  /// the CT to commit.  Non-owning — the caller keeps the policy alive
+  /// for the assigner's lifetime (Scheduler holds it via
+  /// SchedulerOptions::policy).  A null policy means
+  /// policy::DefaultPolicy, the paper's greedy; the static-ranking
   /// ablation path (dynamic_ranking = false) ignores the policy.
   const policy::SchedulingPolicy* policy{nullptr};
 };

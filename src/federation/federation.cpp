@@ -27,6 +27,16 @@ namespace {
 
 constexpr double kTol = 1e-9;
 
+/// Fraction of each path's standalone bottleneck rate reserved for a
+/// cross-shard Best-Effort application.  Cross-shard BE apps cannot join
+/// any single shard's proportional-fair solve (their paths span solvers),
+/// so the federation pins them a fixed-rate hold instead — conservative
+/// by design; shard-local BE apps keep exact PF shares.
+constexpr double kCrossBeRateFraction = 0.25;
+
+/// Cap on task-assignment paths provisioned for one cross-shard app.
+constexpr std::size_t kCrossMaxPaths = 2;
+
 /// One shard's outcome of a reserve/commit/release control function,
 /// written on the shard's scheduling thread and read by the router after
 /// the apply future resolved (the future is the synchronization edge).
@@ -41,7 +51,9 @@ FederatedService::FederatedService(Network net, FederationOptions options)
     : net_(std::move(net)),
       plan_(make_shard_plan(net_, options.shards)),
       options_(std::move(options)),
-      assigner_(options_.scheduler.assigner_options),
+      // The shards' assigner options, policy included, so cross-shard
+      // apps are ranked by the same rule as shard-local ones.
+      assigner_(options_.scheduler.assigner_options_with_policy()),
       cross_load_(LoadMap::zeros(net_)),
       plan_residual_(net_) {
   shards_.reserve(plan_.shard_count());
@@ -66,22 +78,6 @@ FederatedService::TrimOnTeardown::~TrimOnTeardown() {
 
 // ---------------------------------------------------------------------------
 // PlacementService surface
-
-std::future<ServiceResult> FederatedService::submit(Application app) {
-  auto prom = std::make_shared<std::promise<ServiceResult>>();
-  auto fut = prom->get_future();
-  submit_async(std::move(app),
-               [prom](ServiceResult r) { prom->set_value(std::move(r)); });
-  return fut;
-}
-
-std::future<ServiceResult> FederatedService::remove(std::string app_name) {
-  auto prom = std::make_shared<std::promise<ServiceResult>>();
-  auto fut = prom->get_future();
-  remove_async(std::move(app_name),
-               [prom](ServiceResult r) { prom->set_value(std::move(r)); });
-  return fut;
-}
 
 void FederatedService::submit_async(Application app, Completion on_done) {
   {
@@ -129,7 +125,7 @@ void FederatedService::dispatch_submit(Application app, Completion on_done) {
                  "routed to shard " + std::to_string(home), 0.0, 0.0, 0);
     const std::string name = app.name;
     shards_[home]->submit_async(
-        to_local(app, home),
+        to_local(app),
         [this, name, on_done = std::move(on_done)](ServiceResult r) {
           if (r.status != ServiceResult::Status::kAdmitted) {
             std::lock_guard<std::mutex> lock(route_mu_);
@@ -384,18 +380,17 @@ std::set<ElementKey> FederatedService::failed_elements() const {
   return failed_;
 }
 
+std::pair<std::size_t, ElementKey> FederatedService::to_shard(
+    ElementKey e) const {
+  const auto i = static_cast<std::size_t>(e.index);
+  if (e.kind == ElementKey::Kind::kNcp)
+    return {plan_.shard_of_ncp.at(i), ElementKey::ncp(plan_.local_ncp.at(i))};
+  return {plan_.shard_of_link.at(i), ElementKey::link(plan_.local_link.at(i))};
+}
+
 void FederatedService::mark_failed(ElementKey e) {
   if (e.kind == ElementKey::Kind::kNcp || !plan_.is_boundary(e.index)) {
-    const std::size_t s =
-        e.kind == ElementKey::Kind::kNcp
-            ? plan_.shard_of_ncp.at(static_cast<std::size_t>(e.index))
-            : plan_.shard_of_link.at(static_cast<std::size_t>(e.index));
-    const ElementKey local =
-        e.kind == ElementKey::Kind::kNcp
-            ? ElementKey::ncp(
-                  plan_.local_ncp.at(static_cast<std::size_t>(e.index)))
-            : ElementKey::link(
-                  plan_.local_link.at(static_cast<std::size_t>(e.index)));
+    const auto [s, local] = to_shard(e);
     shards_[s]->apply([local](Scheduler& sc) { sc.mark_failed(local); }).get();
   }
   {
@@ -409,16 +404,7 @@ void FederatedService::mark_failed(ElementKey e) {
 
 void FederatedService::mark_recovered(ElementKey e) {
   if (e.kind == ElementKey::Kind::kNcp || !plan_.is_boundary(e.index)) {
-    const std::size_t s =
-        e.kind == ElementKey::Kind::kNcp
-            ? plan_.shard_of_ncp.at(static_cast<std::size_t>(e.index))
-            : plan_.shard_of_link.at(static_cast<std::size_t>(e.index));
-    const ElementKey local =
-        e.kind == ElementKey::Kind::kNcp
-            ? ElementKey::ncp(
-                  plan_.local_ncp.at(static_cast<std::size_t>(e.index)))
-            : ElementKey::link(
-                  plan_.local_link.at(static_cast<std::size_t>(e.index)));
+    const auto [s, local] = to_shard(e);
     shards_[s]
         ->apply([local](Scheduler& sc) { sc.mark_recovered(local); })
         .get();
@@ -434,16 +420,7 @@ void FederatedService::mark_recovered(ElementKey e) {
 
 void FederatedService::repair(ElementKey e) {
   if (e.kind == ElementKey::Kind::kLink && plan_.is_boundary(e.index)) return;
-  const std::size_t s =
-      e.kind == ElementKey::Kind::kNcp
-          ? plan_.shard_of_ncp.at(static_cast<std::size_t>(e.index))
-          : plan_.shard_of_link.at(static_cast<std::size_t>(e.index));
-  const ElementKey local =
-      e.kind == ElementKey::Kind::kNcp
-          ? ElementKey::ncp(
-                plan_.local_ncp.at(static_cast<std::size_t>(e.index)))
-          : ElementKey::link(
-                plan_.local_link.at(static_cast<std::size_t>(e.index)));
+  const auto [s, local] = to_shard(e);
   shards_[s]->apply([local](Scheduler& sc) { sc.repair(local); }).get();
   bump("federation.churn.repairs");
 }
@@ -486,7 +463,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
       start.link(l) = plan_residual_.link(sub.to_global_link[l]);
   }
   ProvisioningOptions popt;
-  popt.max_paths = options_.max_paths;
+  popt.max_paths = kCrossMaxPaths;
   popt.diversity = options_.scheduler.path_diversity;
   popt.overlap_penalty = options_.scheduler.overlap_penalty;
   if (gr) popt.rate_cap = app.qoe.min_rate;
@@ -555,7 +532,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
         r = std::min(p.standalone_rate, remaining);
         remaining -= r;
       } else {
-        r = options_.be_rate_fraction * p.standalone_rate;
+        r = kCrossBeRateFraction * p.standalone_rate;
       }
       if (r <= kTol) continue;
       rates.push_back(r);
@@ -956,9 +933,7 @@ const FederatedService::UnionSubnet& FederatedService::union_subnet(
   return subnets_.emplace(shards, std::move(sub)).first->second;
 }
 
-Application FederatedService::to_local(const Application& app,
-                                       std::size_t s) const {
-  (void)s;
+Application FederatedService::to_local(const Application& app) const {
   Application local = app;
   local.pinned.clear();
   for (const auto& [ct, ncp] : app.pinned)

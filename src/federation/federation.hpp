@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/provisioning.hpp"
@@ -59,18 +60,11 @@ struct FederationOptions {
   /// region labels when present, balanced graph cut otherwise).  1 is the
   /// degenerate single-scheduler federation (useful as a baseline).
   std::size_t shards{2};
-  /// Options for every per-shard Scheduler (policy plugin included).
+  /// Options for every per-shard Scheduler (policy plugin included; the
+  /// router's cross-shard planner ranks by the same policy).
   SchedulerOptions scheduler{};
   /// Options for every per-shard SchedulerService.
   service::ServiceOptions service{};
-  /// Fraction of each path's standalone bottleneck rate reserved for a
-  /// *cross-shard* Best-Effort application.  Cross-shard BE apps cannot
-  /// join any single shard's proportional-fair solve (their paths span
-  /// solvers), so the federation pins them a fixed-rate hold instead —
-  /// conservative by design; shard-local BE apps keep exact PF shares.
-  double be_rate_fraction{0.25};
-  /// Cap on task-assignment paths provisioned for one cross-shard app.
-  std::size_t max_paths{2};
   /// Test hook fired after every touched shard accepted the reserve phase
   /// and before any commit is sent, with the application name.  Throwing
   /// from the hook aborts the admission between the phases (all holds are
@@ -109,8 +103,6 @@ class FederatedService : public service::PlacementService {
   FederatedService& operator=(const FederatedService&) = delete;
 
   // --- service::PlacementService ---
-  std::future<service::ServiceResult> submit(Application app) override;
-  std::future<service::ServiceResult> remove(std::string app_name) override;
   void submit_async(Application app, Completion on_done) override;
   void remove_async(std::string app_name, Completion on_done) override;
   /// Aggregated view: every shard's placed apps (admission order within a
@@ -203,7 +195,10 @@ class FederatedService : public service::PlacementService {
   /// elements zeroed.  Caller holds cross_mu_.
   void rebuild_plan_residual();
   /// Translates an application's pinned NCPs to shard-local ids.
-  Application to_local(const Application& app, std::size_t s) const;
+  Application to_local(const Application& app) const;
+  /// The shard owning shard-internal element `e` (global id) and `e`'s
+  /// key in that shard's own ids.  Boundary links belong to no shard.
+  std::pair<std::size_t, ElementKey> to_shard(ElementKey e) const;
   /// The (lazily built, cached) union sub-network for an ascending
   /// touched-shard index set.  Router thread only — the cache is
   /// unsynchronized by design.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace sparcle::policy {
 
@@ -21,10 +22,17 @@ double gr_shortfall(const RepairCandidate& c) {
   return missing > 0 ? missing : 0.0;
 }
 
+/// The DefaultPolicy a null policy resolves to (or_default()).
+const std::shared_ptr<const SchedulingPolicy>& shared_default() {
+  static const std::shared_ptr<const SchedulingPolicy> instance =
+      std::make_shared<const DefaultPolicy>();
+  return instance;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Base rules: the pre-refactor hard-coded behavior, verbatim.
+// Base rules: the default policy's.
 
 std::size_t SchedulingPolicy::pick_next(
     const std::vector<PendingApp>& pending) const {
@@ -35,9 +43,10 @@ std::size_t SchedulingPolicy::pick_next(
 std::size_t SchedulingPolicy::select_ct(
     const SelectContext& ctx, const std::vector<CtCandidate>& candidates)
     const {
-  // Mirrors the historical inline loop of SparcleAssigner::assign():
-  // initialize against ±infinity and take the first *strictly* better
-  // candidate, so ties keep the lowest CT id.
+  // Initialize against ±infinity and take the first *strictly* better
+  // candidate, so ties keep the lowest CT id.  Candidate 0 is the
+  // fallback: a most-constrained round whose every γ is +∞ (zero-cost CTs
+  // whose relatives share their host) still commits a CT.
   double best = ctx.most_constrained_pass ? kInf : -kInf;
   std::size_t chosen = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -53,7 +62,6 @@ std::size_t SchedulingPolicy::select_ct(
 
 bool SchedulingPolicy::repair_before(const RepairCandidate& a,
                                      const RepairCandidate& b) const {
-  // Mirrors the historical stable_sort comparator of Scheduler::repair():
   // GR before BE; GR by descending guarantee; BE by descending priority.
   const bool ga = is_gr(a.app);
   const bool gb = is_gr(b.app);
@@ -158,6 +166,15 @@ std::size_t EnergyAwarePolicy::select_ct(
 
 // ---------------------------------------------------------------------------
 // Registry.
+
+const SchedulingPolicy& or_default(const SchedulingPolicy* p) {
+  return p != nullptr ? *p : *shared_default();
+}
+
+std::shared_ptr<const SchedulingPolicy> or_default(
+    std::shared_ptr<const SchedulingPolicy> p) {
+  return p != nullptr ? std::move(p) : shared_default();
+}
 
 std::vector<std::string> policy_names() {
   return {"default", "sjf", "deadline", "energy"};

@@ -19,9 +19,9 @@
 /// over adversarial workload matrices:
 ///
 ///   1. *admission ordering* — which queued application to admit next
-///      (consumed by the soak runner's bounded pending queue; the classic
-///      pipeline submits in arrival order, which is what the default
-///      policy reproduces);
+///      (consumed by the soak runner's bounded pending queue and by
+///      service::SchedulerService's per-class request queues; the
+///      default policy admits in arrival order);
 ///   2. *candidate ranking* — which (CT, best host) candidate the
 ///      dynamic-ranking greedy of Algorithm 2 commits each round
 ///      (SparcleAssignerOptions::policy);
@@ -31,9 +31,9 @@
 /// Every policy must be deterministic: identical inputs produce identical
 /// choices (ties break on the lowest index), so soak failures replay from
 /// a seed and the property tests can demand bit-identical placements.
-/// The default policy is bit-identical to the pre-refactor hard-coded
-/// rules at every decision point (tests/test_policy.cpp holds the
-/// equivalence corpus).
+/// A null policy means DefaultPolicy: every consumer resolves nullptr to
+/// one shared instance (or_default()), so each rule has exactly one
+/// implementation.
 
 namespace sparcle::policy {
 
@@ -79,8 +79,8 @@ struct RepairCandidate {
 };
 
 /// The swappable scheduling policy.  The base-class implementations ARE
-/// the pre-refactor hard-coded rules, so `class MyPolicy : public
-/// SchedulingPolicy` overrides only the decision points it cares about.
+/// the default rules, so `class MyPolicy : public SchedulingPolicy`
+/// overrides only the decision points it cares about.
 /// Implementations must be deterministic, stateless across calls (one
 /// policy object may be shared by schedulers on different threads), and
 /// must return in-range indices.
@@ -112,13 +112,20 @@ class SchedulingPolicy {
                              const RepairCandidate& b) const;
 };
 
-/// "default" — the pre-refactor scheduler verbatim: FIFO admission, the
-/// paper's dynamic-ranking greedy commit rule, GR-first largest-guarantee
-/// repair.  Bit-identical to running with no policy installed.
+/// "default" — the paper's rules: FIFO admission, the dynamic-ranking
+/// greedy commit rule, GR-first largest-guarantee repair.  A null policy
+/// means this one (or_default()).
 class DefaultPolicy : public SchedulingPolicy {
  public:
   std::string name() const override { return "default"; }
 };
+
+/// `p`, or the one shared DefaultPolicy instance when `p` is null.  Every
+/// consumer resolves its policy pointer here, so a null policy means
+/// DefaultPolicy everywhere.
+const SchedulingPolicy& or_default(const SchedulingPolicy* p);
+std::shared_ptr<const SchedulingPolicy> or_default(
+    std::shared_ptr<const SchedulingPolicy> p);
 
 /// "sjf" — shortest-job-first: admits the smallest queued application
 /// (Σ CT computation requirement) first, and repairs cheap applications

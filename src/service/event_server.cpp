@@ -752,56 +752,4 @@ void EventServer::sweep_idle() {
   }
 }
 
-std::string EventServer::handle_line(const std::string& line) {
-  std::map<std::string, std::string> req;
-  try {
-    req = wire::parse_line(line);
-  } catch (const std::exception& e) {
-    return wire::error_line(e.what());
-  }
-  const auto verb_it = req.find("verb");
-  if (verb_it == req.end()) return wire::error_line("missing 'verb'");
-  const std::string& verb = verb_it->second;
-
-  try {
-    if (verb == "submit") {
-      const auto app_it = req.find("app");
-      if (app_it == req.end())
-        return wire::error_line("submit: missing 'app' block");
-      std::vector<Application> apps = workload::parse_apps_text(
-          app_it->second, service_.network(), "<submit>");
-      if (apps.size() != 1)
-        return wire::error_line(
-            "submit: expected exactly one app block, got " +
-            std::to_string(apps.size()));
-      return wire::result_line(service_.submit(std::move(apps.front())).get());
-    }
-    if (verb == "remove") {
-      const auto name_it = req.find("name");
-      if (name_it == req.end())
-        return wire::error_line("remove: missing 'name'");
-      return wire::result_line(service_.remove(name_it->second).get());
-    }
-    if (verb == "query") {
-      const std::shared_ptr<const ServiceSnapshot> snap = service_.snapshot();
-      const auto name_it = req.find("name");
-      if (name_it != req.end()) return wire::app_line(*snap, name_it->second);
-      return wire::snapshot_line(*snap);
-    }
-    if (verb == "drain") {
-      service_.drain();
-      return wire::snapshot_line(*service_.snapshot());
-    }
-    if (verb == "stats") {
-      return wire::to_line(service_.health_fields());
-    }
-    if (verb == "metrics") {
-      return wire::metrics_line(service_.prometheus_text());
-    }
-  } catch (const std::exception& e) {
-    return wire::error_line(e.what());
-  }
-  return wire::error_line("unknown verb '" + verb + "'");
-}
-
 }  // namespace sparcle::service

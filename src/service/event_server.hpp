@@ -94,12 +94,6 @@ class EventServer {
   /// The bound port (after start(); resolves ephemeral port 0).
   std::uint16_t port() const { return port_; }
 
-  /// Dispatches one JSON request line synchronously and returns the
-  /// response line (no trailing newline) — the same verb semantics the
-  /// loop serves, minus the socket.  Blocks on submit/remove/drain.
-  /// Tests call this to exercise the protocol without a connection.
-  std::string handle_line(const std::string& line);
-
  private:
   struct Connection;
   struct Completion;

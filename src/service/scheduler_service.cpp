@@ -26,20 +26,27 @@ std::string fmt(double v) {
   return std::string(buf, end);
 }
 
-/// Delivers a request's terminal result through whichever channel the
-/// caller chose: the completion callback (async front ends) or the
-/// promise (future-based callers).  Templated because Request is a
-/// private nested type; the argument is always SchedulerService::Request.
-template <typename RequestT>
-void fulfill(RequestT& req, ServiceResult result) {
-  if (req.callback) {
-    req.callback(std::move(result));
-    return;
-  }
-  req.promise.set_value(std::move(result));
+/// A completion that fulfils `future` with the request's reply: the one
+/// bridge from the reply callback to the blocking, future-based calls.
+PlacementService::Completion fulfilling(std::future<ServiceResult>& future) {
+  auto promise = std::make_shared<std::promise<ServiceResult>>();
+  future = promise->get_future();
+  return [promise](ServiceResult r) { promise->set_value(std::move(r)); };
 }
 
 }  // namespace
+
+std::future<ServiceResult> PlacementService::submit(Application app) {
+  std::future<ServiceResult> future;
+  submit_async(std::move(app), fulfilling(future));
+  return future;
+}
+
+std::future<ServiceResult> PlacementService::remove(std::string app_name) {
+  std::future<ServiceResult> future;
+  remove_async(std::move(app_name), fulfilling(future));
+  return future;
+}
 
 const char* to_string(ServiceResult::Status status) {
   switch (status) {
@@ -66,7 +73,7 @@ SchedulerService::SchedulerService(Network net, SchedulerOptions sched_options,
     : net_(net),
       scheduler_(std::move(net), sched_options),
       options_(options),
-      policy_(sched_options.policy),
+      policy_(policy::or_default(sched_options.policy)),
       start_(std::chrono::steady_clock::now()),
       window_(options.window_seconds == 0 ? 1 : options.window_seconds),
       paused_(options.start_paused) {
@@ -124,77 +131,44 @@ void SchedulerService::log_queue_reject(const char* reason_head,
   bump((std::string("service.rejected.") + reason_head).c_str());
 }
 
-std::future<ServiceResult> SchedulerService::submit(Application app) {
-  const auto deadline =
-      options_.default_deadline.count() > 0
-          ? std::chrono::steady_clock::now() + options_.default_deadline
-          : kNoDeadline;
-  return submit(std::move(app), deadline);
+std::chrono::steady_clock::time_point SchedulerService::default_deadline()
+    const {
+  return options_.default_deadline.count() > 0
+             ? std::chrono::steady_clock::now() + options_.default_deadline
+             : kNoDeadline;
 }
 
 std::future<ServiceResult> SchedulerService::submit(
     Application app, std::chrono::steady_clock::time_point deadline) {
-  const bool gr = app.qoe.cls == QoeClass::kGuaranteedRate;
-  Request req;
-  req.verb = Request::Verb::kSubmit;
-  req.app = std::move(app);
-  return enqueue(std::move(req), gr ? kGr : kBe, deadline);
-}
-
-std::future<ServiceResult> SchedulerService::remove(std::string app_name) {
-  const auto deadline =
-      options_.default_deadline.count() > 0
-          ? std::chrono::steady_clock::now() + options_.default_deadline
-          : kNoDeadline;
-  return remove(std::move(app_name), deadline);
-}
-
-std::future<ServiceResult> SchedulerService::remove(
-    std::string app_name, std::chrono::steady_clock::time_point deadline) {
-  Request req;
-  req.verb = Request::Verb::kRemove;
-  req.name = std::move(app_name);
-  return enqueue(std::move(req), kControl, deadline);
+  std::future<ServiceResult> future;
+  enqueue({.verb = Request::Verb::kSubmit,
+           .app = std::move(app),
+           .callback = fulfilling(future)},
+          deadline);
+  return future;
 }
 
 void SchedulerService::submit_async(Application app, Completion on_done) {
-  const auto deadline =
-      options_.default_deadline.count() > 0
-          ? std::chrono::steady_clock::now() + options_.default_deadline
-          : kNoDeadline;
-  const bool gr = app.qoe.cls == QoeClass::kGuaranteedRate;
-  Request req;
-  req.verb = Request::Verb::kSubmit;
-  req.app = std::move(app);
-  req.callback = std::move(on_done);
-  enqueue(std::move(req), gr ? kGr : kBe, deadline);
+  enqueue({.verb = Request::Verb::kSubmit,
+           .app = std::move(app),
+           .callback = std::move(on_done)},
+          default_deadline());
 }
 
 void SchedulerService::remove_async(std::string app_name, Completion on_done) {
-  const auto deadline =
-      options_.default_deadline.count() > 0
-          ? std::chrono::steady_clock::now() + options_.default_deadline
-          : kNoDeadline;
-  Request req;
-  req.verb = Request::Verb::kRemove;
-  req.name = std::move(app_name);
-  req.callback = std::move(on_done);
-  enqueue(std::move(req), kControl, deadline);
+  enqueue({.verb = Request::Verb::kRemove,
+           .name = std::move(app_name),
+           .callback = std::move(on_done)},
+          default_deadline());
 }
 
 std::future<ServiceResult> SchedulerService::apply(SchedulerFn fn) {
-  Request req;
-  req.verb = Request::Verb::kApply;
-  req.fn = std::move(fn);
-  return enqueue(std::move(req), kControl, kNoDeadline);
-}
-
-void SchedulerService::apply_async(SchedulerFn fn, Completion on_done) {
-  Request req;
-  req.verb = Request::Verb::kApply;
-  req.fn = std::move(fn);
-  req.callback = std::move(on_done);
-  enqueue(std::move(req), kControl, kNoDeadline);
+  std::future<ServiceResult> future;
+  enqueue({.verb = Request::Verb::kApply,
+           .fn = std::move(fn),
+           .callback = fulfilling(future)},
+          kNoDeadline);
+  return future;
 }
 
 bool SchedulerService::inspect(
@@ -205,25 +179,24 @@ bool SchedulerService::inspect(
   return future.get().status == ServiceResult::Status::kApplied;
 }
 
-std::future<ServiceResult> SchedulerService::enqueue(
-    Request req, std::size_t cls,
-    std::chrono::steady_clock::time_point deadline) {
+void SchedulerService::enqueue(Request req,
+                               std::chrono::steady_clock::time_point deadline) {
   req.enqueued = std::chrono::steady_clock::now();
   req.deadline = deadline;
-  if (policy_ != nullptr && req.verb == Request::Verb::kSubmit &&
-      req.app.graph != nullptr) {
+  const bool is_submit = req.verb == Request::Verb::kSubmit;
+  if (is_submit && req.app.graph != nullptr) {
     // Feature extraction for SchedulingPolicy::pick_next, outside the
     // queue lock (mirrors the soak engine's PendingApp fields).
     const ResourceVector need = req.app.graph->total_ct_requirement();
     req.size = need.size() > 0 ? need[0] : 0.0;
     req.bits = req.app.graph->total_tt_bits();
   }
-  std::future<ServiceResult> future = req.promise.get_future();
 
-  const std::string& label =
-      req.verb == Request::Verb::kSubmit ? req.app.name : req.name;
-  const bool gr = req.verb == Request::Verb::kSubmit &&
-                  req.app.qoe.cls == QoeClass::kGuaranteedRate;
+  const std::string& label = is_submit ? req.app.name : req.name;
+  const bool gr = is_submit && req.app.qoe.cls == QoeClass::kGuaranteedRate;
+  // GR submissions queue ahead of BE ones; removes and apply fns ahead of
+  // both (they only free capacity or run control work).
+  const std::size_t cls = !is_submit ? kControl : gr ? kGr : kBe;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -231,8 +204,8 @@ std::future<ServiceResult> SchedulerService::enqueue(
       ServiceResult result;
       result.status = ServiceResult::Status::kShutdown;
       result.reason = "service is stopping";
-      fulfill(req, std::move(result));
-      return future;
+      req.callback(std::move(result));
+      return;
     }
     window_.add("arrivals");
     const std::size_t depth = queued_unlocked();
@@ -245,8 +218,8 @@ std::future<ServiceResult> SchedulerService::enqueue(
                       std::to_string(options_.queue_capacity) +
                       " requests queued";
       log_queue_reject("queue_full", label, gr, result.reason);
-      fulfill(req, std::move(result));
-      return future;
+      req.callback(std::move(result));
+      return;
     }
     bump(req.verb == Request::Verb::kSubmit   ? "service.submits"
          : req.verb == Request::Verb::kRemove ? "service.removes"
@@ -261,7 +234,6 @@ std::future<ServiceResult> SchedulerService::enqueue(
     window_.observe("queue_depth", static_cast<double>(depth + 1));
   }
   work_cv_.notify_one();
-  return future;
 }
 
 std::size_t SchedulerService::queued_unlocked() const {
@@ -398,14 +370,13 @@ void SchedulerService::scheduling_loop() {
       });
       if (queued_unlocked() == 0 && stopping_) return;
       // Pop up to max_batch requests, higher classes first.  Within a
-      // class: FIFO, unless a scheduling policy is installed — then the
-      // policy's pick_next (decision point 1, docs/policies.md) chooses
-      // among the queued submits of that class.  Control requests
-      // (removes, apply fns) always stay FIFO, and DefaultPolicy returns
-      // index 0, reproducing the classic FIFO dequeue bit for bit.
+      // submit class the policy's pick_next (decision point 1,
+      // docs/policies.md) chooses among the queued submits; the default
+      // policy's FIFO picks the head.  Control requests (removes, apply
+      // fns) always stay FIFO.
       for (std::size_t cls = 0; cls < kClasses; ++cls) {
         auto& queue = queues_[cls];
-        if (policy_ == nullptr || cls == kControl) {
+        if (cls == kControl) {
           while (batch.size() < options_.max_batch && !queue.empty()) {
             batch.push_back(std::move(queue.front()));
             queue.pop_front();
@@ -609,9 +580,9 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
 
   publish_snapshot();
 
-  // Fulfill the promises only after the snapshot is visible, so a client
-  // that observes its future ready and immediately queries sees a state
-  // that includes its own request.
+  // Reply only after the snapshot is visible, so a client that observes
+  // its reply and immediately queries sees a state that includes its own
+  // request.
   const auto done = std::chrono::steady_clock::now();
   const double solve_us = elapsed_us(solve_start, solve_end);
   for (std::size_t i : live) {
@@ -629,8 +600,8 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
   }
 
   // Counters, window feeds, and trace flows must all be current before
-  // any promise resolves: a client that sees its future ready may
-  // immediately read stats(), scrape the ops endpoint, or export traces.
+  // any reply fires: a client that sees its reply may immediately read
+  // stats(), scrape the ops endpoint, or export traces.
   {
     registry_.histogram("service.batch.size", {1, 2, 4, 8, 16, 32, 64, 128})
         .observe(static_cast<double>(batch.size()));
@@ -697,7 +668,7 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
       trace->record_flow("service.request", trace->to_origin_us(done),
                          /*start=*/false, batch[i].trace);
     }
-    fulfill(batch[i], std::move(results[i]));
+    batch[i].callback(std::move(results[i]));
   }
 }
 

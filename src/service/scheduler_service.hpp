@@ -97,7 +97,7 @@ struct ServiceOptions {
 ///   solve  the batch's shared deferred PF re-solve (end_batch); every
 ///          request in the batch reports the same value — that is the
 ///          cost amortization made visible
-///   reply  post-solve bookkeeping until the promise resolves
+///   reply  post-solve bookkeeping until the reply callback fires
 struct RequestTimeline {
   std::uint64_t trace_id{0};  ///< non-zero once the request is queued
   double queue_us{0.0};
@@ -197,31 +197,34 @@ struct ServiceStats {
 
 /// The abstract placement-service surface the front ends program against:
 /// everything the event-loop server, the TCP server, and the in-process
-/// client need — admission (blocking futures and completion callbacks),
-/// snapshots, lifecycle, and telemetry.  SchedulerService (one global
-/// scheduler) and federation::FederatedService (regional shards behind
-/// the same contract) are the two implementations, which is what lets
-/// `sparcle_serve --shards N` swap the backend without the wire front
-/// ends noticing.
+/// client need — admission (completion callbacks, and blocking futures
+/// over them), snapshots, lifecycle, and telemetry.  SchedulerService
+/// (one global scheduler) and federation::FederatedService (regional
+/// shards behind the same contract) are the two implementations, which
+/// is what lets `sparcle_serve --shards N` swap the backend without the
+/// wire front ends noticing.
 class PlacementService {
  public:
   virtual ~PlacementService() = default;
 
-  /// Callback invoked exactly once with a request's terminal result.
-  /// Runs on a service-internal thread (batch completions) or inline on
-  /// the caller's thread (enqueue-time bounces: queue_full / shutdown),
-  /// so it must be cheap and must not re-enter the service.
+  /// Callback invoked exactly once with a request's terminal result — a
+  /// request's only reply channel, so it must be non-empty.  Runs on a
+  /// service-internal thread (batch completions) or inline on the
+  /// caller's thread (enqueue-time bounces: queue_full / shutdown), so it
+  /// must be cheap and must not re-enter the service.
   using Completion = std::function<void(ServiceResult)>;
 
-  /// Enqueues an admission request; the future resolves when the request
-  /// has been fully processed (or immediately on queue_full/shutdown).
-  virtual std::future<ServiceResult> submit(Application app) = 0;
-  /// Enqueues a removal (served ahead of submits — it only frees capacity).
-  virtual std::future<ServiceResult> remove(std::string app_name) = 0;
-  /// submit() without a future — the event-loop front end's path.
+  /// Enqueues an admission request; `on_done` fires when the request has
+  /// been fully processed (or immediately on queue_full/shutdown).  The
+  /// event-loop front end's path — nothing ever blocks.
   virtual void submit_async(Application app, Completion on_done) = 0;
-  /// remove() without a future.
+  /// Enqueues a removal (served ahead of submits — it only frees
+  /// capacity); `on_done` as for submit_async.
   virtual void remove_async(std::string app_name, Completion on_done) = 0;
+  /// submit_async() with a future that resolves to the reply.
+  std::future<ServiceResult> submit(Application app);
+  /// remove_async() with a future that resolves to the reply.
+  std::future<ServiceResult> remove(std::string app_name);
   /// The latest published snapshot — never null, never blocks.
   virtual std::shared_ptr<const ServiceSnapshot> snapshot() const = 0;
   /// Blocks until every request enqueued before the call has been answered.
@@ -256,27 +259,19 @@ class SchedulerService : public PlacementService {
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
 
-  /// Enqueues an admission request; the future resolves when the batch
-  /// containing it completes (or immediately on queue_full/shutdown).
-  /// GR submissions queue ahead of BE submissions.
-  std::future<ServiceResult> submit(Application app) override;
+  /// Enqueues an admission request with ServiceOptions::default_deadline;
+  /// `on_done` fires when the batch containing it completes (or
+  /// immediately on queue_full/shutdown).  GR submissions queue ahead of
+  /// BE submissions.
+  void submit_async(Application app, Completion on_done) override;
+  /// Enqueues a removal (control class: served before submits).
+  void remove_async(std::string app_name, Completion on_done) override;
+
+  using PlacementService::submit;
   /// submit() with an explicit deadline: if the scheduling thread picks
   /// the request up after `deadline`, it is rejected unprocessed.
   std::future<ServiceResult> submit(
       Application app, std::chrono::steady_clock::time_point deadline);
-
-  /// Enqueues a removal (control class: served before submits).
-  std::future<ServiceResult> remove(std::string app_name) override;
-  std::future<ServiceResult> remove(
-      std::string app_name, std::chrono::steady_clock::time_point deadline);
-
-  /// submit() without a future: `on_done` fires when the batch containing
-  /// the request completes (or immediately on queue_full / shutdown).
-  /// This is the event-loop front end's path — nothing ever blocks.
-  void submit_async(Application app, Completion on_done) override;
-
-  /// remove() without a future (control class; see submit_async).
-  void remove_async(std::string app_name, Completion on_done) override;
 
   /// A control function run on the scheduling thread with exclusive
   /// access to the wrapped Scheduler — the federation layer's hook for
@@ -291,9 +286,6 @@ class SchedulerService : public PlacementService {
   /// resolves with kApplied after the batch containing it completes.
   /// Control requests never expire.
   std::future<ServiceResult> apply(SchedulerFn fn);
-
-  /// apply() without a future (see submit_async for callback rules).
-  void apply_async(SchedulerFn fn, Completion on_done);
 
   /// Runs `fn` on the scheduling thread against the settled post-batch
   /// scheduler state and blocks until it finished — the read-side
@@ -358,26 +350,26 @@ class SchedulerService : public PlacementService {
  private:
   struct Request {
     enum class Verb { kSubmit, kRemove, kApply } verb{Verb::kSubmit};
-    Application app;        ///< submit payload
-    std::string name;       ///< remove payload
-    SchedulerFn fn;         ///< apply payload (control function)
+    Application app{};      ///< submit payload
+    std::string name{};     ///< remove payload
+    SchedulerFn fn{};       ///< apply payload (control function)
     std::uint64_t trace{0};  ///< trace id, assigned at enqueue
-    std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline;  ///< max() = none
+    std::chrono::steady_clock::time_point enqueued{};
+    std::chrono::steady_clock::time_point deadline{};  ///< max() = none
     /// Precomputed policy::PendingApp features of a submit (Σ CT
     /// requirement resource 0, Σ TT bits) so SchedulingPolicy::pick_next
     /// never touches the task graph under the queue lock.
     double size{0.0};
     double bits{0.0};
-    std::promise<ServiceResult> promise;
-    Completion callback;  ///< when set, fires instead of the promise
+    Completion callback{};  ///< the reply channel, fired exactly once
   };
   /// Queue class index: lower pops first.
   enum : std::size_t { kControl = 0, kGr = 1, kBe = 2, kClasses = 3 };
 
-  std::future<ServiceResult> enqueue(
-      Request req, std::size_t cls,
-      std::chrono::steady_clock::time_point deadline);
+  /// Now + ServiceOptions::default_deadline, or no deadline when it is 0.
+  std::chrono::steady_clock::time_point default_deadline() const;
+  /// Queues `req` in its class (or bounces it through its callback).
+  void enqueue(Request req, std::chrono::steady_clock::time_point deadline);
   void scheduling_loop();
   void process_batch(std::vector<Request>& batch);
   void publish_snapshot();
@@ -398,8 +390,8 @@ class SchedulerService : public PlacementService {
   Scheduler scheduler_;       ///< touched only by the scheduling thread
   ServiceOptions options_;
   /// Admission-ordering policy (decision point 1, docs/policies.md),
-  /// shared from SchedulerOptions::policy.  nullptr (and DefaultPolicy)
-  /// reproduce the classic 3-class FIFO dequeue bit for bit.
+  /// shared from SchedulerOptions::policy; a null policy there means
+  /// DefaultPolicy, whose FIFO pick gives the classic 3-class dequeue.
   std::shared_ptr<const policy::SchedulingPolicy> policy_;
   /// Service birth instant: the epoch pick_next's arrival_time/deadline
   /// seconds are measured from.

@@ -256,24 +256,4 @@ std::map<std::string, std::string> error_fields(const std::string& reason) {
   return fields;
 }
 
-std::string result_line(const ServiceResult& result) {
-  return to_line(result_fields(result));
-}
-
-std::string metrics_line(const std::string& body) {
-  return to_line(metrics_fields(body));
-}
-
-std::string snapshot_line(const ServiceSnapshot& snap) {
-  return to_line(snapshot_fields(snap));
-}
-
-std::string app_line(const ServiceSnapshot& snap, const std::string& name) {
-  return to_line(app_fields(snap, name));
-}
-
-std::string error_line(const std::string& reason) {
-  return to_line(error_fields(reason));
-}
-
 }  // namespace sparcle::service::wire

@@ -68,20 +68,4 @@ std::map<std::string, std::string> app_fields(const ServiceSnapshot& snap,
 /// An error response's fields: `status`=error, `reason`.
 std::map<std::string, std::string> error_fields(const std::string& reason);
 
-/// result_fields rendered as one JSON response line.
-std::string result_line(const ServiceResult& result);
-
-/// metrics_fields rendered as one JSON response line (the exposition
-/// newline-escaped into one JSON string).
-std::string metrics_line(const std::string& body);
-
-/// snapshot_fields rendered as one JSON response line.
-std::string snapshot_line(const ServiceSnapshot& snap);
-
-/// app_fields rendered as one JSON response line.
-std::string app_line(const ServiceSnapshot& snap, const std::string& name);
-
-/// error_fields rendered as one JSON response line.
-std::string error_line(const std::string& reason);
-
 }  // namespace sparcle::service::wire

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "core/scheduler.hpp"
 #include "federation/check.hpp"
 #include "federation/shard_plan.hpp"
+#include "policy/policy.hpp"
 #include "service/client.hpp"
 #include "service/event_server.hpp"
 #include "workload/arrivals.hpp"
@@ -357,7 +359,6 @@ TEST(Federation, CrossShardAdmissionReservesOnEveryTouchedShard) {
 TEST(Federation, CrossShardBestEffortGetsAFixedFractionHold) {
   FederationOptions opt;
   opt.shards = 2;
-  opt.be_rate_fraction = 0.25;
   FederatedService fed(make_two_region_net(), opt);
   service::LocalClient client(fed);
 
@@ -370,6 +371,42 @@ TEST(Federation, CrossShardBestEffortGetsAFixedFractionHold) {
   ASSERT_GE(got.paths, 1u);
   EXPECT_LE(got.rate,
             static_cast<double>(got.paths) * 0.25 * 10.0 / 4.0 + 1e-9);
+  expect_conserved(fed);
+}
+
+/// DefaultPolicy that counts its candidate-ranking calls, from the shard
+/// scheduling threads and the router thread alike.
+class CountingPolicy : public policy::DefaultPolicy {
+ public:
+  std::size_t select_ct(const policy::SelectContext& ctx,
+                        const std::vector<policy::CtCandidate>& candidates)
+      const override {
+    calls.fetch_add(1);
+    return DefaultPolicy::select_ct(ctx, candidates);
+  }
+  mutable std::atomic<int> calls{0};
+};
+
+TEST(Federation, CrossShardPlanningRanksByTheInstalledPolicy) {
+  auto counting = std::make_shared<CountingPolicy>();
+  FederationOptions opt;
+  opt.shards = 2;
+  opt.scheduler.policy = counting;
+  FederatedService fed(make_two_region_net(), opt);
+  service::LocalClient client(fed);
+
+  // a0 -> a1 stays on shard 0: that shard's scheduler ranks by the policy.
+  ASSERT_EQ(
+      client.submit(make_app("local", QoeSpec::best_effort(1.0), 0, 1)).status,
+      ServiceResult::Status::kAdmitted);
+  const int local_calls = counting->calls.load();
+  EXPECT_GT(local_calls, 0);
+
+  // a0 -> b1 spans both shards: the router plans it, by the same policy.
+  const ServiceResult cross = client.submit(
+      make_app("cross", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
+  ASSERT_EQ(cross.status, ServiceResult::Status::kAdmitted) << cross.reason;
+  EXPECT_GT(counting->calls.load(), local_calls);
   expect_conserved(fed);
 }
 

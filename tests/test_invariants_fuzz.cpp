@@ -62,7 +62,7 @@ TEST(InvariantsFuzz, PolicyAxisPipelineClean) {
     const check::FuzzFailure& f = *outcome.failure;
     FAIL() << "fuzz failure at iteration " << f.iteration << " (scenario seed "
            << f.scenario_seed << ", policy "
-           << (f.policy.empty() ? std::string("<legacy>") : f.policy)
+           << (f.policy.empty() ? std::string("<default>") : f.policy)
            << ") in phase " << f.phase << ":\n"
            << f.report.to_string() << "repro: "
            << (f.repro_path.empty() ? std::string("<not written>")

@@ -18,10 +18,9 @@
 //  * registry round-trips and rejects unknown names;
 //  * each decision point's base rule and each plugin's override behave
 //    as documented on hand-built inputs;
-//  * DefaultPolicy is BIT-IDENTICAL to running with no policy installed
-//    — the pre-refactor hard-coded rules — across the checked-in `.scn`
-//    corpus and seeded random scenarios, through admission, failure,
-//    repair, recovery, and removal;
+//  * a null policy means DefaultPolicy: the two are BIT-IDENTICAL across
+//    the checked-in `.scn` corpus and seeded random scenarios, through
+//    admission, failure, repair, recovery, and removal;
 //  * every policy is deterministic: identical soak inputs reproduce the
 //    identical decision digest.
 
@@ -128,7 +127,7 @@ void expect_identical_state(const Scheduler& legacy,
 /// every phase.
 void run_equivalence(const workload::ScenarioFile& scenario,
                      const std::string& tag) {
-  SchedulerOptions legacy_options;  // policy == nullptr: pre-refactor path
+  SchedulerOptions legacy_options;  // policy == nullptr: resolves to default
   SchedulerOptions plugged_options;
   plugged_options.policy = std::make_shared<policy::DefaultPolicy>();
   Scheduler legacy(scenario.net, legacy_options);

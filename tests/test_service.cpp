@@ -432,12 +432,18 @@ TEST(EventServer, WireRoundTripOverRealSockets) {
   server.stop();
 }
 
+// The name predates the deletion of the synchronous EventServer::
+// handle_line; it is kept so the test id stays stable.  The requests now
+// travel over a real socket to dispatch(), the verb table that serves
+// the wire.
 TEST(EventServer, HandleLineReportsProtocolErrors) {
   SchedulerService svc(make_two_relay_net());
-  service::EventServer server(svc);  // never started: handle_line is direct
+  service::EventServer server(svc);  // port 0: ephemeral
+  server.start();
+  service::TcpClient client("127.0.0.1", server.port());
 
   auto expect_error = [&](const std::string& line, const char* substring) {
-    const auto fields = service::wire::parse_line(server.handle_line(line));
+    const auto fields = service::wire::parse_line(client.request(line));
     EXPECT_EQ(fields.at("status"), "error") << line;
     EXPECT_NE(fields.at("reason").find(substring), std::string::npos)
         << fields.at("reason");
@@ -449,6 +455,7 @@ TEST(EventServer, HandleLineReportsProtocolErrors) {
   expect_error("{\"verb\":\"submit\",\"app\":\"ncp rogue 5\"}",
                "network is fixed");
   expect_error("{\"verb\":\"remove\"}", "missing 'name'");
+  server.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -549,6 +556,9 @@ TEST(Telemetry, TraceIdLinksDecisionLogAndChromeTrace) {
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
 }
 
+// The transport of the two wire reads below moved from the deleted
+// EventServer::handle_line to a started server; the name is kept so the
+// test id stays stable.
 TEST(Telemetry, SloFlipsToDegradedUnderQueueOverload) {
   // 8 arrivals against a 5-deep paused queue: 3 bounce, the reject ratio
   // hits 0.375 against the default 0.25 ceiling — burn 1.5, degraded.
@@ -570,23 +580,27 @@ TEST(Telemetry, SloFlipsToDegradedUnderQueueOverload) {
   EXPECT_EQ(report.worst, obs::SloState::kDegraded);
 
   // The health document and the exposition tell the same story — through
-  // the wire verbs, as an operator would see them.
-  service::EventServer server(svc);  // never started: handle_line is direct
+  // the wire verbs, as an operator would see them.  Both answer inline
+  // from snapshots, so the paused queue does not hold them up.
+  service::EventServer server(svc);  // port 0: ephemeral
+  server.start();
+  service::TcpClient client("127.0.0.1", server.port());
   const auto stats_fields =
-      service::wire::parse_line(server.handle_line("{\"verb\":\"stats\"}"));
+      service::wire::parse_line(client.request("{\"verb\":\"stats\"}"));
   EXPECT_EQ(stats_fields.at("status"), "ok");
   EXPECT_EQ(stats_fields.at("slo_state"), "degraded");
   EXPECT_EQ(stats_fields.at("slo.reject_ratio.state"), "degraded");
   EXPECT_EQ(stats_fields.at("queue_depth"), "5");
 
   const auto metrics_fields =
-      service::wire::parse_line(server.handle_line("{\"verb\":\"metrics\"}"));
+      service::wire::parse_line(client.request("{\"verb\":\"metrics\"}"));
   EXPECT_EQ(metrics_fields.at("status"), "ok");
   EXPECT_EQ(metrics_fields.at("format"), "prometheus-0.0.4");
   const auto samples = obs::validate_exposition(metrics_fields.at("body"));
   EXPECT_FALSE(samples.empty());
   EXPECT_NE(metrics_fields.at("body").find("sparcle_slo_reject_ratio_burn"),
             std::string::npos);
+  server.stop();
 
   svc.resume();
   for (auto& f : futures) (void)f.get();

@@ -69,6 +69,42 @@ TEST(SparcleAssigner, StaysLocalWhenLinksAreTight) {
   EXPECT_NEAR(r.rate, 0.1, 1e-12);
 }
 
+TEST(SparcleAssigner, MostConstrainedPassCommitsAnUnboundedCandidate) {
+  // source -> {relay, heavy} -> sink, both endpoints pinned to the small
+  // NCP.  Round 1 commits `heavy` on the big NCP (γ 10 against the
+  // relay's +∞).  In round 2 the relay's best γ is +∞: a zero-cost CT on
+  // an idle host whose relatives share that host has an infinite node
+  // term and infinite width terms.  With no policy installed the
+  // assigner runs DefaultPolicy, which still commits that candidate.
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("small", ResourceVector::scalar(100));
+  net.add_ncp("big", ResourceVector::scalar(1000));
+  net.add_link("l", 0, 1, 1000);
+  TaskGraph g(ResourceSchema::cpu_only());
+  const CtId s = g.add_ct("source", ResourceVector::scalar(0));
+  const CtId relay = g.add_ct("relay", ResourceVector::scalar(0));
+  const CtId heavy = g.add_ct("heavy", ResourceVector::scalar(100));
+  const CtId t = g.add_ct("sink", ResourceVector::scalar(0));
+  g.add_tt("sr", 10, s, relay);
+  g.add_tt("sh", 10, s, heavy);
+  g.add_tt("rt", 10, relay, t);
+  g.add_tt("ht", 10, heavy, t);
+  g.finalize();
+
+  AssignmentProblem p;
+  p.net = &net;
+  p.graph = &g;
+  p.capacities = CapacitySnapshot(net);
+  p.pinned = {{s, 0}, {t, 0}};
+  SparcleAssignerOptions options;
+  options.ranking = SparcleAssignerOptions::Ranking::kMostConstrainedFirst;
+  const AssignmentResult r = SparcleAssigner(options).assign(p);
+  ASSERT_TRUE(r.feasible) << r.message;
+  EXPECT_EQ(r.placement.ct_host(heavy), 1);
+  EXPECT_EQ(r.placement.ct_host(relay), 0);
+  EXPECT_DOUBLE_EQ(r.rate, 10.0);  // big cpu 1000/100; link 1000/20 = 50
+}
+
 TEST(SparcleAssigner, ProducesValidPlacementOnScenarios) {
   for (int seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
