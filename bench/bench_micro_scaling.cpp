@@ -162,7 +162,7 @@ BENCHMARK(BM_FairnessSolvePf96Shape)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
 /// scheduler's own PF problems: a Scheduler with W steady arrivals in
 /// flight (locality 0.9, GR fraction 0.1) removes the oldest and submits
 /// the next, so the batch ends in one BE re-solve over ~W placed apps.
-/// W = 96 runs on pf96's 64-NCP site, W = 400 on 256 NCPs.
+/// W = 96 runs on pf96's 64-NCP site, W = 400 and W = 1000 on 256 NCPs.
 void BM_BeResolveSoakSite(benchmark::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   Rng site_rng(42);
@@ -191,7 +191,7 @@ void BM_BeResolveSoakSite(benchmark::State& state) {
     benchmark::DoNotOptimize(sched.end_batch());
   }
 }
-BENCHMARK(BM_BeResolveSoakSite)->Arg(96)->Arg(400);
+BENCHMARK(BM_BeResolveSoakSite)->Arg(96)->Arg(400)->Arg(1000);
 
 }  // namespace
 

@@ -13,10 +13,24 @@ namespace sparcle {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Converged once the scaled duality gap (m + nv) μ drops below this.
-constexpr double kDualityGapTol = 1e-8;
-/// Hard cap on Newton iterations per solve.
-constexpr int kMaxNewtonSteps = 400;
+/// Converged once the complementarity gap λᵀz + νᵀx is at most this,
+/// and at most this times Σ_a w_a when the priorities sum to less than 1
+/// (the duals scale with the priorities) ...
+constexpr double kGapTol = 1e-8;
+/// ... and every application's |y_a s_a − w_a| is at most this × w_a.
+constexpr double kAppTol = 1e-9;
+/// The application tolerance a solve that has to stop early (a failed
+/// factorization or a step that is not finite) may still converge at.
+constexpr double kAppTolOnStop = 1e-6;
+/// Each step goes this fraction of the way to the nearest boundary.
+constexpr double kStepToBoundary = 0.995;
+/// A predictor that can take less than this fraction of its full step
+/// predicts its second-order terms badly, so the corrector then only
+/// re-centres.  Without this guard, 4 of 12900 problems drawn like those
+/// of tests/test_fairness_hostile.cpp ran into the iteration cap.
+constexpr double kMinPredictorStep = 0.1;
+/// Hard cap on iterations per solve.
+constexpr int kMaxIterations = 200;
 
 /// Internal normalized problem: rows scaled so capacity == 1, and rows
 /// with no coefficients dropped.
@@ -74,8 +88,8 @@ Scaled scale_problem(const PfProblem& p) {
   return s;
 }
 
-/// The Newton system's factor, laid out once per solve, with the factor
-/// slot of every Hessian term in the assembly's walk order: v's row
+/// The Newton matrix's factor, laid out once per solve, with the factor
+/// slot of every matrix term in the assembly's walk order: v's row
 /// terms, then its application terms (ending at app_end[v]), then its
 /// diagonal (diag_slot[v]).
 struct NewtonSystem {
@@ -83,7 +97,7 @@ struct NewtonSystem {
   std::vector<std::size_t> term_slot, app_end, diag_slot;
 };
 
-/// The negative Hessian's pattern is the pairs of variables that load a
+/// The Newton matrix's pattern is the pairs of variables that load a
 /// common row or belong to one application; its factor is ordered by
 /// minimum degree.
 NewtonSystem lay_out_newton_system(const PfProblem& p, const Scaled& s) {
@@ -132,6 +146,17 @@ NewtonSystem lay_out_newton_system(const PfProblem& p, const Scaled& s) {
   return sys;
 }
 
+/// A primal–dual point of the scaled problem, or a direction between two:
+/// rates x, row slacks z, row duals λ, bound duals ν, and one dual y_a
+/// per application.
+struct PrimalDual {
+  std::vector<double> x, z, lam, nu, y;
+};
+/// The blocks of a PrimalDual; an iterate is positive in all of them.
+constexpr std::vector<double> PrimalDual::*kBlocks[] = {
+    &PrimalDual::x, &PrimalDual::z, &PrimalDual::lam, &PrimalDual::nu,
+    &PrimalDual::y};
+
 }  // namespace
 
 PfSolution solve_weighted_pf(const PfProblem& p) {
@@ -168,6 +193,7 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
 
   const Scaled s = scale_problem(p);
   const std::size_t m = s.rows;
+  const std::vector<double>& w = p.app_priority;
 
   // Strictly feasible start: x_v = t with t = 0.4 / max_row Σ_v coeff.
   std::vector<double> row_sum(m, 0.0);
@@ -177,149 +203,185 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
   for (double rs : row_sum) max_row = std::max(max_row, rs);
   const double t0 = max_row > 0 ? 0.4 / max_row : 1.0;
 
-  auto app_sum = [&](const std::vector<double>& xx, std::vector<double>& sa) {
-    sa.assign(na, 0.0);
-    for (std::size_t v = 0; v < nv; ++v) sa[p.var_app[v]] += xx[v];
+  // out_a = Σ_{v ∈ a} in_v (E in), and out_r = Σ_v R_rv in_v (R in).
+  auto app_sum = [&](const std::vector<double>& in, std::vector<double>& out) {
+    out.assign(na, 0.0);
+    for (std::size_t v = 0; v < nv; ++v) out[p.var_app[v]] += in[v];
   };
-  auto slacks = [&](const std::vector<double>& xx, std::vector<double>& sl) {
-    sl.assign(m, 1.0);
+  auto row_load = [&](const std::vector<double>& in, std::vector<double>& out) {
+    out.assign(m, 0.0);
     for (std::size_t v = 0; v < nv; ++v)
       for (const auto& [row, coeff] : s.columns[v].entries)
-        sl[row] -= coeff * xx[v];
+        out[row] += coeff * in[v];
   };
 
-  std::vector<double> sa, sl;
-  // Barrier objective for the line search.
-  auto barrier_value = [&](const std::vector<double>& xx, double mu) {
-    app_sum(xx, sa);
-    slacks(xx, sl);
-    double val = 0;
-    for (std::size_t a = 0; a < na; ++a) {
-      if (sa[a] <= 0) return -kInf;
-      val += p.app_priority[a] * std::log(sa[a]);
-    }
-    for (double sv : sl) {
-      if (sv <= 0) return -kInf;
-      val += mu * std::log(sv);
-    }
-    for (double xv : xx) {
-      if (xv <= 0) return -kInf;
-      val += mu * std::log(xv);
-    }
-    return val;
-  };
-
-  const double n_constraints = static_cast<double>(m + nv);
+  // The iterate, strictly positive in every block and centred at μ = 1.
+  PrimalDual pt{std::vector<double>(nv, t0), {}, std::vector<double>(m),
+                std::vector<double>(nv), std::vector<double>(na)};
+  auto& [x, z, lam, nu, y] = pt;
+  std::vector<double> sa;  // s = E x, the application rates
+  row_load(x, z);
+  for (std::size_t r = 0; r < m; ++r) {
+    z[r] = 1.0 - z[r];
+    lam[r] = 1.0 / z[r];
+  }
+  for (std::size_t v = 0; v < nv; ++v) nu[v] = 1.0 / x[v];
+  app_sum(x, sa);
+  for (std::size_t a = 0; a < na; ++a) y[a] = w[a] / sa[a];
 
   NewtonSystem sys = lay_out_newton_system(p, s);
   std::vector<double>& hv = sys.h.values();
 
-  // The log-barrier μ-continuation loop from the strictly feasible start:
-  // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
-  // duality gap drops below tolerance or the iteration cap is spent.
-  std::vector<double> x(nv, t0), grad(nv), dir(nv), xn(nv);
-  double mu = 1.0;
-  double mu_last = mu;  // μ of the final executed Newton phase
-  int iters = 0;
-  int newton_budget = kMaxNewtonSteps;
-  while (mu * n_constraints > kDualityGapTol && newton_budget > 0) {
-    mu_last = mu;
-    // The barrier value at x for this μ, once known: the line search's
-    // accepted value is the next step's base.
-    bool base_known = false;
-    double base = 0;
-    // Newton iterations at this μ.
-    for (int it = 0; it < 50 && newton_budget > 0; ++it, --newton_budget) {
-      ++iters;
-      app_sum(x, sa);
-      slacks(x, sl);
-
-      // Gradient.
-      for (std::size_t v = 0; v < nv; ++v) {
-        double g = p.app_priority[p.var_app[v]] / sa[p.var_app[v]];
-        g += mu / x[v];
-        for (const auto& [row, coeff] : s.columns[v].entries)
-          g -= mu * coeff / sl[row];
-        grad[v] = g;
-      }
-
-      // Negative Hessian (positive definite), entry (v, u) for u <= v:
-      //   [same app] P_a / s_a² + [u == v] μ / x_v²
-      //   + Σ_rows μ R_rv R_ru / slack²,
-      // the row sum walking v's entries in column order and, for each, the
-      // vars u <= v that load the same row.  Keep this order (v's entries,
-      // then u's, summed from 0, app and barrier terms added last): the
-      // results must stay bit-identical to the dense oracle in
-      // tests/test_fairness_reference.cpp.
-      std::fill(hv.begin(), hv.end(), 0.0);
-      std::size_t t = 0;
-      for (std::size_t v = 0; v < nv; ++v) {
-        for (const auto& [row, cv] : s.columns[v].entries) {
-          const double mu_cv = mu * cv;
-          const double sl2 = sl[row] * sl[row];
-          for (std::size_t k = s.row_start[row];
-               k < s.row_start[row + 1] && s.by_row[k].first <= v; ++k)
-            hv[sys.term_slot[t++]] += mu_cv * s.by_row[k].second / sl2;
-        }
-        const std::size_t a = p.var_app[v];
-        const double app_term = p.app_priority[a] / (sa[a] * sa[a]);
-        for (; t < sys.app_end[v]; ++t)
-          hv[sys.term_slot[t]] = app_term + hv[sys.term_slot[t]];
-        const std::size_t d = sys.diag_slot[v];
-        hv[d] = (app_term + mu / (x[v] * x[v])) + hv[d];
-      }
-
-      if (!sys.h.solve(grad, dir)) {
-        // Numerical trouble: fall back to a (scaled) gradient step.
-        dir = grad;
-      }
-
-      // Newton decrement (stopping criterion): grad^T dir.
-      double decrement = 0;
-      for (std::size_t v = 0; v < nv; ++v) decrement += grad[v] * dir[v];
-      if (decrement < 1e-12) break;
-
-      // Backtracking line search on the barrier objective.
-      if (!base_known) base = barrier_value(x, mu);
-      base_known = true;
-      double step = 1.0;
-      bool moved = false;
-      for (int ls = 0; ls < 60; ++ls, step *= 0.5) {
-        for (std::size_t v = 0; v < nv; ++v) xn[v] = x[v] + step * dir[v];
-        const double val = barrier_value(xn, mu);
-        if (val > base + 1e-4 * step * decrement) {
-          x = xn;
-          base = val;
-          moved = true;
-          break;
-        }
-      }
-      if (!moved) break;
+  // The step's direction d, with ds = E d.x.
+  PrimalDual d{{}, {}, std::vector<double>(m), std::vector<double>(nv),
+               std::vector<double>(na)};
+  std::vector<double> ds, c(m), cp(nv), c_over_z(m), rhs(nv);
+  // The direction whose complementarity rows aim at λ_r z_r = c_r and
+  // ν_v x_v = c′_v, from the factored M: M d.x = w/s − Rᵀ(c/z) + c′/x
+  // (the dual residuals cancel), then the primal rows stay satisfied
+  // (Δz = −R Δx) and the rows of y are linearized toward y_a s_a = w_a.
+  // Returns the largest α ≤ 1 that keeps every block of pt + α d
+  // nonnegative.
+  auto direction = [&] {
+    for (std::size_t r = 0; r < m; ++r) c_over_z[r] = c[r] / z[r];
+    for (std::size_t v = 0; v < nv; ++v) {
+      double g = w[p.var_app[v]] / sa[p.var_app[v]] + cp[v] / x[v];
+      for (const auto& [row, coeff] : s.columns[v].entries)
+        g -= coeff * c_over_z[row];
+      rhs[v] = g;
     }
-    mu *= 0.15;
+    sys.h.solve_factored(rhs, d.x);
+    row_load(d.x, d.z);
+    for (std::size_t r = 0; r < m; ++r) {
+      d.z[r] = -d.z[r];
+      d.lam[r] = c_over_z[r] - lam[r] - lam[r] / z[r] * d.z[r];
+    }
+    for (std::size_t v = 0; v < nv; ++v)
+      d.nu[v] = cp[v] / x[v] - nu[v] - nu[v] / x[v] * d.x[v];
+    app_sum(d.x, ds);
+    for (std::size_t a = 0; a < na; ++a)
+      d.y[a] = w[a] / sa[a] - y[a] - y[a] / sa[a] * ds[a];
+    double alpha = 1.0;
+    for (auto block : kBlocks) {
+      const std::vector<double>& v = pt.*block;
+      const std::vector<double>& dv = d.*block;
+      for (std::size_t i = 0; i < v.size(); ++i)
+        if (dv[i] < 0) alpha = std::min(alpha, -v[i] / dv[i]);
+    }
+    return alpha;
+  };
+
+  // Mehrotra's predictor–corrector: per iteration one factorization of
+  // the Newton matrix, an affine-scaling solve (c = c′ = 0) to choose the
+  // centring σμ, and a corrected solve; then one common step.
+  const double n_pairs = static_cast<double>(m + nv);
+  double total_priority = 0;
+  for (double wa : w) total_priority += wa;
+  const double gap_tol = kGapTol * std::min(1.0, total_priority);
+  int iters = 0;
+  bool converged = false;
+  for (;;) {
+    double gap = 0;
+    for (std::size_t r = 0; r < m; ++r) gap += lam[r] * z[r];
+    for (std::size_t v = 0; v < nv; ++v) gap += nu[v] * x[v];
+    double app_residual = 0;  // worst |y_a s_a − w_a| / w_a
+    for (std::size_t a = 0; a < na; ++a)
+      app_residual =
+          std::max(app_residual, std::abs(y[a] * sa[a] - w[a]) / w[a]);
+    if (gap <= gap_tol && app_residual <= kAppTol) {
+      converged = true;
+      break;
+    }
+    if (iters == kMaxIterations) break;
+    ++iters;
+    // Stopped early, the point still counts when it nearly converged.
+    const bool close = gap <= gap_tol && app_residual <= kAppTolOnStop;
+
+    // M = Eᵀ diag(y/s) E + Rᵀ diag(λ/z) R + diag(ν/x), entry (v, u) for
+    // u <= v, walked as lay_out_newton_system() laid its slots out.
+    std::fill(hv.begin(), hv.end(), 0.0);
+    std::size_t t = 0;
+    for (std::size_t v = 0; v < nv; ++v) {
+      for (const auto& [row, cv] : s.columns[v].entries) {
+        const double dcv = lam[row] / z[row] * cv;
+        for (std::size_t k = s.row_start[row];
+             k < s.row_start[row + 1] && s.by_row[k].first <= v; ++k)
+          hv[sys.term_slot[t++]] += dcv * s.by_row[k].second;
+      }
+      const std::size_t a = p.var_app[v];
+      const double app_term = y[a] / sa[a];
+      for (; t < sys.app_end[v]; ++t) hv[sys.term_slot[t]] += app_term;
+      hv[sys.diag_slot[v]] += app_term + nu[v] / x[v];
+    }
+    if (!sys.h.factor()) {
+      converged = close;
+      break;
+    }
+
+    // Predictor: aim every complementarity pair at 0.
+    std::fill(c.begin(), c.end(), 0.0);
+    std::fill(cp.begin(), cp.end(), 0.0);
+    const double alpha_aff = direction();
+    double gap_aff = 0;
+    for (std::size_t r = 0; r < m; ++r)
+      gap_aff +=
+          (lam[r] + alpha_aff * d.lam[r]) * (z[r] + alpha_aff * d.z[r]);
+    for (std::size_t v = 0; v < nv; ++v)
+      gap_aff +=
+          (nu[v] + alpha_aff * d.nu[v]) * (x[v] + alpha_aff * d.x[v]);
+    const double sigma_mu = std::pow(gap_aff / gap, 3) * gap / n_pairs;
+
+    // Corrector: centre at σμ and cancel the predictor's second-order
+    // terms on the complementarity rows, unless the predictor was cut
+    // short; the application rows stay first order.
+    const bool second_order = alpha_aff >= kMinPredictorStep;
+    for (std::size_t r = 0; r < m; ++r)
+      c[r] = second_order ? sigma_mu - d.lam[r] * d.z[r] : sigma_mu;
+    for (std::size_t v = 0; v < nv; ++v)
+      cp[v] = second_order ? sigma_mu - d.nu[v] * d.x[v] : sigma_mu;
+    const double alpha = std::min(1.0, kStepToBoundary * direction());
+
+    // Never step to a point that is not finite.
+    bool finite = std::isfinite(alpha);
+    for (auto block : kBlocks) {
+      const std::vector<double>& v = pt.*block;
+      const std::vector<double>& dv = d.*block;
+      for (std::size_t i = 0; i < v.size() && finite; ++i)
+        finite = std::isfinite(v[i] + alpha * dv[i]);
+    }
+    if (!finite) {
+      converged = close;
+      break;
+    }
+    for (auto block : kBlocks) {
+      std::vector<double>& v = pt.*block;
+      const std::vector<double>& dv = d.*block;
+      for (std::size_t i = 0; i < v.size(); ++i) v[i] += alpha * dv[i];
+    }
+    app_sum(x, sa);
   }
 
   PfSolution out;
   // Assemble the solution in original units.
   out.path_rate = x;
-  app_sum(x, out.app_rate);
+  out.app_rate = sa;
   out.utility = 0;
   for (std::size_t a = 0; a < na; ++a)
-    out.utility += p.app_priority[a] * std::log(out.app_rate[a]);
+    out.utility += w[a] * std::log(out.app_rate[a]);
 
-  slacks(x, sl);
+  std::vector<double> used;
+  row_load(x, used);
   out.dual.assign(p.capacity.size(), 0.0);
   double worst = m == 0 ? 0.0 : -kInf;
   for (std::size_t row = 0; row < m; ++row) {
-    // λ_row = μ / slack (scaled); the row was divided by C, so the price in
-    // original units is λ_scaled / C.
-    out.dual[s.row_of[row]] =
-        mu_last / std::max(sl[row], 1e-300) / p.capacity[s.row_of[row]];
+    // The row was divided by C, so the price in original units is λ / C.
+    const double cap = p.capacity[s.row_of[row]];
+    out.dual[s.row_of[row]] = lam[row] / cap;
     // Violation in original units (negative while strictly feasible).
-    worst = std::max(worst, -sl[row] * p.capacity[s.row_of[row]]);
+    worst = std::max(worst, (used[row] - 1.0) * cap);
   }
   out.max_violation = worst;
-  out.converged = mu * n_constraints <= kDualityGapTol;
+  out.converged = converged;
   out.newton_iters = iters;
   out.factor_entries = sys.h.factor_entries();
   return out;

@@ -12,9 +12,10 @@
 /// generalized so each application's rate x_i is the *sum* of the rates of
 /// its task-assignment paths (§IV-D multipath provisioning).  Each path is
 /// one variable; its column in R holds the per-unit load it puts on every
-/// network element.  Solved with a log-barrier Newton interior-point
-/// method; the solution reports the dual prices λ so tests can verify the
-/// KKT conditions.
+/// network element.  Solved with Mehrotra's predictor–corrector
+/// primal–dual interior-point method; the solution reports the row duals
+/// λ, the congestion prices of proportional fairness, so tests can verify
+/// the KKT conditions.
 
 namespace sparcle {
 
@@ -44,27 +45,49 @@ struct PfProblem {
 
 /// The allocation returned by solve_weighted_pf().
 struct PfSolution {
-  bool converged{false};  ///< duality gap reached tolerance within the cap
-  std::vector<double> path_rate;  ///< one per variable
+  /// The stop rule of solve_weighted_pf() was met.  False when the
+  /// iteration cap ran out, or when the solver had to stop early (a
+  /// failed factorization or a step that was not finite) short of the
+  /// looser early-stop rule; the rates are then the last iterate's.
+  bool converged{false};
+  std::vector<double> path_rate;  ///< one per variable, finite, >= 0
   std::vector<double> app_rate;   ///< Σ of the app's path rates
   double utility{0.0};            ///< Σ P_i log(app_rate_i)
-  /// Dual price per constraint row (λ of the KKT system), in original units.
+  /// Dual price per constraint row in original units: the interior
+  /// point's row dual λ_r of the capacity-scaled row, divided by C_r
+  /// (0 for rows no variable loads).
   std::vector<double> dual;
   /// Largest constraint violation of the returned point (should be <= 0).
   double max_violation{0.0};
-  /// Newton iterations spent (solver-cost metric).
+  /// Interior-point iterations spent (solver-cost metric); each is one
+  /// factorization of the Newton matrix and two solves with it.
   int newton_iters{0};
-  /// Entries of each Newton step's Cholesky factor: its sparse columns
+  /// Entries of the Newton matrix's Cholesky factor: its sparse columns
   /// plus its dense clique block (a dense factor has nv(nv+1)/2).
   std::size_t factor_entries{0};
 };
 
 /// Solves the weighted proportional-fairness problem.  Every call starts
 /// from the same strictly feasible point, so the solution is a function of
-/// `problem` alone, bit for bit.  The barrier schedule stops once the
-/// scaled duality gap is below 1e-8 or after 400 Newton steps.  Each
-/// Newton system is solved by a SparseCholesky (core/smallmat.hpp) over
-/// the pattern of variables that share a loaded row or an application.
+/// `problem` alone, bit for bit.
+///
+/// Rows are scaled to capacity 1.  The iterates are the rates x > 0, row
+/// slacks z > 0, row duals λ, bound duals ν and one dual y_a per
+/// application with y_a s_a = w_a (s_a its rate, w_a its priority).  Each
+/// iteration factors M = Eᵀ diag(y/s) E + Rᵀ diag(λ/z) R + diag(ν/x)
+/// once with a SparseCholesky (core/smallmat.hpp), over the pattern of
+/// variables that share a loaded row or an application, and solves it
+/// twice: Mehrotra's predictor and corrector.  It then takes one common
+/// step at 0.995 of the distance to the boundary.
+///
+/// Stop rule: converged once λᵀz + νᵀx <= 1e-8 (times Σ w_a when the
+/// priorities sum to less than 1) and |y_a s_a − w_a| <= 1e-9 w_a for
+/// every application, or unconverged after 200 iterations.  When M fails
+/// to factor, or a step would reach a point that is not finite, the
+/// solver stops at the current iterate; it counts as converged only if
+/// the gap already meets the rule and every application is within 1e-6.
+/// The returned rates are therefore always finite and non-negative.
+///
 /// Throws std::invalid_argument on malformed input: empty apps; a
 /// priority that is not positive or not finite; a variable naming no
 /// application or a column entry naming no constraint row; a column

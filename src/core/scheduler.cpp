@@ -978,7 +978,7 @@ AdmissionResult Scheduler::submit_guaranteed_rate(const Application& app) {
 }
 
 namespace {
-/// Bucket bounds of the per-solve Newton-iteration histogram
+/// Bucket bounds of the per-solve interior-point-iteration histogram
 /// (`scheduler.solver.newton_iters`, docs/observability.md).
 std::vector<double> newton_iter_bounds() {
   return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
@@ -1099,9 +1099,15 @@ bool Scheduler::reallocate_best_effort() {
         .observe(static_cast<double>(sol.newton_iters));
     reg->histogram("scheduler.solver.factor_entries", factor_entry_bounds())
         .observe(static_cast<double>(sol.factor_entries));
+    // An unconverged solve's rates are still used when they pass the
+    // checks below; the counter makes each one visible.
+    if (!sol.converged) reg->counter("scheduler.solver.not_converged").add(1);
   }
 
-  if (sol.max_violation > 1e-6) {
+  bool usable = sol.max_violation <= 1e-6;
+  for (double rate : sol.path_rate)
+    usable = usable && std::isfinite(rate) && rate >= 0;
+  if (!usable) {
     zero_be_rates();
     return false;
   }

@@ -364,7 +364,7 @@ class Scheduler {
   /// without a metrics registry installed (tests, service stats).
   struct PfSolverStats {
     std::uint64_t solves{0};        ///< PF solves actually run
-    std::uint64_t newton_iters{0};  ///< Newton iterations, all solves
+    std::uint64_t newton_iters{0};  ///< interior-point iterations, all solves
     int last_newton_iters{0};       ///< iterations of the latest solve
   };
   /// Telemetry of the PF re-solves this scheduler has run.

@@ -246,11 +246,8 @@ std::size_t SparseCholesky::slot(std::size_t i, std::size_t j) const {
   return slot_at(std::max(pi, pj), std::min(pi, pj));
 }
 
-bool SparseCholesky::solve(const std::vector<double>& b,
-                           std::vector<double>& x) {
+bool SparseCholesky::factor() {
   const std::size_t n = size();
-  if (b.size() != n)
-    throw std::invalid_argument("SparseCholesky::solve: shape mismatch");
   const std::size_t cs = clique_start_;
   double* l = values_.data();
 
@@ -270,8 +267,18 @@ bool SparseCholesky::solve(const std::vector<double>& b,
       for (std::size_t q = p; q < last; ++q) l[*target++] -= l[q] * lpk;
     }
   }
+  return factor_in_place(PackedRows{l + col_start_[cs]}, n - cs);
+}
+
+void SparseCholesky::solve_factored(const std::vector<double>& b,
+                                    std::vector<double>& x) {
+  const std::size_t n = size();
+  if (b.size() != n)
+    throw std::invalid_argument(
+        "SparseCholesky::solve_factored: shape mismatch");
+  const std::size_t cs = clique_start_;
+  double* l = values_.data();
   const PackedRows clique{l + col_start_[cs]};
-  if (!factor_in_place(clique, n - cs)) return false;
 
   // L y = P b over the sparse columns, the clique's two solves, then
   // L^T over the sparse columns backwards.
@@ -292,6 +299,14 @@ bool SparseCholesky::solve(const std::vector<double>& b,
   }
   x.resize(n);
   for (std::size_t k = 0; k < n; ++k) x[order_[k]] = y[k];
+}
+
+bool SparseCholesky::solve(const std::vector<double>& b,
+                           std::vector<double>& x) {
+  if (b.size() != size())
+    throw std::invalid_argument("SparseCholesky::solve: shape mismatch");
+  if (!factor()) return false;
+  solve_factored(b, x);
   return true;
 }
 

@@ -104,14 +104,24 @@ class SparseCholesky {
   std::size_t slot(std::size_t i, std::size_t j) const;
 
   /// A's entries, one per slot(); entries that are not in the pattern
-  /// (fill) must be 0.  solve() overwrites them with the factor, so
-  /// refill every entry before the next solve.
+  /// (fill) must be 0.  factor() overwrites them with the factor, so
+  /// refill every entry before the next factor().
   std::vector<double>& values() { return values_; }
 
-  /// Factors values() in place and solves A x = b.  Returns false when A
-  /// is not (numerically) positive definite; `x` is then untouched and
-  /// values() holds a partial factor.  Throws std::invalid_argument when
+  /// Factors values() in place.  Returns false when A is not
+  /// (numerically) positive definite; values() then holds a partial
+  /// factor, which solve_factored() must not be given.
+  bool factor();
+
+  /// Solves A x = b with the factor the last successful factor() left in
+  /// values(), as often as needed: each solve equals solve() on the same
+  /// A and b bit for bit.  Throws std::invalid_argument when
   /// b.size() != size().
+  void solve_factored(const std::vector<double>& b, std::vector<double>& x);
+
+  /// factor(), then solve_factored().  Returns false when the
+  /// factorization fails; `x` is then untouched.  Throws
+  /// std::invalid_argument when b.size() != size().
   bool solve(const std::vector<double>& b, std::vector<double>& x);
 
  private:
@@ -131,7 +141,7 @@ class SparseCholesky {
   /// the slot of factor entry (q, p) that l(q, k) l(p, k) updates.
   std::vector<std::size_t> update_;
   std::vector<double> values_;
-  std::vector<double> work_;  ///< b in elimination order during solve()
+  std::vector<double> work_;  ///< b in elimination order while solving
 };
 
 }  // namespace sparcle

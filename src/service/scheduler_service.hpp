@@ -189,7 +189,7 @@ struct ServiceStats {
   // Snapshot of the wrapped scheduler's PF solver telemetry (see
   // Scheduler::PfSolverStats), refreshed after every batch.
   std::uint64_t pf_solves{0};        ///< weighted-PF solves actually run
-  std::uint64_t pf_newton_iters{0};  ///< Newton iterations, all solves
+  std::uint64_t pf_newton_iters{0};  ///< PF iterations, all solves
   /// Every registered service instrument (counters and gauges) by name —
   /// the registry snapshot the named fields above are read from.
   std::map<std::string, double> metrics;

@@ -237,6 +237,40 @@ TEST(Fairness, RejectsMalformedProblems) {
   EXPECT_NO_THROW(solve_weighted_pf(unloaded_nan));
 }
 
+TEST(Fairness, HugePriorityStillGetsFiniteRatesAtCapacity) {
+  // A valid but extreme priority: the duals reach ~1e300 / C, where the
+  // gap rule cannot be met in floating point.  Whatever the solver
+  // reports, its rates must be finite and fill the row.
+  PfProblem p;
+  p.capacity = {10.0};
+  p.columns.resize(1);
+  p.columns[0].entries = {{0, 5.0}};
+  p.var_app = {0};
+  p.app_priority = {1e300};
+  const PfSolution s = solve_weighted_pf(p);
+  ASSERT_TRUE(std::isfinite(s.path_rate[0]));
+  EXPECT_NEAR(s.app_rate[0], 2.0, 1e-6);
+  EXPECT_LE(s.max_violation, 1e-6);
+  EXPECT_TRUE(std::isfinite(s.utility));
+}
+
+TEST(Fairness, TinyPrioritiesDoNotStopEarly) {
+  // The duals scale with the priorities, so a gap rule in absolute terms
+  // alone would accept the starting point of a problem whose priorities
+  // are tiny.
+  for (double priority : {1e-6, 1e-12, 1e-300}) {
+    PfProblem p;
+    p.capacity = {10.0};
+    p.columns.resize(1);
+    p.columns[0].entries = {{0, 5.0}};
+    p.var_app = {0};
+    p.app_priority = {priority};
+    const PfSolution s = solve_weighted_pf(p);
+    EXPECT_TRUE(s.converged) << priority;
+    EXPECT_NEAR(s.app_rate[0], 2.0, 1e-6) << priority;
+  }
+}
+
 TEST(Fairness, FactorEntriesCountTheSparseFactor) {
   // Apps on private rows: a diagonal Hessian, one entry per variable.
   PfProblem apart;

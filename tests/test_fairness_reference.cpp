@@ -1,23 +1,18 @@
 /// \file test_fairness_reference.cpp
-/// Oracle test for the PF Newton step: solve_weighted_pf() must return,
-/// bit for bit, what the dense reference below returns.  The reference is
-/// the straightforward solver: the same barrier schedule and constants,
-/// an all-pairs column scan for every Hessian entry, and the row-by-row
-/// Cholesky of reference_cholesky.hpp applied to P H P^T, where P is the
-/// minimum_degree_order() of the Hessian pattern the reference derives
-/// itself (variables sharing a loaded row or an application).  The
-/// library assembles each Hessian entry from a by-row transpose and
-/// factors it sparse, with a dense block for the final clique; both keep
-/// every entry's summation order, so any change to that order shows up
-/// here as a differing bit.  The same reference in identity order is the
-/// dense solver the sparse one replaced; a second check bounds how far
-/// the library's numbers drift from it.
+/// Oracle test for the PF solver: solve_weighted_pf() must agree, within
+/// stated tolerances, with the dense reference below on 304 problems.
+/// The reference is the solver the primal–dual one replaced, written
+/// plainly: a log-barrier Newton method (μ from 1, times 0.15 per phase,
+/// damped steps with a backtracking line search) with an all-pairs
+/// column scan for every Hessian entry and the row-by-row Cholesky of
+/// reference_cholesky.hpp in natural order.  The two methods stop at
+/// different points near the optimum, so their answers are compared by
+/// rate, utility and outcome rather than bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -73,34 +68,7 @@ Scaled scale_problem(const PfProblem& p) {
   return s;
 }
 
-/// The elimination order the reference factors the Newton system in.
-enum class Order {
-  kMinimumDegree,  ///< minimum_degree_order() of the Hessian pattern
-  kIdentity,       ///< the natural order of the dense solver
-};
-
-/// The Newton system's elimination order: pairs u < v that load a common
-/// loaded row or belong to one application are the pattern.
-std::vector<std::size_t> newton_order(const PfProblem& p, const Scaled& s,
-                                      Order order) {
-  const std::size_t nv = s.columns.size();
-  std::vector<std::size_t> perm(nv);
-  for (std::size_t v = 0; v < nv; ++v) perm[v] = v;
-  if (order == Order::kIdentity) return perm;
-  SymmetricPattern pattern{nv, {}};
-  for (std::size_t v = 0; v < nv; ++v)
-    for (std::size_t u = 0; u < v; ++u) {
-      bool linked = p.var_app[u] == p.var_app[v];
-      for (const auto& [rv, cv] : s.columns[v].entries)
-        for (const auto& [ru, cu] : s.columns[u].entries)
-          if (rv == ru) linked = true;
-      if (linked) pattern.entries.emplace_back(v, u);
-    }
-  return minimum_degree_order(pattern);
-}
-
-PfSolution reference_solve(const PfProblem& p,
-                           Order order = Order::kMinimumDegree) {
+PfSolution reference_solve(const PfProblem& p) {
   const std::size_t nv = p.var_count();
   const std::size_t na = p.app_count();
   if (na == 0 || nv == 0)
@@ -162,7 +130,6 @@ PfSolution reference_solve(const PfProblem& p,
   };
 
   const double n_constraints = static_cast<double>(m + nv);
-  const std::vector<std::size_t> perm = newton_order(p, s, order);
 
   // The log-barrier μ-continuation loop from the strictly feasible start:
   // at most 50 damped Newton steps per μ, then μ *= 0.15, until the scaled
@@ -209,16 +176,7 @@ PfSolution reference_solve(const PfProblem& p,
           if (u != v) h(u, v) += val;
         }
 
-      // Solve P H P^T (P d) = P g.
-      Matrix hp(nv, nv);
-      std::vector<double> gp(nv), dp;
-      for (std::size_t i = 0; i < nv; ++i) {
-        gp[i] = grad[perm[i]];
-        for (std::size_t j = 0; j < nv; ++j) hp(i, j) = h(perm[i], perm[j]);
-      }
-      if (testutil::reference_cholesky_solve(hp, gp, dp)) {
-        for (std::size_t i = 0; i < nv; ++i) dir[perm[i]] = dp[i];
-      } else {
+      if (!testutil::reference_cholesky_solve(h, grad, dir)) {
         // Numerical trouble: fall back to a (scaled) gradient step.
         dir = grad;
       }
@@ -351,34 +309,37 @@ PfProblem pf96_problem(Rng& rng) {
   return p;
 }
 
-// ---- Bit-for-bit comparison ----------------------------------------------
+// ---- Tolerance comparison ------------------------------------------------
 
-/// Every output of `got` equals `want` bit for bit.
-::testing::AssertionResult bit_identical(const PfSolution& got,
-                                         const PfSolution& want) {
-  const struct {
-    const char* name;
-    std::vector<double> got, want;
-  } fields[] = {{"path_rate", got.path_rate, want.path_rate},
-                {"app_rate", got.app_rate, want.app_rate},
-                {"dual", got.dual, want.dual},
-                {"utility", {got.utility}, {want.utility}},
-                {"max_violation", {got.max_violation}, {want.max_violation}}};
-  for (const auto& f : fields) {
-    if (f.got.size() != f.want.size())
-      return ::testing::AssertionFailure() << f.name << " size differs";
-    for (std::size_t i = 0; i < f.want.size(); ++i)
-      if (std::memcmp(&f.got[i], &f.want[i], sizeof(double)) != 0)
-        return ::testing::AssertionFailure()
-               << f.name << "[" << i << "]: got " << f.got[i]
-               << ", reference " << f.want[i];
-  }
-  if (got.newton_iters != want.newton_iters)
+/// `got` agrees with the reference's `want`: both converged, they agree on
+/// whether the point is overloaded, every application rate is within
+/// 1e-4 relative, the utilities are within 1e-7, and `got` took at most
+/// 25 iterations.
+::testing::AssertionResult agrees(const PfSolution& got,
+                                  const PfSolution& want) {
+  if (!got.converged || !want.converged)
     return ::testing::AssertionFailure()
-           << "newton_iters " << got.newton_iters << " vs reference "
-           << want.newton_iters;
-  if (got.converged != want.converged)
-    return ::testing::AssertionFailure() << "converged differs";
+           << "converged: " << got.converged << ", reference "
+           << want.converged;
+  if ((got.max_violation > 1e-6) != (want.max_violation > 1e-6))
+    return ::testing::AssertionFailure()
+           << "max_violation " << got.max_violation << ", reference "
+           << want.max_violation;
+  if (got.app_rate.size() != want.app_rate.size())
+    return ::testing::AssertionFailure() << "app_rate size differs";
+  for (std::size_t a = 0; a < want.app_rate.size(); ++a)
+    if (!(std::abs(got.app_rate[a] - want.app_rate[a]) <=
+          1e-4 * want.app_rate[a]))
+      return ::testing::AssertionFailure()
+             << "app " << a << " rate " << got.app_rate[a] << ", reference "
+             << want.app_rate[a];
+  if (!(std::abs(got.utility - want.utility) <= 1e-7))
+    return ::testing::AssertionFailure()
+           << "utility " << got.utility << ", reference " << want.utility;
+  if (got.newton_iters > 25)
+    return ::testing::AssertionFailure()
+           << got.newton_iters << " iterations (reference "
+           << want.newton_iters << ")";
   return ::testing::AssertionSuccess();
 }
 
@@ -408,50 +369,23 @@ std::vector<PfProblem> pf96_problems() {
   return out;
 }
 
-TEST(FairnessReference, RandomProblemsMatchBitForBit) {
-  const std::vector<PfProblem> problems = random_problems();
+void expect_agreement(const std::vector<PfProblem>& problems) {
   for (std::size_t i = 0; i < problems.size(); ++i)
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
-                              reference_solve(problems[i])))
-        << "problem " << i;
-}
-
-TEST(FairnessReference, UnsortedAndRepeatedRowColumnsMatchBitForBit) {
-  const std::vector<PfProblem> problems = messy_problems();
-  for (std::size_t i = 0; i < problems.size(); ++i)
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
-                              reference_solve(problems[i])))
-        << "problem " << i;
-}
-
-TEST(FairnessReference, Pf96ShapedProblemsMatchBitForBit) {
-  const std::vector<PfProblem> problems = pf96_problems();
-  for (std::size_t i = 0; i < problems.size(); ++i)
-    ASSERT_TRUE(bit_identical(solve_weighted_pf(problems[i]),
-                              reference_solve(problems[i])))
+    ASSERT_TRUE(agrees(solve_weighted_pf(problems[i]),
+                       reference_solve(problems[i])))
         << "problem " << i << " (" << problems[i].var_count() << " vars)";
 }
 
-// The minimum-degree order changes each factor entry's summation order,
-// so the rates move off the dense solver's by rounding only.
-TEST(FairnessReference, DriftFromTheDenseOrderIsRoundingOnly) {
-  for (const auto& problems :
-       {random_problems(), messy_problems(), pf96_problems()})
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const PfSolution got = solve_weighted_pf(problems[i]);
-      const PfSolution dense = reference_solve(problems[i], Order::kIdentity);
-      ASSERT_EQ(got.app_rate.size(), dense.app_rate.size());
-      for (std::size_t a = 0; a < dense.app_rate.size(); ++a)
-        ASSERT_LE(std::abs(got.app_rate[a] - dense.app_rate[a]),
-                  1e-8 * std::abs(dense.app_rate[a]))
-            << "problem " << i << " app " << a;
-      ASSERT_LE(std::abs(got.utility - dense.utility),
-                1e-12 * std::abs(dense.utility))
-          << "problem " << i;
-      ASSERT_EQ(got.converged, dense.converged) << "problem " << i;
-      ASSERT_EQ(got.max_violation > 1e-6, dense.max_violation > 1e-6)
-          << "problem " << i;
-    }
+TEST(FairnessReference, RandomProblemsAgreeWithTheBarrierOracle) {
+  expect_agreement(random_problems());
+}
+
+TEST(FairnessReference, UnsortedAndRepeatedRowColumnsAgreeWithTheBarrierOracle) {
+  expect_agreement(messy_problems());
+}
+
+TEST(FairnessReference, Pf96ShapedProblemsAgreeWithTheBarrierOracle) {
+  expect_agreement(pf96_problems());
 }
 
 }  // namespace

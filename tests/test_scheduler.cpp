@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/greedy_baselines.hpp"
+#include "obs/obs.hpp"
 #include "workload/task_graphs.hpp"
 
 namespace sparcle {
@@ -219,6 +222,39 @@ TEST(Scheduler, BeUtilityReflectsAllocations) {
   ASSERT_TRUE(sched.submit(make_app("b", QoeSpec::best_effort(1.0))).admitted);
   // Both at ~2.0: utility ~ 2 log 2.
   EXPECT_NEAR(sched.be_utility(), 2.0 * std::log(2.0), 0.05);
+}
+
+TEST(Scheduler, UnconvergedPfSolveIsCountedAndStoresAFiniteRate) {
+  // src - relay - dst; the relay's 10 cpu carry the app's 5-cpu stage at
+  // rate 2.  A priority of 1e300 is valid, but its duals are too large for
+  // the PF solver's gap rule, so the solve ends unconverged: the rate it
+  // stores must still be finite, and the solve must be counted.
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("src", ResourceVector::scalar(1.0));
+  net.add_ncp("relay", ResourceVector::scalar(10.0));
+  net.add_ncp("dst", ResourceVector::scalar(1.0));
+  net.add_link("sr", 0, 1, 1000.0);
+  net.add_link("rd", 1, 2, 1000.0);
+  Application app;
+  app.name = "huge";
+  app.graph = make_relay_app_graph();
+  app.qoe = QoeSpec::best_effort(1e300);
+  app.pinned = {{0, 0}, {2, 2}};
+
+  obs::MetricsRegistry reg;
+  obs::Observability o;
+  o.metrics = &reg;
+  const obs::ScopedInstall session(o);
+  Scheduler sched(net);
+  const AdmissionResult r = sched.submit(app);
+  ASSERT_TRUE(r.admitted) << r.reason;
+  ASSERT_EQ(sched.placed().size(), 1u);
+  const double rate = sched.placed()[0].allocated_rate;
+  ASSERT_TRUE(std::isfinite(rate));
+  EXPECT_NEAR(rate, 2.0, 1e-6);
+  EXPECT_GE(sched.pf_solver_stats().solves, 1u);
+  EXPECT_EQ(reg.counter("scheduler.solver.not_converged").value(),
+            sched.pf_solver_stats().solves);
 }
 
 TEST(Scheduler, RejectsBadOptions) {

@@ -251,6 +251,34 @@ TEST(SparseCholesky, BitIdenticalToDenseSolveOfThePermutedMatrix) {
     }
 }
 
+TEST(SparseCholesky, SolvesWithTheLastFactorMatchFullSolves) {
+  Rng rng(16);
+  for (const char* kind : {"empty", "banded", "block", "arrow", "full"})
+    for (std::size_t n = 1; n <= 130; n += 7) {
+      const SymmetricPattern pattern = test_pattern(kind, n);
+      const Matrix a = random_spd_on(rng, pattern);
+      std::vector<double> b1(n), b2(n);
+      for (double& v : b1) v = rng.uniform(-5, 5);
+      for (double& v : b2) v = rng.uniform(-5, 5);
+
+      SparseCholesky chol(pattern);
+      fill(chol, pattern, a);
+      ASSERT_TRUE(chol.factor()) << kind << " n " << n;
+      std::vector<double> x1, x2;
+      chol.solve_factored(b1, x1);
+      chol.solve_factored(b2, x2);
+      for (const auto& [b, x] : {std::pair{b1, x1}, std::pair{b2, x2}}) {
+        SparseCholesky fresh(pattern);
+        fill(fresh, pattern, a);
+        std::vector<double> want;
+        ASSERT_TRUE(fresh.solve(b, want));
+        ASSERT_EQ(x.size(), n);
+        EXPECT_EQ(std::memcmp(x.data(), want.data(), n * sizeof(double)), 0)
+            << kind << " n " << n;
+      }
+    }
+}
+
 TEST(SparseCholesky, FullPatternIsOneDenseBlockInNaturalOrder) {
   for (std::size_t n : {1u, 2u, 7u, 64u}) {
     const SparseCholesky chol(test_pattern("full", n));
