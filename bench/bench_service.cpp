@@ -5,7 +5,8 @@
 /// the number of client threads — plus the wire path itself: closed-loop
 /// TCP round trips through the event-loop server in both codecs (NDJSON
 /// vs binary frames) and a connection-scaling sweep to 1024 concurrent
-/// clients.
+/// clients — and a deep-queue case that holds the bounded queue near its
+/// 1024 capacity.
 ///
 /// Two drive modes:
 ///
@@ -183,6 +184,74 @@ RunResult run_config(const Network& net, const std::vector<Application>& arrival
   return result;
 }
 
+struct DeepQueueResult {
+  double admissions_per_s{0.0};  ///< answered requests / wall second
+  double enqueue_p50_us{0.0};    ///< one accepted submit_async call
+  double enqueue_p99_us{0.0};
+  std::size_t admitted{0};
+  std::uint64_t batches{0};
+};
+
+/// Deep queue: `producers` threads keep `capacity` requests in flight
+/// (enqueued, not yet answered) — each waits for a free slot, then
+/// enqueues — so the queue stays within one batch of `capacity` while
+/// the scheduling thread pops `max_batch` at a time.  The enqueue time
+/// is the wall time of a producer's submit_async call, i.e. its wait for
+/// the queue lock plus the insert.  Every arrival is a small-guarantee
+/// GR chain: the site holds them all and no PF re-solve runs, so the
+/// per-batch admission cost stays flat and queue handling shows.
+DeepQueueResult run_deep_queue(const Network& net, std::size_t total,
+                               std::size_t capacity, std::size_t max_batch,
+                               std::size_t producers) {
+  service::ServiceOptions options;
+  options.max_batch = max_batch;
+  options.queue_capacity = capacity;
+  service::SchedulerService svc(net, SchedulerOptions{}, options);
+  Application tmpl = make_arrivals(1).front();
+  tmpl.qoe = QoeSpec::guaranteed_rate(0.01, 0.0);
+
+  std::atomic<std::size_t> in_flight{0}, next{0}, admitted{0};
+  std::vector<std::vector<double>> enqueue_us(producers);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (std::size_t p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::size_t i = next++; i < total; i = next++) {
+        Application app = tmpl;
+        app.name = "dq" + std::to_string(i);
+        while (in_flight.fetch_add(1) >= capacity) {
+          in_flight.fetch_sub(1);
+          std::this_thread::yield();
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        svc.submit_async(std::move(app), [&](service::ServiceResult r) {
+          if (r.ok()) ++admitted;
+          in_flight.fetch_sub(1);
+        });
+        enqueue_us[p].push_back(std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  svc.drain();
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+
+  std::vector<double> all;
+  for (const auto& v : enqueue_us) all.insert(all.end(), v.begin(), v.end());
+  DeepQueueResult result;
+  result.admissions_per_s = static_cast<double>(total) / wall_s;
+  result.enqueue_p50_us = percentile(all, 0.50);
+  result.enqueue_p99_us = percentile(all, 0.99);
+  result.admitted = admitted;
+  result.batches = svc.stats().batches;
+  svc.stop();
+  return result;
+}
+
 /// One wire-path configuration: `clients` closed-loop TCP clients, each
 /// its own connection in `codec`, each driving `ops_per_client` round
 /// trips of `verb` against an already-running event server.  Latency is
@@ -322,6 +391,25 @@ int main() {
     json["closed_p99_us/" + key] = r.p99_us;
   }
   closed_table.print();
+
+  bench::section("deep queue: 8192 GR arrivals, 2 producers, capacity "
+                 "1024, max_batch=16");
+  bench::note(
+      "Producers refill every freed slot, so ~1024 requests wait while the\n"
+      "scheduling thread pops batches of 16: what a pop costs at depth, and\n"
+      "how long a producer's enqueue call waits for the queue lock.");
+  {
+    const DeepQueueResult r = run_deep_queue(net, 8192, 1024, 16, 2);
+    Table deep_table({"admissions/s", "enqueue p50 us", "enqueue p99 us",
+                      "admitted", "batches"});
+    deep_table.add_row({fmt(r.admissions_per_s, 0), fmt(r.enqueue_p50_us, 1),
+                        fmt(r.enqueue_p99_us, 1), std::to_string(r.admitted),
+                        std::to_string(r.batches)});
+    deep_table.print();
+    json["deep_admissions_per_s/cap1024"] = r.admissions_per_s;
+    json["deep_enqueue_p50_us/cap1024"] = r.enqueue_p50_us;
+    json["deep_enqueue_p99_us/cap1024"] = r.enqueue_p99_us;
+  }
 
   // -------------------------------------------------------------------
   // Wire path: one service + event-loop server shared by both sweeps.

@@ -1,36 +1,8 @@
 #include "core/prediction.hpp"
 
-#include <map>
-#include <set>
 #include <stdexcept>
 
 namespace sparcle {
-
-CapacitySnapshot predict_capacities(const CapacitySnapshot& base,
-                                    const std::vector<BePresence>& placed_be,
-                                    double new_priority) {
-  if (!(new_priority > 0))
-    throw std::invalid_argument("predict_capacities: priority must be > 0");
-
-  // Accumulate the total priority of placed BE apps touching each element.
-  std::map<ElementKey, double> competing;
-  for (const BePresence& be : placed_be) {
-    if (!(be.priority > 0))
-      throw std::invalid_argument(
-          "predict_capacities: placed priority must be > 0");
-    // An app competes once per element, however many of its paths use it.
-    const std::set<ElementKey> distinct(be.elements.begin(),
-                                        be.elements.end());
-    for (const ElementKey& e : distinct) competing[e] += be.priority;
-  }
-
-  CapacitySnapshot out = base;
-  for (const auto& [e, total_priority] : competing) {
-    const double share = new_priority / (new_priority + total_priority);
-    out.scale_elements({e}, share);
-  }
-  return out;
-}
 
 void apply_priority_shares(
     CapacitySnapshot& scratch,

@@ -21,27 +21,16 @@
 
 namespace sparcle {
 
-/// A previously placed BE application's footprint.
-struct BePresence {
-  double priority{1.0};  ///< its weight P_{J'} in the share denominator
-  /// Every element any of its task-assignment paths uses.
-  std::vector<ElementKey> elements;
-};
-
-/// Returns `base` (capacities already net of GR reservations) with each
-/// element scaled by the arriving application's predicted priority share.
-CapacitySnapshot predict_capacities(const CapacitySnapshot& base,
-                                    const std::vector<BePresence>& placed_be,
-                                    double new_priority);
-
-/// In-place counterpart of predict_capacities() for callers that maintain
-/// the per-element competing-priority totals incrementally (the scheduler's
-/// admission hot path): scales each element of `competing` in `scratch` by
-/// the eq. (6) share of an arriving application with `new_priority`, and
-/// appends every scaled element to `touched` so the caller can restore
-/// `scratch` to its base with a sparse copy instead of a full snapshot.
-/// Elements are scaled independently, so the (unordered) map's iteration
-/// order does not affect the resulting capacities.
+/// Scales each element of `competing` in `scratch` (capacities already
+/// net of GR reservations) by the eq. (6) share of an arriving
+/// application with `new_priority` > 0, and appends every scaled element
+/// to `touched` so the caller can restore `scratch` to its base with a
+/// sparse copy instead of a full snapshot.  `competing` maps an element
+/// to the total priority of the placed BE applications using it, each
+/// counted once however many of its paths cross the element (the
+/// scheduler maintains it incrementally); an element whose total is not
+/// positive keeps its capacity.  Elements are scaled independently, so
+/// the (unordered) map's iteration order does not affect the result.
 void apply_priority_shares(
     CapacitySnapshot& scratch,
     const std::unordered_map<ElementKey, double>& competing,

@@ -15,6 +15,13 @@ namespace sparcle {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-12;
+/// repair(): extra re-provisioning attempts per GR application when the
+/// full shortfall cannot be restored (several repairs contend for the
+/// same residuals), and the factor each attempt shrinks the target by —
+/// attempt k asks for `shortfall * kRepairBackoff^k`, trading a partial
+/// restore for progress.
+constexpr std::size_t kRepairRetries = 2;
+constexpr double kRepairBackoff = 0.5;
 
 const char* qoe_name(const Application& app) {
   return app.qoe.cls == QoeClass::kGuaranteedRate ? "GR" : "BE";
@@ -347,8 +354,7 @@ const ElementUsageIndex& Scheduler::element_usage() const {
 void Scheduler::competing_add_app(const PlacedApp& pa) const {
   if (!competing_valid_) return;
   if (pa.app.qoe.cls != QoeClass::kBestEffort) return;
-  // An app competes once per element, however many of its paths use it
-  // (same distinct-set semantics as predict_capacities()).
+  // An app competes once per element, however many of its paths use it.
   std::set<ElementKey> distinct;
   for (const PathInfo& p : pa.paths)
     distinct.insert(p.elements.begin(), p.elements.end());
@@ -686,11 +692,11 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
       // and a partial restore beats none (steady-state invariants accept
       // an acknowledged shortfall).
       bool restored = false;
-      for (std::size_t attempt = 0;
-           attempt <= options_.repair.max_retries && !restored; ++attempt) {
+      for (std::size_t attempt = 0; attempt <= kRepairRetries && !restored;
+           ++attempt) {
         const double target =
-            shortfall * std::pow(options_.repair.retry_backoff,
-                                 static_cast<double>(attempt));
+            shortfall *
+            std::pow(kRepairBackoff, static_cast<double>(attempt));
         if (target <= kEps) break;
         double recovered = 0;
         auto enough = [&](const std::vector<PathInfo>& paths) {
@@ -700,7 +706,7 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
         };
         std::vector<PathInfo> extra =
             find_paths(pa.app, residual_, target, enough);
-        const bool last = attempt == options_.repair.max_retries;
+        const bool last = attempt == kRepairRetries;
         if (recovered + kEps >= target || (last && !extra.empty())) {
           for (PathInfo& p : extra) {
             apply_gr_delta(p, p.standalone_rate);
@@ -759,7 +765,7 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   report.global_rate_after = global_rate();
   const double floor =
       (1.0 - options_.repair.max_rate_degradation) * report.global_rate_before;
-  if (options_.repair.allow_fallback && report.global_rate_before > kEps &&
+  if (report.global_rate_before > kEps &&
       report.global_rate_after + kEps < floor) {
     report.fell_back = true;
     if (reg) reg->counter("scheduler.repair.fallbacks").add(1);

@@ -61,18 +61,9 @@ struct RepairPolicy {
   /// rate (GR reserved + BE allocated) falls below
   /// `(1 - max_rate_degradation)` times the last healthy rate, the
   /// scheduler escalates to a full rebalance() pass.
+  /// 1.0 never escalates (rates are >= 0), which measures the pure
+  /// incremental path.
   double max_rate_degradation{0.05};
-  /// Extra re-provisioning attempts per GR application when the full
-  /// shortfall cannot be restored (transient admission failures while
-  /// several repairs contend for the same residuals).
-  std::size_t max_retries{2};
-  /// Backoff factor applied to the requested restore target on each
-  /// retry: attempt k asks for `shortfall * retry_backoff^k`, trading a
-  /// partial restoration for repair progress.
-  double retry_backoff{0.5};
-  /// Escalate to rebalance() when the degradation bound trips.  Benchmarks
-  /// disable this to measure the pure incremental path.
-  bool allow_fallback{true};
 };
 
 /// Configuration of the admission-control scheduler.
@@ -232,8 +223,8 @@ class Scheduler {
   ///
   ///  1. dead paths are shed and their GR reservations released;
   ///  2. GR apps are re-provisioned first (largest guarantee first) on the
-  ///     residual capacities, with retry-and-backoff
-  ///     (RepairPolicy::max_retries / retry_backoff) accepting a partial
+  ///     residual capacities, with retry-and-backoff (two retries, each
+  ///     asking for half the previous target) accepting a partial
   ///     restore when the full shortfall is not placeable;
   ///  3. BE apps shed dead paths gracefully — they are never evicted —
   ///     and are re-provisioned (against the eq. (6) predicted capacities)

@@ -981,9 +981,6 @@ void FederatedService::router_loop() {
 
 void FederatedService::bump(const char* name, std::uint64_t n) {
   registry_.counter(name).add(n);
-  if (obs::MetricsRegistry* reg = obs::metrics();
-      reg != nullptr && reg != &registry_)
-    reg->counter(name).add(n);
 }
 
 void FederatedService::log_decision(const std::string& app, bool guaranteed,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -64,8 +65,10 @@ struct Application {
   /// and every sink CT (result consumer) must appear here.
   std::map<CtId, NcpId> pinned;
 
-  /// Validates that the graph is finalized and that all sources and sinks
-  /// are pinned; throws std::invalid_argument otherwise.
+  /// Validates that the graph is finalized, that all sources and sinks
+  /// are pinned, that the class's priority or min rate is finite and
+  /// positive, and that both availability targets lie in [0, 1]; throws
+  /// std::invalid_argument otherwise.
   void validate() const {
     if (!graph || !graph->finalized())
       throw std::invalid_argument("application '" + name +
@@ -80,12 +83,19 @@ struct Application {
         throw std::invalid_argument("application '" + name + "': sink CT '" +
                                     graph->ct(s).name +
                                     "' is not pinned to a consumer NCP");
-    if (qoe.cls == QoeClass::kBestEffort && qoe.priority <= 0)
+    const auto finite_positive = [](double v) {
+      return std::isfinite(v) && v > 0;
+    };
+    if (qoe.cls == QoeClass::kBestEffort && !finite_positive(qoe.priority))
       throw std::invalid_argument("application '" + name +
-                                  "': BE priority must be positive");
-    if (qoe.cls == QoeClass::kGuaranteedRate && qoe.min_rate <= 0)
+                                  "': BE priority must be finite and positive");
+    if (qoe.cls == QoeClass::kGuaranteedRate && !finite_positive(qoe.min_rate))
       throw std::invalid_argument("application '" + name +
-                                  "': GR min rate must be positive");
+                                  "': GR min rate must be finite and positive");
+    if (!(qoe.availability >= 0 && qoe.availability <= 1) ||
+        !(qoe.min_rate_availability >= 0 && qoe.min_rate_availability <= 1))
+      throw std::invalid_argument("application '" + name +
+                                  "': availability must lie in [0, 1]");
   }
 };
 

@@ -1,6 +1,7 @@
 #include "model/task_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 
@@ -11,6 +12,10 @@ CtId TaskGraph::add_ct(std::string name, ResourceVector requirement) {
   if (requirement.size() != schema_.size())
     throw std::invalid_argument("CT '" + name +
                                 "' requirement does not match schema");
+  for (std::size_t r = 0; r < requirement.size(); ++r)
+    if (!std::isfinite(requirement[r]) || requirement[r] < 0)
+      throw std::invalid_argument("CT '" + name +
+                                  "' requirement must be finite and >= 0");
   cts_.push_back({std::move(name), std::move(requirement)});
   out_.emplace_back();
   in_.emplace_back();
@@ -25,8 +30,9 @@ TtId TaskGraph::add_tt(std::string name, double bits_per_unit, CtId src,
     throw std::invalid_argument("TT '" + name + "' has unknown endpoint");
   if (src == dst)
     throw std::invalid_argument("TT '" + name + "' is a self-loop");
-  if (bits_per_unit < 0)
-    throw std::invalid_argument("TT '" + name + "' has negative bits");
+  if (!std::isfinite(bits_per_unit) || bits_per_unit < 0)
+    throw std::invalid_argument("TT '" + name +
+                                "' bits must be finite and >= 0");
   tts_.push_back({std::move(name), bits_per_unit, src, dst});
   const TtId id = static_cast<TtId>(tts_.size() - 1);
   out_[src].push_back(id);

@@ -34,10 +34,9 @@ const std::shared_ptr<const SchedulingPolicy>& shared_default() {
 // ---------------------------------------------------------------------------
 // Base rules: the default policy's.
 
-std::size_t SchedulingPolicy::pick_next(
-    const std::vector<PendingApp>& pending) const {
+double SchedulingPolicy::admission_key(const PendingApp& pending) const {
   (void)pending;
-  return 0;  // FIFO: the classic pipeline submits in arrival order
+  return 0.0;  // FIFO: the classic pipeline submits in arrival order
 }
 
 std::size_t SchedulingPolicy::select_ct(
@@ -73,12 +72,8 @@ bool SchedulingPolicy::repair_before(const RepairCandidate& a,
 // ---------------------------------------------------------------------------
 // Shortest-job-first.
 
-std::size_t ShortestJobFirstPolicy::pick_next(
-    const std::vector<PendingApp>& pending) const {
-  std::size_t chosen = 0;
-  for (std::size_t i = 1; i < pending.size(); ++i)
-    if (pending[i].size < pending[chosen].size) chosen = i;
-  return chosen;
+double ShortestJobFirstPolicy::admission_key(const PendingApp& pending) const {
+  return pending.size;
 }
 
 bool ShortestJobFirstPolicy::repair_before(const RepairCandidate& a,
@@ -92,14 +87,10 @@ bool ShortestJobFirstPolicy::repair_before(const RepairCandidate& a,
 // ---------------------------------------------------------------------------
 // Deadline/latency-aware.
 
-std::size_t DeadlineAwarePolicy::pick_next(
-    const std::vector<PendingApp>& pending) const {
-  // Earliest deadline first; equal deadlines (e.g. all patient) fall back
-  // to arrival order via the strict comparison.
-  std::size_t chosen = 0;
-  for (std::size_t i = 1; i < pending.size(); ++i)
-    if (pending[i].deadline < pending[chosen].deadline) chosen = i;
-  return chosen;
+double DeadlineAwarePolicy::admission_key(const PendingApp& pending) const {
+  // Earliest deadline first; equal deadlines (e.g. all patient) keep
+  // arrival order.
+  return pending.deadline;
 }
 
 bool DeadlineAwarePolicy::repair_before(const RepairCandidate& a,
@@ -118,13 +109,9 @@ bool DeadlineAwarePolicy::repair_before(const RepairCandidate& a,
 // ---------------------------------------------------------------------------
 // Energy-aware.
 
-std::size_t EnergyAwarePolicy::pick_next(
-    const std::vector<PendingApp>& pending) const {
+double EnergyAwarePolicy::admission_key(const PendingApp& pending) const {
   // Least radio-hungry first: Σ TT bits drives the tx/rx power term.
-  std::size_t chosen = 0;
-  for (std::size_t i = 1; i < pending.size(); ++i)
-    if (pending[i].bits < pending[chosen].bits) chosen = i;
-  return chosen;
+  return pending.bits;
 }
 
 std::size_t EnergyAwarePolicy::select_ct(
@@ -162,6 +149,25 @@ std::size_t EnergyAwarePolicy::select_ct(
     }
   }
   return chosen;
+}
+
+// ---------------------------------------------------------------------------
+// Admission queues.
+
+PendingApp pending_app(const Application& app, double deadline) {
+  PendingApp p{.app = &app, .deadline = deadline};
+  if (app.graph != nullptr) {
+    const ResourceVector need = app.graph->total_ct_requirement();
+    p.size = need.size() > 0 ? need[0] : 0.0;
+    p.bits = app.graph->total_tt_bits();
+  }
+  return p;
+}
+
+QueueOrder queue_order(const SchedulingPolicy& policy,
+                       const PendingApp& pending, std::size_t cls) {
+  const double key = policy.admission_key(pending);
+  return {cls, std::isnan(key) ? kInf : key};
 }
 
 // ---------------------------------------------------------------------------

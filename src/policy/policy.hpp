@@ -1,8 +1,10 @@
 #pragma once
 
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "energy/energy_model.hpp"
@@ -18,10 +20,9 @@
 /// tournament harness (sparcle_soak, tools/soak.sh) can race alternatives
 /// over adversarial workload matrices:
 ///
-///   1. *admission ordering* — which queued application to admit next
-///      (consumed by the soak runner's bounded pending queue and by
-///      service::SchedulerService's per-class request queues; the
-///      default policy admits in arrival order);
+///   1. *admission ordering* — the key that orders a queued application
+///      (the soak runner's pending queue and service::SchedulerService's
+///      request queue, both AdmissionQueue; the default key is FIFO);
 ///   2. *candidate ranking* — which (CT, best host) candidate the
 ///      dynamic-ranking greedy of Algorithm 2 commits each round
 ///      (SparcleAssignerOptions::policy);
@@ -59,16 +60,21 @@ struct SelectContext {
   const std::vector<NcpId>* ct_host{nullptr};
 };
 
-/// One application waiting in an admission queue.
+/// One application joining an admission queue: the features decision
+/// point 1 keys it on.
 struct PendingApp {
   const Application* app{nullptr};
-  double arrival_time{0.0};
-  /// Absolute simulation-time deadline after which admission is useless
-  /// (the soak queue reneges expired entries); +infinity = patient.
+  /// Absolute deadline, in the queue's clock seconds, after which
+  /// admission is useless (the soak queue reneges expired entries);
+  /// +infinity = patient.
   double deadline{std::numeric_limits<double>::infinity()};
   double size{0.0};  ///< Σ CT requirements, resource 0 (computation)
   double bits{0.0};  ///< Σ TT bits per data unit (radio/transport cost)
 };
+
+/// `app` with `deadline` and the size and bits of its task graph (both 0
+/// when it has none).
+PendingApp pending_app(const Application& app, double deadline);
 
 /// One application a repair pass must restore.
 struct RepairCandidate {
@@ -91,10 +97,11 @@ class SchedulingPolicy {
   /// Registry identifier ("default", "sjf", "deadline", "energy", ...).
   virtual std::string name() const = 0;
 
-  /// Decision point 1 — admission ordering: index of the pending
-  /// application to admit next.  `pending` is in arrival order and
-  /// non-empty.  Base rule: FIFO (index 0).
-  virtual std::size_t pick_next(const std::vector<PendingApp>& pending) const;
+  /// Decision point 1 — admission ordering: the key of an application
+  /// joining an admission queue, computed once.  Queues admit the least
+  /// key first and equal keys in arrival order; a NaN key orders as +∞
+  /// (queue_order()).  Base rule: 0 for every application, i.e. FIFO.
+  virtual double admission_key(const PendingApp& pending) const;
 
   /// Decision point 2 — candidate ranking: index of the candidate to
   /// commit this round.  `candidates` is in CT-id order and non-empty.
@@ -135,7 +142,7 @@ std::shared_ptr<const SchedulingPolicy> or_default(
 class ShortestJobFirstPolicy : public SchedulingPolicy {
  public:
   std::string name() const override { return "sjf"; }
-  std::size_t pick_next(const std::vector<PendingApp>& pending) const override;
+  double admission_key(const PendingApp& pending) const override;
   bool repair_before(const RepairCandidate& a,
                      const RepairCandidate& b) const override;
 };
@@ -148,7 +155,7 @@ class ShortestJobFirstPolicy : public SchedulingPolicy {
 class DeadlineAwarePolicy : public SchedulingPolicy {
  public:
   std::string name() const override { return "deadline"; }
-  std::size_t pick_next(const std::vector<PendingApp>& pending) const override;
+  double admission_key(const PendingApp& pending) const override;
   bool repair_before(const RepairCandidate& a,
                      const RepairCandidate& b) const override;
 };
@@ -165,7 +172,7 @@ class EnergyAwarePolicy : public SchedulingPolicy {
   explicit EnergyAwarePolicy(DevicePowerProfile profile)
       : profile_(profile) {}
   std::string name() const override { return "energy"; }
-  std::size_t pick_next(const std::vector<PendingApp>& pending) const override;
+  double admission_key(const PendingApp& pending) const override;
   std::size_t select_ct(const SelectContext& ctx,
                         const std::vector<CtCandidate>& candidates)
       const override;
@@ -173,6 +180,20 @@ class EnergyAwarePolicy : public SchedulingPolicy {
  private:
   DevicePowerProfile profile_{};
 };
+
+/// Where a queued application stands in decision point 1's order: its
+/// queue class (lower first; the soak queue has one), then its key.
+using QueueOrder = std::pair<std::size_t, double>;
+
+/// `pending`'s order in class `cls` under `policy`: its admission key,
+/// with NaN as +∞ so that orders compare as a strict weak order.
+QueueOrder queue_order(const SchedulingPolicy& policy,
+                       const PendingApp& pending, std::size_t cls = 0);
+
+/// An admission queue: least QueueOrder first.  std::multimap inserts an
+/// equal key after the ones already there, so ties pop in arrival order.
+template <class T>
+using AdmissionQueue = std::multimap<QueueOrder, T>;
 
 /// Names of every registered policy, in tournament order ("default"
 /// first).

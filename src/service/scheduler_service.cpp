@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -106,16 +107,10 @@ SchedulerService::~SchedulerService() { stop(); }
 
 void SchedulerService::bump(const char* name, std::uint64_t n) {
   registry_.counter(name).add(n);
-  if (obs::MetricsRegistry* reg = obs::metrics();
-      reg != nullptr && reg != &registry_)
-    reg->counter(name).add(n);
 }
 
 void SchedulerService::gauge_set(const char* name, double v) {
   registry_.gauge(name).set(v);
-  if (obs::MetricsRegistry* reg = obs::metrics();
-      reg != nullptr && reg != &registry_)
-    reg->gauge(name).set(v);
 }
 
 void SchedulerService::log_queue_reject(const char* reason_head,
@@ -184,19 +179,22 @@ void SchedulerService::enqueue(Request req,
   req.enqueued = std::chrono::steady_clock::now();
   req.deadline = deadline;
   const bool is_submit = req.verb == Request::Verb::kSubmit;
-  if (is_submit && req.app.graph != nullptr) {
-    // Feature extraction for SchedulingPolicy::pick_next, outside the
-    // queue lock (mirrors the soak engine's PendingApp fields).
-    const ResourceVector need = req.app.graph->total_ct_requirement();
-    req.size = need.size() > 0 ? need[0] : 0.0;
-    req.bits = req.app.graph->total_tt_bits();
-  }
-
   const std::string& label = is_submit ? req.app.name : req.name;
   const bool gr = is_submit && req.app.qoe.cls == QoeClass::kGuaranteedRate;
-  // GR submissions queue ahead of BE ones; removes and apply fns ahead of
-  // both (they only free capacity or run control work).
-  const std::size_t cls = !is_submit ? kControl : gr ? kGr : kBe;
+  // Removes and apply fns queue ahead of every submit (they only free
+  // capacity or run control work) and stay FIFO; GR submits queue ahead
+  // of BE ones, each class in the order of the policy's admission key
+  // (decision point 1), computed here, outside the queue lock.
+  policy::QueueOrder order{kControl, 0.0};
+  if (is_submit) {
+    const double deadline_s =
+        deadline == kNoDeadline
+            ? std::numeric_limits<double>::infinity()
+            : std::chrono::duration<double>(deadline - start_).count();
+    order = policy::queue_order(*policy_,
+                                policy::pending_app(req.app, deadline_s),
+                                gr ? kGr : kBe);
+  }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -208,7 +206,7 @@ void SchedulerService::enqueue(Request req,
       return;
     }
     window_.add("arrivals");
-    const std::size_t depth = queued_unlocked();
+    const std::size_t depth = queue_.size();
     if (depth >= options_.queue_capacity) {
       window_.add("queue_rejected");
       window_.add("rejected_any");
@@ -228,7 +226,7 @@ void SchedulerService::enqueue(Request req,
     if (obs::ChromeTraceCollector* trace = obs::trace_collector())
       trace->record_flow("service.request", trace->to_origin_us(req.enqueued),
                          /*start=*/true, req.trace);
-    queues_[cls].push_back(std::move(req));
+    queue_.emplace(order, std::move(req));
     bump("service.enqueued");
     gauge_set("service.queue.depth", static_cast<double>(depth + 1));
     window_.observe("queue_depth", static_cast<double>(depth + 1));
@@ -236,15 +234,9 @@ void SchedulerService::enqueue(Request req,
   work_cv_.notify_one();
 }
 
-std::size_t SchedulerService::queued_unlocked() const {
-  std::size_t total = 0;
-  for (const auto& queue : queues_) total += queue.size();
-  return total;
-}
-
 std::size_t SchedulerService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queued_unlocked();
+  return queue_.size();
 }
 
 ServiceStats SchedulerService::stats() const {
@@ -345,7 +337,7 @@ void SchedulerService::resume() {
 void SchedulerService::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] {
-    return (queued_unlocked() == 0 && !processing_) || stopping_;
+    return (queue_.empty() && !processing_) || stopping_;
   });
 }
 
@@ -366,50 +358,16 @@ void SchedulerService::scheduling_loop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] {
-        return stopping_ || (!paused_ && queued_unlocked() > 0);
+        return stopping_ || (!paused_ && !queue_.empty());
       });
-      if (queued_unlocked() == 0 && stopping_) return;
-      // Pop up to max_batch requests, higher classes first.  Within a
-      // submit class the policy's pick_next (decision point 1,
-      // docs/policies.md) chooses among the queued submits; the default
-      // policy's FIFO picks the head.  Control requests (removes, apply
-      // fns) always stay FIFO.
-      for (std::size_t cls = 0; cls < kClasses; ++cls) {
-        auto& queue = queues_[cls];
-        if (cls == kControl) {
-          while (batch.size() < options_.max_batch && !queue.empty()) {
-            batch.push_back(std::move(queue.front()));
-            queue.pop_front();
-          }
-          continue;
-        }
-        std::vector<policy::PendingApp> pending;
-        while (batch.size() < options_.max_batch && !queue.empty()) {
-          pending.clear();
-          pending.reserve(queue.size());
-          for (const Request& req : queue) {
-            policy::PendingApp p;
-            p.app = &req.app;
-            p.arrival_time =
-                std::chrono::duration<double>(req.enqueued - start_).count();
-            if (req.deadline !=
-                std::chrono::steady_clock::time_point::max())
-              p.deadline =
-                  std::chrono::duration<double>(req.deadline - start_)
-                      .count();
-            p.size = req.size;
-            p.bits = req.bits;
-            pending.push_back(p);
-          }
-          std::size_t pick = policy_->pick_next(pending);
-          if (pick >= queue.size()) pick = 0;  // out-of-range: fall back FIFO
-          batch.push_back(std::move(queue[pick]));
-          queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
-        }
+      if (queue_.empty() && stopping_) return;
+      // Pop up to max_batch requests in queue order (enqueue()).
+      while (batch.size() < options_.max_batch && !queue_.empty()) {
+        batch.push_back(std::move(queue_.begin()->second));
+        queue_.erase(queue_.begin());
       }
       processing_ = true;
-      gauge_set("service.queue.depth",
-                static_cast<double>(queued_unlocked()));
+      gauge_set("service.queue.depth", static_cast<double>(queue_.size()));
     }
 
     process_batch(batch);
@@ -609,15 +567,6 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
                                         obs::default_time_bounds_us());
     for (const ServiceResult& result : results)
       latency.observe(result.latency_us);
-    if (obs::MetricsRegistry* reg = obs::metrics();
-        reg != nullptr && reg != &registry_) {
-      reg->histogram("service.batch.size", {1, 2, 4, 8, 16, 32, 64, 128})
-          .observe(static_cast<double>(batch.size()));
-      auto& mirror = reg->histogram("service.admission_latency.us",
-                                    obs::default_time_bounds_us());
-      for (const ServiceResult& result : results)
-        mirror.observe(result.latency_us);
-    }
   }
   if (admitted > 0) bump("service.admitted", admitted);
   if (rejected > 0) bump("service.rejected", rejected);
@@ -625,9 +574,6 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
   bump("service.batches");
   registry_.gauge("service.batch.max_seen")
       .max(static_cast<double>(batch.size()));
-  if (obs::MetricsRegistry* reg = obs::metrics();
-      reg != nullptr && reg != &registry_)
-    reg->gauge("service.batch.max_seen").max(static_cast<double>(batch.size()));
   {
     const Scheduler::PfSolverStats pf = scheduler_.pf_solver_stats();
     if (pf.solves > prev_pf_.solves)

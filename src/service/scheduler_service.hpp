@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <map>
@@ -20,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/time_series.hpp"
+#include "policy/policy.hpp"
 
 /// \file scheduler_service.hpp
 /// The long-running placement controller: a thread-safe admission daemon
@@ -35,7 +35,8 @@
 ///   - producers (TCP connections, in-process clients) enqueue submit /
 ///     remove requests into a *bounded* queue with three priority classes
 ///     — control (removes, they only free capacity), Guaranteed-Rate
-///     submits, Best-Effort submits — FIFO within each class;
+///     submits, Best-Effort submits — ordered within a submit class by
+///     the scheduling policy's admission key (FIFO by default);
 ///   - one scheduling thread pops up to `max_batch` requests (higher
 ///     classes first), applies them inside a Scheduler batch
 ///     (begin_batch/end_batch), so the whole batch pays for ONE weighted
@@ -356,15 +357,10 @@ class SchedulerService : public PlacementService {
     std::uint64_t trace{0};  ///< trace id, assigned at enqueue
     std::chrono::steady_clock::time_point enqueued{};
     std::chrono::steady_clock::time_point deadline{};  ///< max() = none
-    /// Precomputed policy::PendingApp features of a submit (Σ CT
-    /// requirement resource 0, Σ TT bits) so SchedulingPolicy::pick_next
-    /// never touches the task graph under the queue lock.
-    double size{0.0};
-    double bits{0.0};
     Completion callback{};  ///< the reply channel, fired exactly once
   };
-  /// Queue class index: lower pops first.
-  enum : std::size_t { kControl = 0, kGr = 1, kBe = 2, kClasses = 3 };
+  /// Queue class (policy::QueueOrder's first member): lower pops first.
+  enum : std::size_t { kControl = 0, kGr = 1, kBe = 2 };
 
   /// Now + ServiceOptions::default_deadline, or no deadline when it is 0.
   std::chrono::steady_clock::time_point default_deadline() const;
@@ -373,9 +369,8 @@ class SchedulerService : public PlacementService {
   void scheduling_loop();
   void process_batch(std::vector<Request>& batch);
   void publish_snapshot();
-  std::size_t queued_unlocked() const;
-  /// Counter add on the internal registry, mirrored to the global sink
-  /// when one is installed and it is not the internal registry itself.
+  /// Counter add / gauge set on the service's own registry (never the
+  /// global sink: a federation adds its shards' registries itself).
   void bump(const char* name, std::uint64_t n = 1);
   void gauge_set(const char* name, double v);
   /// Logs a queue-level bounce to the installed decision log and counts
@@ -391,10 +386,10 @@ class SchedulerService : public PlacementService {
   ServiceOptions options_;
   /// Admission-ordering policy (decision point 1, docs/policies.md),
   /// shared from SchedulerOptions::policy; a null policy there means
-  /// DefaultPolicy, whose FIFO pick gives the classic 3-class dequeue.
+  /// DefaultPolicy, whose constant key gives the classic 3-class FIFO.
   std::shared_ptr<const policy::SchedulingPolicy> policy_;
-  /// Service birth instant: the epoch pick_next's arrival_time/deadline
-  /// seconds are measured from.
+  /// Service birth instant: the epoch of the deadline seconds a
+  /// policy's admission key sees.
   std::chrono::steady_clock::time_point start_;
 
   obs::MetricsRegistry registry_;   ///< always-on service instruments
@@ -402,10 +397,12 @@ class SchedulerService : public PlacementService {
   obs::SloTracker slo_;             ///< objectives over window_
   std::atomic<std::uint64_t> next_trace_{1};
 
-  mutable std::mutex mu_;     ///< guards queues_, first_violation_, flags
+  mutable std::mutex mu_;     ///< guards queue_, first_violation_, flags
   std::condition_variable work_cv_;   ///< wakes the scheduling thread
   std::condition_variable idle_cv_;   ///< wakes drain()ers
-  std::deque<Request> queues_[kClasses];
+  /// Every waiting request, in pop order: by class, then by the
+  /// policy's admission key, ties in arrival order.
+  policy::AdmissionQueue<Request> queue_;
   std::string first_violation_;  ///< first checker report, if any
   /// PF counters from the previous batch (scheduler reports absolutes;
   /// the window wants deltas).  Scheduling thread only.

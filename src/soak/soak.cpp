@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -81,13 +80,6 @@ struct LatencyHistogram {
     }
     return static_cast<double>(1ull << (buckets.size() - 1));
   }
-};
-
-struct QueuedArrival {
-  workload::Arrival arrival;
-  double deadline{0.0};  ///< renege time
-  double size{0.0};
-  double bits{0.0};
 };
 
 struct Departure {
@@ -326,7 +318,7 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
                                       options.arrivals.horizon,
                                       options.seed ^ 0xc0ffee);
 
-  std::deque<QueuedArrival> pending;
+  policy::AdmissionQueue<workload::Arrival> pending;
   std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
       departures;
   Digest digest;
@@ -375,36 +367,25 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
   bool have_arrival = gen.next(upcoming);
   std::size_t epochs_recorded = 0;
 
-  // Drains reneged entries, then admits up to the tick budget in the
-  // order the policy dictates.  Shared by ticks and the final flush.
+  // Drains reneged entries, then admits up to the tick budget in queue
+  // order.  Shared by ticks and the final flush.
   const auto run_tick = [&](double t) {
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].deadline < t) {
-        ++result.reneged;
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
+    // An arrival reneges once its patience lapses.
+    result.reneged += std::erase_if(pending, [t](const auto& entry) {
+      return entry.second.time + entry.second.patience < t;
+    });
     for (std::size_t budget = options.admit_per_tick;
          budget > 0 && !pending.empty(); --budget) {
-      std::vector<policy::PendingApp> views;
-      views.reserve(pending.size());
-      for (const QueuedArrival& q : pending)
-        views.push_back({&q.arrival.app, q.arrival.time, q.deadline, q.size,
-                         q.bits});
-      std::size_t pick = pol->pick_next(views);
-      if (pick >= pending.size()) pick = 0;
-      QueuedArrival q = std::move(pending[pick]);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+      const workload::Arrival arrival = std::move(pending.begin()->second);
+      pending.erase(pending.begin());
 
       const auto t0 = std::chrono::steady_clock::now();
-      const bool admitted = backend->submit(q.arrival.app);
+      const bool admitted = backend->submit(arrival.app);
       const auto t1 = std::chrono::steady_clock::now();
       latency.record(
           std::chrono::duration<double, std::micro>(t1 - t0).count());
 
-      digest.str(q.arrival.app.name);
+      digest.str(arrival.app.name);
       digest.u64(admitted ? 1 : 0);
       if (admitted) {
         ++result.admitted;
@@ -412,9 +393,9 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
           ++admitted_window_a;
         else if (result.arrivals >= warm_mid)
           ++admitted_window_b;
-        if (is_gr(q.arrival.app)) ++result.gr_admitted;
-        backend->fold_admission(q.arrival.app, digest);
-        departures.push({t + q.arrival.lifetime, q.arrival.app.name});
+        if (is_gr(arrival.app)) ++result.gr_admitted;
+        backend->fold_admission(arrival.app, digest);
+        departures.push({t + arrival.lifetime, arrival.app.name});
       } else {
         ++result.rejected;
       }
@@ -462,12 +443,11 @@ SoakResult run_soak(const Network& net, const SoakOptions& options) {
     if (pending.size() >= options.queue_capacity) {
       ++result.queue_full;
     } else {
-      QueuedArrival q;
-      q.deadline = upcoming.time + upcoming.patience;
-      q.size = upcoming.app.graph->total_ct_requirement()[0];
-      q.bits = upcoming.app.graph->total_tt_bits();
-      q.arrival = std::move(upcoming);
-      pending.push_back(std::move(q));
+      // The policy keys the arrival once, as it joins the queue.
+      const policy::QueueOrder order = policy::queue_order(
+          *pol, policy::pending_app(upcoming.app,
+                                    upcoming.time + upcoming.patience));
+      pending.emplace(order, std::move(upcoming));
     }
     have_arrival = gen.next(upcoming);
 

@@ -17,9 +17,10 @@
 /// SoakOptions::federated_shards, a FederatedService whose shards carry
 /// it; one event loop drives either backend — through a bounded
 /// admission queue that models the batched admission daemon:
-/// arrivals queue up, a scheduler *tick* every `tick_seconds` admits up
-/// to `admit_per_tick` of them in the order the policy's pick_next()
-/// dictates, and queued entries renege once their patience lapses.
+/// arrivals queue up keyed once by the policy's admission_key(), a
+/// scheduler *tick* every `tick_seconds` admits up to `admit_per_tick` of
+/// them least key first (equal keys in arrival order), and queued
+/// entries renege once their patience lapses.
 /// Admitted applications live an exponential session and depart;
 /// regional-outage cells interleave a correlated burst-churn trace
 /// driving the incremental repair() path.  The run records:

@@ -218,7 +218,11 @@ ScenarioFile parse_scenario_impl(std::istream& in, const ParseContext& ctx,
       ResourceVector req(schema.size());
       for (std::size_t r = 0; r < schema.size(); ++r)
         req[r] = ctx.parse_number(t[2 + r], lineno, "requirement");
-      app->ct_by_name[t[1]] = app->graph->add_ct(t[1], req);
+      try {
+        app->ct_by_name[t[1]] = app->graph->add_ct(t[1], req);
+      } catch (const std::invalid_argument& e) {
+        ctx.fail(lineno, e.what());
+      }
       continue;
     }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "core/scheduler.hpp"
 #include "federation/check.hpp"
 #include "federation/shard_plan.hpp"
+#include "obs/obs.hpp"
 #include "policy/policy.hpp"
 #include "service/client.hpp"
 #include "service/event_server.hpp"
@@ -629,6 +631,39 @@ TEST(Federation, SnapshotAndStatsAggregateAcrossShards) {
 
   const auto health = fed.health_fields();
   EXPECT_FALSE(health.empty());
+}
+
+TEST(Federation, InstalledRegistryCountsEachShardSubmitOnce) {
+  // `sparcle_serve --shards N` installs the federation's registry as the
+  // global metrics sink.  Each shard service must still count into its
+  // own registry only: prometheus_text() and stats() add the shards'
+  // registries to the federation's, so a shard that also wrote the
+  // global sink would count every submit twice.
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  obs::Observability sinks;
+  sinks.metrics = &fed.registry();
+  const obs::ScopedInstall obs_session(sinks);
+
+  std::vector<std::future<ServiceResult>> futures;
+  for (int i = 0; i < 40; ++i) {
+    const NcpId src = i % 2 == 0 ? 0 : 2;  // region r0 or r1
+    futures.push_back(fed.submit(make_app("l" + std::to_string(i),
+                                          QoeSpec::best_effort(1.0), src,
+                                          src + 1, 0.1)));
+  }
+  for (auto& f : futures) f.get();
+  fed.drain();
+
+  const service::ServiceStats stats = fed.stats();
+  EXPECT_EQ(stats.submits, 40u);
+  EXPECT_EQ(counter(stats, "service.submits"), 40.0);
+  EXPECT_EQ(counter(stats, "federation.local.routed"), 40.0);
+  const std::string prom = fed.prometheus_text();
+  EXPECT_NE(prom.find("\nsparcle_service_submits_total 40\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(Federation, EventServerSpeaksTheUnmodifiedWireProtocol) {

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "admission_scan.hpp"
 #include "check/fuzzer.hpp"
 #include "core/scheduler.hpp"
 #include "policy/policy.hpp"
+#include "reference_assigner.hpp"
 #include "soak/soak.hpp"
 #include "testutil.hpp"
 #include "workload/scenario_io.hpp"
@@ -18,9 +22,14 @@
 //  * registry round-trips and rejects unknown names;
 //  * each decision point's base rule and each plugin's override behave
 //    as documented on hand-built inputs;
-//  * a null policy means DefaultPolicy: the two are BIT-IDENTICAL across
-//    the checked-in `.scn` corpus and seeded random scenarios, through
-//    admission, failure, repair, recovery, and removal;
+//  * policy::AdmissionQueue pops exactly what the old per-pop argmin scan
+//    (admission_scan.hpp) picked, for every built-in policy and the
+//    service's three queue classes;
+//  * a null policy and DefaultPolicy both reproduce, BIT FOR BIT, a
+//    scheduler whose ranking and repair order are independent reference
+//    code (testutil::reference_assign, a hand-written GR-first order),
+//    across the checked-in `.scn` corpus and seeded random scenarios,
+//    through admission, failure, repair, recovery, and removal;
 //  * every policy is deterministic: identical soak inputs reproduce the
 //    identical decision digest.
 
@@ -47,18 +56,160 @@ std::vector<policy::PendingApp> three_pending(Application& a, Application& b,
                                               Application& c) {
   // arrival order: a (big, late deadline, many bits), b (small, middle),
   // c (middle size, earliest deadline, fewest bits).
-  return {{&a, 0.0, 30.0, 9.0, 50.0},
-          {&b, 1.0, 20.0, 2.0, 30.0},
-          {&c, 2.0, 10.0, 5.0, 10.0}};
+  return {{&a, 30.0, 9.0, 50.0}, {&b, 20.0, 2.0, 30.0}, {&c, 10.0, 5.0, 10.0}};
+}
+
+/// Queues `pending` in arrival order under `pol` and pops it empty.
+std::vector<const Application*> pop_order(
+    const policy::SchedulingPolicy& pol,
+    const std::vector<policy::PendingApp>& pending) {
+  policy::AdmissionQueue<const Application*> queue;
+  for (const policy::PendingApp& p : pending)
+    queue.emplace(policy::queue_order(pol, p), p.app);
+  std::vector<const Application*> out;
+  for (const auto& [order, app] : queue) out.push_back(app);
+  return out;
 }
 
 TEST(PolicyDecisions, PickNextPerPolicy) {
   Application a, b, c;
-  std::vector<policy::PendingApp> pending = three_pending(a, b, c);
-  EXPECT_EQ(policy::DefaultPolicy().pick_next(pending), 0u);  // FIFO
-  EXPECT_EQ(policy::ShortestJobFirstPolicy().pick_next(pending), 1u);
-  EXPECT_EQ(policy::DeadlineAwarePolicy().pick_next(pending), 2u);  // EDF
-  EXPECT_EQ(policy::EnergyAwarePolicy().pick_next(pending), 2u);  // min bits
+  const std::vector<policy::PendingApp> pending = three_pending(a, b, c);
+  using Order = std::vector<const Application*>;
+  EXPECT_EQ(pop_order(policy::DefaultPolicy(), pending),
+            (Order{&a, &b, &c}));  // FIFO
+  EXPECT_EQ(pop_order(policy::ShortestJobFirstPolicy(), pending),
+            (Order{&b, &c, &a}));
+  EXPECT_EQ(pop_order(policy::DeadlineAwarePolicy(), pending),
+            (Order{&c, &b, &a}));  // EDF
+  EXPECT_EQ(pop_order(policy::EnergyAwarePolicy(), pending),
+            (Order{&c, &b, &a}));  // least bits
+  EXPECT_EQ(policy::DefaultPolicy().admission_key(pending[0]), 0.0);
+  EXPECT_EQ(policy::ShortestJobFirstPolicy().admission_key(pending[0]), 9.0);
+  EXPECT_EQ(policy::DeadlineAwarePolicy().admission_key(pending[0]), 30.0);
+  EXPECT_EQ(policy::EnergyAwarePolicy().admission_key(pending[0]), 50.0);
+}
+
+// ---------------------------------------------------------------------
+// AdmissionQueue == the old argmin scan, pop for pop.
+
+/// Features drawn from small sets, so keys tie often, with ±∞ among
+/// them: a patient deadline is +∞, and a size or bit sum can overflow.
+policy::PendingApp random_features(Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto value = [&](double finite, double p_inf) {
+    if (rng.bernoulli(p_inf)) return kInf;
+    return rng.bernoulli(0.05) ? -kInf : finite;
+  };
+  policy::PendingApp p;
+  p.size = value(static_cast<double>(rng.uniform_int(0, 3)), 0.1);
+  p.bits = value(static_cast<double>(rng.uniform_int(0, 2)) * 5.0, 0.1);
+  p.deadline = value(static_cast<double>(rng.uniform_int(1, 4)), 0.4);
+  return p;
+}
+
+/// Pushes and pops a seeded random stream through policy::AdmissionQueue
+/// and through testutil::ScanQueues; both must pop the same ids.  With
+/// `classes` 1 every entry is a submit of one class (the soak queue),
+/// with 3 entries spread over the service's control / GR / BE classes.
+void expect_queue_matches_scan(const std::string& name, std::size_t classes,
+                               std::uint64_t seed) {
+  const std::unique_ptr<policy::SchedulingPolicy> pol =
+      policy::make_policy(name);
+  Rng rng(seed);
+  policy::AdmissionQueue<std::size_t> queue;
+  testutil::ScanQueues scan;
+  std::size_t next_id = 0, popped = 0;
+  const auto pop_both = [&] {
+    const std::size_t want = scan.pop(name);
+    ASSERT_FALSE(queue.empty());
+    EXPECT_EQ(queue.begin()->second, want)
+        << name << " pop " << popped << testutil::seed_message(seed);
+    queue.erase(queue.begin());
+    ++popped;
+  };
+  for (int step = 0; step < 400; ++step) {
+    if (scan.empty() || rng.bernoulli(0.6)) {
+      const std::size_t cls =
+          classes == 1 ? 1 : static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const policy::PendingApp p = random_features(rng);
+      // The service keys control requests {class 0, 0}, never by policy.
+      queue.emplace(cls == 0 ? policy::QueueOrder{0, 0.0}
+                             : policy::queue_order(*pol, p, cls),
+                    next_id);
+      scan.push({cls, next_id, p});
+      ++next_id;
+    } else {
+      pop_both();
+    }
+  }
+  while (!scan.empty()) pop_both();
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(AdmissionQueue, PopsWhatTheArgminScanPicked) {
+  for (const std::string& name : policy::policy_names())
+    for (std::uint64_t i = 0; i < 20; ++i)
+      expect_queue_matches_scan(name, 1, testutil::test_seed() + 0xad0 + i);
+}
+
+TEST(AdmissionQueue, ServiceClassesPopLikeThePerClassScan) {
+  for (const std::string& name : policy::policy_names())
+    for (std::uint64_t i = 0; i < 20; ++i)
+      expect_queue_matches_scan(name, 3, testutil::test_seed() + 0xc1a + i);
+}
+
+/// A custom rule that can return NaN: size 1 keys as NaN.
+class NanKeyPolicy final : public policy::SchedulingPolicy {
+ public:
+  std::string name() const override { return "nan-key"; }
+  double admission_key(const policy::PendingApp& p) const override {
+    return p.size == 1.0 ? std::numeric_limits<double>::quiet_NaN() : p.size;
+  }
+};
+
+TEST(AdmissionQueue, NanKeyOrdersAsInfinity) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const NanKeyPolicy pol;
+  EXPECT_EQ(policy::queue_order(pol, {.size = 1.0}),
+            (policy::QueueOrder{0, kInf}));
+  // Arrival order: NaN, 5, +∞, NaN.  The NaN keys tie with +∞ in
+  // arrival order behind every finite key.  (The old scan
+  // admitted a NaN at the head of the queue first.)
+  Application a, b, c, d;
+  const std::vector<policy::PendingApp> pending = {
+      {.app = &a, .size = 1.0},
+      {.app = &b, .size = 5.0},
+      {.app = &c, .size = kInf},
+      {.app = &d, .size = 1.0}};
+  EXPECT_EQ(pop_order(pol, pending),
+            (std::vector<const Application*>{&b, &a, &c, &d}));
+
+  // Seeded streams: the queue pops what a scan of the keys, with NaN
+  // read as +∞, picks.
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const std::uint64_t seed = testutil::test_seed() + 0x7a7 + i;
+    Rng rng(seed);
+    policy::AdmissionQueue<std::size_t> queue;
+    std::vector<std::pair<std::size_t, double>> scan;  // (id, key)
+    std::size_t next_id = 0;
+    for (int step = 0; step < 300 || !scan.empty(); ++step) {
+      if (step < 300 && (scan.empty() || rng.bernoulli(0.6))) {
+        policy::PendingApp p = random_features(rng);
+        if (rng.bernoulli(0.1)) p.size = kInf;
+        const double key = pol.admission_key(p);
+        queue.emplace(policy::queue_order(pol, p), next_id);
+        scan.emplace_back(next_id++, std::isnan(key) ? kInf : key);
+        continue;
+      }
+      std::size_t pick = 0;
+      for (std::size_t k = 1; k < scan.size(); ++k)
+        if (scan[k].second < scan[pick].second) pick = k;
+      ASSERT_EQ(queue.begin()->second, scan[pick].first)
+          << testutil::seed_message(seed);
+      queue.erase(queue.begin());
+      scan.erase(scan.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  }
 }
 
 TEST(PolicyDecisions, RepairOrderBaseRule) {
@@ -89,13 +240,42 @@ TEST(PolicyDecisions, RepairOrderBaseRule) {
 }
 
 // ---------------------------------------------------------------------
-// DefaultPolicy == no-policy, bit for bit.
+// A null policy == DefaultPolicy == independent reference code, bit for
+// bit.
 
-void expect_identical_state(const Scheduler& legacy,
-                            const Scheduler& plugged,
+/// Algorithm 2's ranking as testutil::reference_assign writes it: its own
+/// strict argmin/argmax loop, no policy.
+class ReferenceAssigner final : public Assigner {
+ public:
+  std::string name() const override { return "SPARCLE"; }
+  AssignmentResult assign(const AssignmentProblem& problem) const override {
+    return testutil::reference_assign(problem, SparcleAssignerOptions{},
+                                      "reference ranking");
+  }
+};
+
+/// The default repair order written out by hand: GR before BE, GR by
+/// descending guarantee, BE by descending priority.
+class HandWrittenRepairOrder final : public policy::SchedulingPolicy {
+ public:
+  std::string name() const override { return "reference"; }
+  bool repair_before(const policy::RepairCandidate& a,
+                     const policy::RepairCandidate& b) const override {
+    const auto rank = [](const policy::RepairCandidate& c) {
+      const QoeSpec& q = c.app->qoe;
+      return q.cls == QoeClass::kGuaranteedRate
+                 ? std::pair<int, double>{0, -q.min_rate}
+                 : std::pair<int, double>{1, -q.priority};
+    };
+    return rank(a) < rank(b);
+  }
+};
+
+void expect_identical_state(const Scheduler& reference,
+                            const Scheduler& under_test,
                             const std::string& tag) {
-  const auto& a = legacy.placed();
-  const auto& b = plugged.placed();
+  const auto& a = reference.placed();
+  const auto& b = under_test.placed();
   ASSERT_EQ(a.size(), b.size()) << tag;
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(tag + " app " + a[i].app.name);
@@ -122,23 +302,32 @@ void expect_identical_state(const Scheduler& legacy,
   }
 }
 
-/// Drives both schedulers through the identical admission + failure +
-/// repair + recovery + removal sequence and compares full state after
-/// every phase.
+/// Drives the reference scheduler, one with a null policy and one with
+/// DefaultPolicy through the identical admission + failure + repair +
+/// recovery + removal sequence and compares full state after every
+/// phase.
 void run_equivalence(const workload::ScenarioFile& scenario,
                      const std::string& tag) {
-  SchedulerOptions legacy_options;  // policy == nullptr: resolves to default
+  SchedulerOptions reference_options;
+  reference_options.policy = std::make_shared<HandWrittenRepairOrder>();
   SchedulerOptions plugged_options;
   plugged_options.policy = std::make_shared<policy::DefaultPolicy>();
-  Scheduler legacy(scenario.net, legacy_options);
+  Scheduler reference(scenario.net, std::make_unique<ReferenceAssigner>(),
+                      reference_options);
+  Scheduler null_policy(scenario.net);  // resolves to DefaultPolicy
   Scheduler plugged(scenario.net, plugged_options);
+  Scheduler* const all[] = {&reference, &null_policy, &plugged};
+  const auto expect_all_identical = [&](const std::string& phase) {
+    expect_identical_state(reference, null_policy, tag + " null policy " + phase);
+    expect_identical_state(reference, plugged, tag + " DefaultPolicy " + phase);
+  };
 
   for (const Application& app : scenario.apps) {
-    const AdmissionResult ra = legacy.submit(app);
-    const AdmissionResult rb = plugged.submit(app);
-    EXPECT_EQ(ra.admitted, rb.admitted) << tag << " app " << app.name;
+    const bool want = reference.submit(app).admitted;
+    EXPECT_EQ(null_policy.submit(app).admitted, want) << tag << " app " << app.name;
+    EXPECT_EQ(plugged.submit(app).admitted, want) << tag << " app " << app.name;
   }
-  expect_identical_state(legacy, plugged, tag + " after admission");
+  expect_all_identical("after admission");
 
   // Fail every other link, repairing after each — the repair-ordering
   // decision point — then recover and fail an NCP for the node path.
@@ -146,33 +335,31 @@ void run_equivalence(const workload::ScenarioFile& scenario,
   for (std::size_t l = 0; l < links; l += 2) {
     const ElementKey dead{ElementKey::Kind::kLink,
                           static_cast<std::int32_t>(l)};
-    legacy.mark_failed(dead);
-    plugged.mark_failed(dead);
-    legacy.repair(dead);
-    plugged.repair(dead);
+    for (Scheduler* s : all) {
+      s->mark_failed(dead);
+      s->repair(dead);
+    }
   }
-  expect_identical_state(legacy, plugged, tag + " after link churn");
+  expect_all_identical("after link churn");
   for (std::size_t l = 0; l < links; l += 2) {
     const ElementKey dead{ElementKey::Kind::kLink,
                           static_cast<std::int32_t>(l)};
-    legacy.mark_recovered(dead);
-    plugged.mark_recovered(dead);
+    for (Scheduler* s : all) s->mark_recovered(dead);
   }
   if (scenario.net.ncp_count() > 1) {
     const ElementKey dead{ElementKey::Kind::kNcp, 1};
-    legacy.mark_failed(dead);
-    plugged.mark_failed(dead);
-    legacy.repair(dead);
-    plugged.repair(dead);
-    expect_identical_state(legacy, plugged, tag + " after ncp failure");
+    for (Scheduler* s : all) {
+      s->mark_failed(dead);
+      s->repair(dead);
+    }
+    expect_all_identical("after ncp failure");
   }
 
-  // Remove the first admitted app from both.
-  if (!legacy.placed().empty()) {
-    const std::string name = legacy.placed().front().app.name;
-    EXPECT_TRUE(legacy.remove(name));
-    EXPECT_TRUE(plugged.remove(name));
-    expect_identical_state(legacy, plugged, tag + " after removal");
+  // Remove the first admitted app from all three.
+  if (!reference.placed().empty()) {
+    const std::string name = reference.placed().front().app.name;
+    for (Scheduler* s : all) EXPECT_TRUE(s->remove(name));
+    expect_all_identical("after removal");
   }
 }
 

@@ -160,8 +160,9 @@ TEST(Repair, FallbackBoundTripsAndCanBeDisabled) {
     EXPECT_LT(report.global_rate_after + 1e-9, report.global_rate_before);
   }
   {
-    SchedulerOptions no_fallback = strict;
-    no_fallback.repair.allow_fallback = false;
+    // A bound of 1.0 floors at rate 0, which no repair falls below.
+    SchedulerOptions no_fallback;
+    no_fallback.repair.max_rate_degradation = 1.0;
     Scheduler sched(make_two_relay_net(10.0, 2.0), no_fallback);
     ASSERT_TRUE(
         sched.submit(make_app("gr", QoeSpec::guaranteed_rate(1.5, 0.0)))

@@ -295,6 +295,46 @@ TEST(ScenarioIo, ParseAppsTextRejectsNetworkDirectives) {
   }
 }
 
+TEST(ScenarioIo, ParseAppsTextRejectsMalformedApplicationNumbers) {
+  // kBasic's app as a wire block with one number made hostile: every CT
+  // requirement and TT bit count must be finite and >= 0, a BE priority
+  // and a GR min rate finite and > 0, an availability in [0, 1].  Each
+  // refusal names the wire source and the line it blames.
+  const ScenarioFile sf = parse_scenario_text(kBasic);
+  const std::string block = write_app_text(sf.apps.at(0), sf.net);
+  const struct {
+    std::string from, to;
+    const char* where;
+  } cases[] = {
+      {"ct work 10", "ct work nan", "wire:3:"},
+      {"ct work 10", "ct work -5", "wire:3:"},
+      {"ct work 10", "ct work inf", "wire:3:"},
+      {"tt raw 1000", "tt raw inf", "wire:5:"},
+      {"tt raw 1000", "tt raw nan", "wire:5:"},
+      {"be 2 0.9", "be nan 0.9", "wire:9:"},
+      {"be 2 0.9", "be inf 0.9", "wire:9:"},
+      {"be 2 0.9", "be -2 0.9", "wire:9:"},
+      {"be 2 0.9", "be 2 1.5", "wire:9:"},
+      {"be 2 0.9", "be 2 nan", "wire:9:"},
+      {"be 2 0.9", "gr inf 0.9", "wire:9:"},
+      {"be 2 0.9", "gr nan 0.9", "wire:9:"},
+      {"be 2 0.9", "gr 1 -0.5", "wire:9:"},
+  };
+  for (const auto& c : cases) {
+    std::string text = block;
+    const std::size_t at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from << " in\n" << block;
+    text.replace(at, c.from.size(), c.to);
+    try {
+      parse_apps_text(text, sf.net, "wire");
+      ADD_FAILURE() << "accepted '" << c.to << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.where, 0), 0u)
+          << "'" << c.to << "': " << e.what();
+    }
+  }
+}
+
 TEST(ScenarioIo, ParseAppsTextRequiresAnAppBlock) {
   const ScenarioFile sf = parse_scenario_text(kBasic);
   EXPECT_THROW(parse_apps_text("# just a comment\n", sf.net),

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "baselines/greedy_baselines.hpp"
+#include "core/sparcle_assigner.hpp"
 #include "obs/obs.hpp"
 #include "workload/task_graphs.hpp"
 
@@ -100,6 +103,47 @@ TEST(Scheduler, BeAvailabilityRequirementAddsSecondPath) {
   ASSERT_TRUE(r.admitted) << r.reason;
   EXPECT_EQ(r.path_count, 2u);
   EXPECT_NEAR(r.availability, 0.99, 1e-9);
+}
+
+/// SPARCLE's assigner, keeping the capacities of every problem it is
+/// asked to solve (for a BE arrival's first path: the eq. (6)
+/// prediction).
+class CapacityRecordingAssigner final : public Assigner {
+ public:
+  explicit CapacityRecordingAssigner(
+      std::shared_ptr<std::vector<CapacitySnapshot>> seen)
+      : seen_(std::move(seen)) {}
+  std::string name() const override { return "recording"; }
+  AssignmentResult assign(const AssignmentProblem& problem) const override {
+    seen_->push_back(problem.capacities);
+    return inner_.assign(problem);
+  }
+
+ private:
+  SparcleAssigner inner_;
+  std::shared_ptr<std::vector<CapacitySnapshot>> seen_;
+};
+
+TEST(Scheduler, PredictionCountsAnAppOncePerElement) {
+  // "a" holds two paths, src-r1-dst and src-r2-dst, so both cross src and
+  // dst.  An arriving app of equal priority must predict half of src and
+  // dst (a counted once there, eq. (6)), not a third, and half of each
+  // relay and link, which one path of a crosses.
+  auto seen = std::make_shared<std::vector<CapacitySnapshot>>();
+  Scheduler sched(make_two_relay_net(0.1),
+                  std::make_unique<CapacityRecordingAssigner>(seen));
+  const auto a = sched.submit(make_app("a", QoeSpec::best_effort(1.0, 0.95)));
+  ASSERT_TRUE(a.admitted) << a.reason;
+  ASSERT_EQ(a.path_count, 2u);
+  seen->clear();
+  ASSERT_TRUE(sched.submit(make_app("b", QoeSpec::best_effort(1.0))).admitted);
+  ASSERT_FALSE(seen->empty());
+  const CapacitySnapshot& predicted = seen->front();
+  EXPECT_DOUBLE_EQ(predicted.ncp(0)[0], 0.5);  // src: 1.0 * 1/(1+1)
+  EXPECT_DOUBLE_EQ(predicted.ncp(3)[0], 0.5);  // dst
+  EXPECT_DOUBLE_EQ(predicted.ncp(1)[0], 5.0);  // r1: 10 * 1/2
+  EXPECT_DOUBLE_EQ(predicted.ncp(2)[0], 5.0);  // r2
+  for (LinkId l = 0; l < 4; ++l) EXPECT_DOUBLE_EQ(predicted.link(l), 500.0);
 }
 
 TEST(Scheduler, BeRejectedWhenAvailabilityUnreachable) {

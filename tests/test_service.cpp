@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "admission_scan.hpp"
 #include "core/parallel.hpp"
 #include "obs/obs.hpp"
 #include "policy/policy.hpp"
@@ -297,6 +298,47 @@ TEST(SchedulerService, RemovesRunBeforeSubmitsInTheSameBatch) {
 
 // ---------------------------------------------------------------------------
 // Backpressure
+
+TEST(SchedulerService, MalformedAppCannotEvictItsBatchMates) {
+  // Four wire app blocks staged into one batch: a CT requirement of NaN
+  // first, then three valid BE apps.  Whatever parses is submitted.  The
+  // NaN app must be refused where it enters (the parser), so it can
+  // neither be admitted nor fail the batch's PF solve and evict the
+  // valid apps behind it.
+  const Network net = make_two_relay_net();
+  const auto block = [](const std::string& name, const std::string& work) {
+    return "app " + name + " be 1\n ct s 0\n ct work " + work +
+           "\n ct t 0\n tt a 1 s work\n tt b 1 work t\n pin s src\n"
+           " pin t dst\nend\n";
+  };
+  ServiceOptions options;
+  options.start_paused = true;
+  SchedulerService svc(net, SchedulerOptions{}, options);
+  std::size_t refused = 0;
+  std::vector<std::future<ServiceResult>> valid;
+  for (const auto& [name, work] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bad", "nan"}, {"a", "1"}, {"b", "2"}, {"c", "1"}}) {
+    try {
+      const std::vector<Application> apps =
+          workload::parse_apps_text(block(name, work), net, "wire");
+      auto future = svc.submit(apps.at(0));
+      if (name != "bad") valid.push_back(std::move(future));
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("wire:3:"), std::string::npos)
+          << e.what();
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, 1u);
+  svc.resume();
+  for (auto& f : valid) {
+    const ServiceResult r = f.get();
+    EXPECT_EQ(r.status, ServiceResult::Status::kAdmitted) << r.reason;
+    EXPECT_GT(r.rate, 0.0);
+  }
+  EXPECT_EQ(svc.snapshot()->apps.size(), 3u);
+}
 
 TEST(SchedulerService, FullQueueRejectsImmediately) {
   obs::DecisionLog decisions;
@@ -724,57 +766,104 @@ TEST(SchedulerService, ConcurrentMixedTrafficStaysConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkerPool::resolve_threads (satellite: SPARCLE_THREADS knob)
+// Admission-ordering policy (SchedulingPolicy::admission_key, decision
+// point 1)
 
-// ---------------------------------------------------------------------------
-// Admission-ordering policy (SchedulingPolicy::pick_next, decision point 1)
+/// Per-submit (status, rate) plus the final admission-order snapshot —
+/// the comparable trace of the service's ordering decisions.
+using PolicyTrace =
+    std::pair<std::vector<std::pair<ServiceResult::Status, double>>,
+              std::vector<std::pair<std::string, double>>>;
 
-/// Stages a mixed GR/BE workload in one paused batch under `policy` and
-/// returns (status, rate) per submit plus the final admission-order
-/// snapshot — the comparable trace of the service's ordering decisions.
-std::pair<std::vector<std::pair<ServiceResult::Status, double>>,
-          std::vector<std::pair<std::string, double>>>
-run_policy_trace(std::shared_ptr<const policy::SchedulingPolicy> policy) {
+/// A mixed GR/BE workload on make_star_net(4, 10, 1): the GR demand sums
+/// past the hub capacity (4 + 3 + 2 + 3 > 10), so WHICH app rejects
+/// depends entirely on the admission order; the BE pair's PF split rides
+/// on what admitted before them.
+std::vector<Application> policy_trace_apps() {
+  const double mids[] = {4.0, 3.0, 2.0, 3.0};
+  std::vector<Application> apps;
+  for (int i = 0; i < 4; ++i)
+    apps.push_back(make_star_app("gr" + std::to_string(i),
+                                 QoeSpec::guaranteed_rate(1.0, 0.0), 1, 2,
+                                 mids[i]));
+  for (int i = 0; i < 2; ++i)
+    apps.push_back(make_star_app("be" + std::to_string(i),
+                                 QoeSpec::best_effort(1.0 + i), 3, 4, 1.0));
+  return apps;
+}
+
+/// Stages policy_trace_apps() in one paused batch under `policy`.
+PolicyTrace run_policy_trace(
+    std::shared_ptr<const policy::SchedulingPolicy> policy) {
   SchedulerOptions sched;
   sched.policy = std::move(policy);
   ServiceOptions options;
   options.max_batch = 16;
   options.start_paused = true;
   SchedulerService svc(make_star_net(4, 10.0, 1.0), sched, options);
-
-  // GR demand sums past the hub capacity (4 + 3 + 2 + 3 > 10), so WHICH
-  // app rejects depends entirely on the admission order; the BE pair's PF
-  // split rides on what admitted before them.
-  const double mids[] = {4.0, 3.0, 2.0, 3.0};
   std::vector<std::future<ServiceResult>> futures;
-  for (int i = 0; i < 4; ++i)
-    futures.push_back(svc.submit(
-        make_star_app("gr" + std::to_string(i),
-                      QoeSpec::guaranteed_rate(1.0, 0.0), 1, 2, mids[i])));
-  for (int i = 0; i < 2; ++i)
-    futures.push_back(svc.submit(make_star_app(
-        "be" + std::to_string(i), QoeSpec::best_effort(1.0 + i), 3, 4, 1.0)));
+  for (const Application& app : policy_trace_apps())
+    futures.push_back(svc.submit(app));
   svc.resume();
 
-  std::vector<std::pair<ServiceResult::Status, double>> results;
+  PolicyTrace trace;
   for (auto& f : futures) {
     const ServiceResult r = f.get();
-    results.emplace_back(r.status, r.rate);
+    trace.first.emplace_back(r.status, r.rate);
   }
-  std::vector<std::pair<std::string, double>> placed;
   for (const auto& view : svc.snapshot()->apps)
-    placed.emplace_back(view.name, view.allocated_rate);
+    trace.second.emplace_back(view.name, view.allocated_rate);
   svc.stop();
-  return {std::move(results), std::move(placed)};
+  return trace;
+}
+
+/// The same trace from a bare Scheduler that applies policy_trace_apps()
+/// inside one batch in the order the old FIFO scan popped them
+/// (admission_scan.hpp: GR class before BE class, each in arrival order).
+PolicyTrace reference_fifo_trace() {
+  const std::vector<Application> apps = policy_trace_apps();
+  testutil::ScanQueues scan;
+  for (std::size_t i = 0; i < apps.size(); ++i)
+    scan.push({apps[i].qoe.cls == QoeClass::kGuaranteedRate ? 1u : 2u, i,
+               policy::PendingApp{.app = &apps[i]}});
+  Scheduler sched(make_star_net(4, 10.0, 1.0));
+  std::vector<AdmissionResult> admissions(apps.size());
+  sched.begin_batch();
+  while (!scan.empty()) {
+    const std::size_t i = scan.pop("default");
+    admissions[i] = sched.submit(apps[i]);
+  }
+  EXPECT_TRUE(sched.end_batch().evicted.empty());
+
+  PolicyTrace trace;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    double rate = admissions[i].rate;
+    if (admissions[i].admitted &&
+        apps[i].qoe.cls == QoeClass::kBestEffort)
+      for (const PlacedApp& placed : sched.placed())
+        if (placed.app.name == apps[i].name) rate = placed.allocated_rate;
+    trace.first.emplace_back(admissions[i].admitted
+                                 ? ServiceResult::Status::kAdmitted
+                                 : ServiceResult::Status::kRejected,
+                             rate);
+  }
+  for (const PlacedApp& placed : sched.placed())
+    trace.second.emplace_back(placed.app.name, placed.allocated_rate);
+  return trace;
 }
 
 TEST(ServicePolicy, DefaultPolicyIsBitIdenticalToNoPolicy) {
-  // DefaultPolicy must reproduce the FIFO fast path bit for bit: same
-  // statuses, same rates (exact ==, no tolerance), same admission order.
-  const auto fifo = run_policy_trace(nullptr);
-  const auto dflt = run_policy_trace(std::make_shared<policy::DefaultPolicy>());
-  EXPECT_EQ(fifo.first, dflt.first);
-  EXPECT_EQ(fifo.second, dflt.second);
+  // A null policy and DefaultPolicy must both apply the staged batch
+  // exactly as the FIFO scan orders it: same statuses, same rates (exact
+  // ==, no tolerance), same admission order.
+  const PolicyTrace reference = reference_fifo_trace();
+  const PolicyTrace null_policy = run_policy_trace(nullptr);
+  const PolicyTrace dflt =
+      run_policy_trace(std::make_shared<policy::DefaultPolicy>());
+  EXPECT_EQ(null_policy.first, reference.first);
+  EXPECT_EQ(null_policy.second, reference.second);
+  EXPECT_EQ(dflt.first, reference.first);
+  EXPECT_EQ(dflt.second, reference.second);
 }
 
 TEST(ServicePolicy, ShortestJobFirstReordersAStagedBatch) {
@@ -803,6 +892,9 @@ TEST(ServicePolicy, ShortestJobFirstReordersAStagedBatch) {
   EXPECT_EQ(snap->apps[1].name, "s2");
   EXPECT_EQ(snap->apps[2].name, "big");
 }
+
+// ---------------------------------------------------------------------------
+// WorkerPool::resolve_threads (satellite: SPARCLE_THREADS knob)
 
 TEST(WorkerPool, ResolveThreadsHonorsExplicitRequestFirst) {
   ::setenv("SPARCLE_THREADS", "3", 1);
