@@ -1,10 +1,11 @@
 /// \file bench_churn.cpp
 /// Extension experiment (beyond the paper's static arrival study), two
-/// parts.  Part 1: a long-horizon churn run — Poisson application arrivals
-/// with exponential lifetimes on a star site — comparing the admission
-/// ratio and the time-averaged carried guaranteed rate across assignment
-/// algorithms; this is the §III-B "applications arrive over time"
-/// environment played forward with departures.  Part 2: *network* churn —
+/// parts.  Part 1: a long-horizon churn run — a steady
+/// workload::ArrivalGenerator stream with exponential lifetimes on a star
+/// site, replayed through one Scheduler per assignment algorithm —
+/// comparing the admission ratio and the time-averaged carried guaranteed
+/// rate; this is the §III-B "applications arrive over time" environment
+/// played forward with departures.  Part 2: *network* churn —
 /// a seeded element failure/recovery trace replayed through
 /// sim::ChurnInjector against identically loaded schedulers, comparing the
 /// incremental repair() path (reverse usage index, affected apps only)
@@ -22,11 +23,12 @@
 #include <vector>
 
 #include "baselines/registry.hpp"
+#include "bench/churn_replay.hpp"
 #include "bench/common.hpp"
 #include "core/scheduler.hpp"
-#include "core/sparcle_assigner.hpp"
 #include "sim/churn_injector.hpp"
-#include "workload/churn.hpp"
+#include "workload/arrivals.hpp"
+#include "workload/scenarios.hpp"
 #include "workload/stats.hpp"
 
 using namespace sparcle;
@@ -301,37 +303,62 @@ void run_repair_comparison() {
 
 int main() {
   constexpr int kTrials = 10;
+  constexpr int kSweepTrials = 3;
+  // Part 1's operating point, read off the sweep printed first
+  // (EXPERIMENTS.md, "Extension: churn"): the first swept load at which
+  // SPARCLE, the best assigner here, rejects more than 1% of arrivals —
+  // where the site starts to fill.
+  constexpr std::size_t kArrivals = 1200;
   const auto algorithms = simulation_comparators();
 
   Rng rng(5);
-  ScenarioSpec spec;
-  spec.topology = TopologyKind::kStar;
-  spec.graph = GraphKind::kLinear;
-  spec.bottleneck = BottleneckCase::kBalanced;
-  spec.ncps = 8;
-  const Scenario base = make_scenario(spec, rng);
-  const AssignmentProblem p0 = base.problem();
-  const double calibration = SparcleAssigner().assign(p0).rate;
+  ScenarioSpec site;
+  site.topology = TopologyKind::kStar;
+  site.graph = GraphKind::kLinear;
+  site.bottleneck = BottleneckCase::kBalanced;
+  site.ncps = 8;
+  const Network net = make_scenario(site, rng).net;
 
-  ChurnConfig config;
-  config.arrival_rate = 0.6;
-  config.mean_lifetime = 15.0;
-  config.horizon = 500.0;
-  config.gr_fraction = 0.6;
+  ArrivalSpec stream;
+  stream.pattern = ArrivalPattern::kSteady;
+  stream.horizon = 500.0;
+  stream.mean_lifetime = 15.0;
+  stream.gr_fraction = 0.6;
+  stream.tasks = task_ranges_for(site.bottleneck);
 
   bench::section(
-      "Churn: Poisson arrivals (0.6/t), exp lifetimes (mean 15t), horizon "
-      "500t, 60% GR — star-8 balanced site");
+      "Churn: where the site fills — admitted fraction by arrivals over "
+      "500t, seeds 1-3");
+  std::vector<std::string> header{"arrivals"};
+  header.insert(header.end(), algorithms.begin(), algorithms.end());
+  Table sweep(header);
+  for (const std::size_t n : {300, 600, 900, 1200, 1500, 1800}) {
+    stream.arrivals = n;
+    std::vector<std::string> row{std::to_string(n)};
+    for (const auto& name : algorithms) {
+      std::vector<double> frac;
+      for (int seed = 1; seed <= kSweepTrials; ++seed)
+        frac.push_back(
+            bench::replay_churn(net, stream, name, seed).admitted_fraction);
+      row.push_back(fmt(mean(frac)));
+    }
+    sweep.add_row(std::move(row));
+  }
+  sweep.print();
+
+  stream.arrivals = kArrivals;
+  bench::section("Churn: steady ArrivalGenerator stream (" +
+                 std::to_string(kArrivals) +
+                 " arrivals over 500t), exp lifetimes (mean 15t), 60% GR — "
+                 "star-8 balanced site");
   Table t({"algorithm", "admitted fraction", "avg carried GR rate",
            "avg concurrent apps", "mean BE rate at admission"});
   std::map<std::string, double> admitted;
   for (const auto& name : algorithms) {
     std::vector<double> frac, carried, conc, be_rate;
     for (int seed = 1; seed <= kTrials; ++seed) {
-      const ChurnStats s =
-          run_churn(base.net, spec, base.pinned.begin()->second,
-                    base.pinned.rbegin()->second, calibration,
-                    make_assigner(name, seed), config, seed);
+      const bench::ChurnStats s =
+          bench::replay_churn(net, stream, name, seed);
       frac.push_back(s.admitted_fraction);
       carried.push_back(s.avg_carried_gr_rate);
       conc.push_back(s.avg_concurrent_apps);

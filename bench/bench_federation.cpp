@@ -4,9 +4,9 @@
 /// count (1 -> 16).  One shard is the single-global-scheduler baseline —
 /// every admission serializes through one proportional-fair re-solve over
 /// the whole site; sharding runs the unchanged per-shard pipeline
-/// concurrently on 1/N-size sub-networks and pays the two-phase
-/// reserve/commit protocol only for the locality-tail arrivals whose pins
-/// span shards (docs/federation.md).
+/// concurrently on 1/N-size sub-networks and pays the cross-shard
+/// reserve round only for the locality-tail arrivals whose pins span
+/// shards (docs/federation.md).
 ///
 /// The workload is a deterministic workload::ArrivalGenerator stream
 /// (steady pattern, locality 0.9, 10% guaranteed-rate) replayed

@@ -350,8 +350,8 @@ CheckReport check_scheduler_state(const Scheduler& scheduler,
   // release that failed to return capacity shows up as kResidualMismatch.
   for (const auto& [ext_name, ext] : scheduler.external_reservations()) {
     (void)ext_name;
-    total.add_scaled_at(ext.elements, ext.load, ext.rate);
-    gr_total.add_scaled_at(ext.elements, ext.load, ext.rate);
+    total.add_scaled_at(ext.elements, ext.load, 1.0);
+    gr_total.add_scaled_at(ext.elements, ext.load, 1.0);
   }
 
   // Global capacity feasibility: Σ rate·load <= C on every element.

@@ -170,7 +170,8 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
     if (!(pr > 0) || !std::isfinite(pr))
       throw std::invalid_argument(
           "solve_weighted_pf: priorities must be positive and finite");
-  for (const auto& col : p.columns)
+  for (const auto& col : p.columns) {
+    bool loaded = false;
     for (const auto& [row, coeff] : col.entries) {
       if (row >= p.capacity.size())
         throw std::invalid_argument(
@@ -178,7 +179,16 @@ PfSolution solve_weighted_pf(const PfProblem& p) {
       if (!std::isfinite(coeff))
         throw std::invalid_argument(
             "solve_weighted_pf: a column entry has a non-finite load");
+      if (coeff < 0)
+        throw std::invalid_argument(
+            "solve_weighted_pf: a column entry has a negative load");
+      loaded = loaded || coeff > 0;
     }
+    // Problem (4) is unbounded in a variable that loads no row.
+    if (!loaded)
+      throw std::invalid_argument(
+          "solve_weighted_pf: a column has no positive load");
+  }
   std::vector<char> app_has_var(na, 0);
   for (std::size_t a : p.var_app) {
     if (a >= na)

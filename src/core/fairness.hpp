@@ -91,10 +91,11 @@ struct PfSolution {
 /// Throws std::invalid_argument on malformed input: empty apps; a
 /// priority that is not positive or not finite; a variable naming no
 /// application or a column entry naming no constraint row; a column
-/// entry whose load is not finite (NaN or ±inf); an application with no
-/// variables; a loaded row whose capacity is not finite; or a variable
-/// constrained by a zero-capacity row — such paths must be dropped by
-/// the caller.
+/// entry whose load is negative or not finite (NaN or ±inf); a column
+/// with no positive load, in which problem (4) is unbounded; an
+/// application with no variables; a loaded row whose capacity is not
+/// finite; or a variable constrained by a zero-capacity row — such paths
+/// must be dropped by the caller.
 PfSolution solve_weighted_pf(const PfProblem& problem);
 
 /// Σ P_i log(Σ paths of i), for reporting utilities of externally chosen

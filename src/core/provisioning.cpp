@@ -15,6 +15,17 @@ std::vector<PathInfo> provision_paths(const Network& net,
   std::vector<PathInfo> paths;
   CapacitySnapshot residual = start;   // true remaining capacities
   std::set<ElementKey> used_elements;  // by any earlier path
+  const bool any_failed = options.failed && !options.failed->empty();
+  if (any_failed)
+    for (const ElementKey& e : *options.failed)
+      if (e.kind == ElementKey::Kind::kNcp)
+        for (const LinkId l : net.incident_links(e.index))
+          residual.link(l) = 0.0;
+  const auto touches_failed = [&](const std::vector<ElementKey>& elements) {
+    for (const ElementKey& e : elements)
+      if (options.failed->contains(e)) return true;
+    return false;
+  };
 
   for (std::size_t iter = 0; iter < options.max_paths; ++iter) {
     AssignmentProblem problem;
@@ -42,6 +53,7 @@ std::vector<PathInfo> provision_paths(const Network& net,
     if (!(true_rate > 0)) break;
     info.standalone_rate = std::min(true_rate, options.rate_cap);
     info.elements = res.placement.used_elements(graph, net);
+    if (any_failed && touches_failed(info.elements)) break;
     paths.push_back(std::move(info));
 
     if (stop && stop(paths)) break;

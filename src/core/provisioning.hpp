@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/assignment.hpp"
@@ -46,6 +47,13 @@ struct ProvisioningOptions {
   /// Cap on each path's provisioned rate (GR paths are capped at the
   /// requested minimum rate); +infinity for no cap.
   double rate_cap{std::numeric_limits<double>::infinity()};
+  /// Failed elements (null: none): no path may touch one.  They carry zero
+  /// capacity in `start` already, but routing reads only link widths, a
+  /// zero-requirement CT fits a zero-capacity host and a zero-bit TT
+  /// crosses a zero-width link.  So the search zeroes every link incident
+  /// to a failed NCP, and a path that still touches a failed element ends
+  /// the search.
+  const std::set<ElementKey>* failed{nullptr};
 };
 
 /// Called after each found path; return true to stop searching.
@@ -54,8 +62,9 @@ using StopPredicate = std::function<bool(const std::vector<PathInfo>&)>;
 /// Finds up to options.max_paths paths for the application (graph + pins)
 /// on top of `start` capacities using `assigner`.  Every path's
 /// standalone_rate is evaluated against the true residual capacities
-/// (penalties only shape the search).  Stops early when `stop` returns
-/// true or no further feasible path exists.
+/// (penalties only shape the search).  No path touches an element of
+/// options.failed.  Stops early when `stop` returns true or no further
+/// feasible path exists.
 std::vector<PathInfo> provision_paths(const Network& net,
                                       const TaskGraph& graph,
                                       const std::map<CtId, NcpId>& pinned,

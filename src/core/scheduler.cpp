@@ -217,7 +217,7 @@ void Scheduler::apply_gr_delta(const PathInfo& path, double rate_delta) {
 }
 
 bool Scheduler::reserve_external(const std::string& name, const LoadMap& load,
-                                 std::vector<ElementKey> elements, double rate,
+                                 std::vector<ElementKey> elements,
                                  std::string* why) {
   const auto fail = [&](std::string reason) {
     if (why) *why = std::move(reason);
@@ -225,7 +225,6 @@ bool Scheduler::reserve_external(const std::string& name, const LoadMap& load,
       reg->counter("scheduler.external.reserve_rejects").add(1);
     return false;
   };
-  if (!(rate > 0)) return fail("external reservation rate must be positive");
   if (external_.contains(name))
     return fail("external reservation '" + name + "' already exists");
   std::sort(elements.begin(), elements.end());
@@ -245,11 +244,10 @@ bool Scheduler::reserve_external(const std::string& name, const LoadMap& load,
       const ResourceVector& need = load.ncp_load(e.index);
       const ResourceVector& have = residual_.ncp(e.index);
       for (std::size_t r = 0; r < need.size(); ++r)
-        if (rate * need[r] >
-            have[r] + kTol * (1.0 + net_.ncp(e.index).capacity[r]))
+        if (need[r] > have[r] + kTol * (1.0 + net_.ncp(e.index).capacity[r]))
           return fail("insufficient residual on NCP '" + ename + "'");
     } else {
-      if (rate * load.link_load(e.index) >
+      if (load.link_load(e.index) >
           residual_.link(e.index) +
               kTol * (1.0 + net_.link(e.index).bandwidth))
         return fail("insufficient residual on link '" + ename + "'");
@@ -258,8 +256,7 @@ bool Scheduler::reserve_external(const std::string& name, const LoadMap& load,
   ExternalReservation res;
   res.load = LoadMap::zeros(net_);
   res.load.add_scaled_at(elements, load, 1.0);  // masked to `elements`
-  res.rate = rate;
-  ext_reserved_.add_scaled_at(elements, res.load, rate);
+  ext_reserved_.add_scaled_at(elements, res.load, 1.0);
   bool touches_be = false;
   for (const ElementKey& e : elements) {
     recompute_residual_element(e);
@@ -274,35 +271,10 @@ bool Scheduler::reserve_external(const std::string& name, const LoadMap& load,
   return true;
 }
 
-bool Scheduler::commit_external(const std::string& name, std::string* why) {
-  const auto fail = [&](std::string reason) {
-    if (why) *why = std::move(reason);
-    return false;
-  };
-  auto it = external_.find(name);
-  if (it == external_.end())
-    return fail("unknown external reservation '" + name + "'");
-  if (it->second.committed)
-    return fail("external reservation '" + name + "' already committed");
-  for (const ElementKey& e : it->second.elements)
-    if (failed_.contains(e)) {
-      const std::string& ename = e.kind == ElementKey::Kind::kNcp
-                                     ? net_.ncp(e.index).name
-                                     : net_.link(e.index).name;
-      return fail("element '" + ename +
-                  "' failed between reserve and commit");
-    }
-  it->second.committed = true;
-  if (obs::MetricsRegistry* reg = obs::metrics())
-    reg->counter("scheduler.external.commits").add(1);
-  return true;
-}
-
 bool Scheduler::release_external(const std::string& name) {
   auto it = external_.find(name);
   if (it == external_.end()) return false;
-  ext_reserved_.add_scaled_at(it->second.elements, it->second.load,
-                              -it->second.rate);
+  ext_reserved_.add_scaled_at(it->second.elements, it->second.load, -1.0);
   bool touches_be = false;
   for (const ElementKey& e : it->second.elements) {
     recompute_residual_element(e);
@@ -849,6 +821,7 @@ std::vector<PathInfo> Scheduler::find_paths(const Application& app,
   opts.diversity = options_.path_diversity;
   opts.overlap_penalty = options_.overlap_penalty;
   opts.rate_cap = rate_cap;
+  opts.failed = &failed_;
   return provision_paths(net_, *app.graph, app.pinned, start, *assigner_,
                          opts, enough);
 }

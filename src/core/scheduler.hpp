@@ -263,45 +263,36 @@ class Scheduler {
   ReoptimizeReport global_reoptimize(double min_utility_gain = 0.0);
 
   /// A capacity reservation held by an external owner (the federation
-  /// layer's two-phase cross-shard admission, src/federation): `rate`
-  /// times the per-unit `load` is pinned on this scheduler's elements
-  /// exactly like a GR reservation, but the owning application is placed
-  /// *outside* this scheduler, so nothing shows up in placed().
+  /// layer's cross-shard admission, src/federation): `load` is pinned on
+  /// this scheduler's elements exactly like a GR reservation, but the
+  /// owning application is placed *outside* this scheduler, so nothing
+  /// shows up in placed().
   struct ExternalReservation {
-    LoadMap load;                      ///< per-unit load, this net's shape
+    LoadMap load;                      ///< held load, this net's shape
     std::vector<ElementKey> elements;  ///< distinct elements `load` touches
-    double rate{0.0};                  ///< reserved processing rate
-    bool committed{false};             ///< reserve -> commit transition done
   };
 
-  /// Phase one of the two-phase cross-shard admission: atomically reserves
-  /// `rate * load` on this scheduler's residual capacities under `name`.
+  /// Atomically holds `load` on this scheduler's residual capacities
+  /// under `name` — the per-shard half of a cross-shard admission.
   /// Fails without mutating anything — filling `why` when non-null — if a
   /// reservation with that name already exists, any touched element is
   /// marked failed, or the request does not fit the current residual
   /// (after GR and prior external reservations).  On success the capacity
   /// is held (invisible to later submits and the BE allocation) until
   /// release_external(); the BE PF allocation is re-solved when a touched
-  /// element carries Best-Effort paths.
+  /// element carries Best-Effort paths.  An element that fails after the
+  /// hold was taken is ordinary churn: the hold stays until released.
   bool reserve_external(const std::string& name, const LoadMap& load,
-                        std::vector<ElementKey> elements, double rate,
+                        std::vector<ElementKey> elements,
                         std::string* why = nullptr);
 
-  /// Phase two: marks the pending reservation `name` committed.  No
-  /// capacity changes (the hold was taken at reserve time); this only
-  /// records that every co-reserving shard accepted.  Fails — filling
-  /// `why` — on an unknown name, a double commit, or when a touched
-  /// element failed between the phases (the caller must then abort the
-  /// distributed admission and release everywhere).
-  bool commit_external(const std::string& name, std::string* why = nullptr);
-
-  /// Releases reservation `name` (pending or committed): returns its
-  /// capacity to the residual and re-solves the BE allocation when a
-  /// touched element carries BE paths.  The abort path of the two-phase
-  /// protocol and the removal path of committed cross-shard apps both land
-  /// here.  Returns false (no-op) for an unknown name; always leak-free —
-  /// the invariant checker proves residual == capacity − GR − external
-  /// after any reserve/commit/release interleaving.
+  /// Releases reservation `name`: returns its capacity to the residual
+  /// and re-solves the BE allocation when a touched element carries BE
+  /// paths.  The abort path of a refused cross-shard admission and the
+  /// removal path of an admitted one both land here.  Returns false
+  /// (no-op) for an unknown name; always leak-free — the invariant
+  /// checker proves residual == capacity − GR − external after any
+  /// reserve/release interleaving.
   bool release_external(const std::string& name);
 
   /// Current external reservations by name (deterministic order).

@@ -77,12 +77,6 @@ ConservationReport check_federation(FederatedService& fed,
           ca.shards.end())
         add("shard " + std::to_string(s) + ": reservation '" + name +
             "' but the cross app does not list this shard");
-      if (!res.committed)
-        add("shard " + std::to_string(s) + ": reservation '" + name +
-            "' still pending on a quiescent federation (leaked two-phase)");
-      if (!close(res.rate, 1.0, tol))
-        add("shard " + std::to_string(s) + ": reservation '" + name +
-            "' rate " + std::to_string(res.rate) + " != 1");
       for (const ElementKey& local : res.elements) {
         if (local.kind == ElementKey::Kind::kNcp) {
           const NcpId global =
@@ -112,8 +106,8 @@ ConservationReport check_federation(FederatedService& fed,
   }
 
   // Layer 2b: every cross app holds a reservation on every shard it
-  // lists (a missing hold means a commit landed without its reserve, or
-  // a release ran on only part of the shard set).
+  // lists (a missing hold means an admission was recorded without its
+  // reserve, or a release ran on only part of the shard set).
   for (const auto& [name, ca] : cross)
     for (const std::size_t s : ca.shards)
       if (s >= ext.size() || !ext[s].contains(name))

@@ -7,9 +7,9 @@
 #include "federation/federation.hpp"
 
 /// \file check.hpp
-/// The federation-level conservation check: proof that the two-phase
-/// cross-shard protocol leaks nothing, no matter how admissions, aborts,
-/// removals, and churn interleave (docs/federation.md, "Correctness").
+/// The federation-level conservation check: proof that cross-shard
+/// admission leaks nothing, no matter how admissions, aborts, removals,
+/// and churn interleave (docs/federation.md, "Correctness").
 ///
 /// Four layers, each rebuilt from first principles:
 ///
@@ -39,8 +39,8 @@ struct ConservationReport {
 
 /// Runs the four-layer conservation check against a quiescent federation
 /// (call drain() first: a cross admission in flight legitimately holds
-/// uncommitted reservations).  Shard states are observed race-free via
-/// SchedulerService::inspect().
+/// reservations that no cross app lists yet).  Shard states are observed
+/// race-free via SchedulerService::inspect().
 ConservationReport check_federation(FederatedService& fed,
                                     const check::CheckOptions& options = {});
 

@@ -37,10 +37,10 @@ constexpr double kCrossBeRateFraction = 0.25;
 /// Cap on task-assignment paths provisioned for one cross-shard app.
 constexpr std::size_t kCrossMaxPaths = 2;
 
-/// One shard's outcome of a reserve/commit/release control function,
-/// written on the shard's scheduling thread and read by the router after
-/// the apply future resolved (the future is the synchronization edge).
-struct PhaseResult {
+/// One shard's outcome of its reserve_external call, written on the
+/// shard's scheduling thread and read by the router after the apply
+/// future resolved (the future is the synchronization edge).
+struct ReserveResult {
   bool ok{false};
   std::string why;
 };
@@ -151,10 +151,10 @@ FederatedService::Completion FederatedService::stamp_timeline(
   // Cross-shard requests never pass through a SchedulerService queue, so
   // the federation fills the wire's request-tracing contract itself:
   // queue_us is the wait for the router thread, apply_us is the
-  // two-phase protocol's own work (there is no batch or shared PF solve
+  // cross-shard protocol's own work (there is no batch or shared PF solve
   // to report).  Called at job start on the router thread; the stamp
   // wraps the completion, so every cross outcome — admitted, rejected,
-  // both abort flavors, removals — carries a timeline.
+  // aborted, removed — carries a timeline.
   using Clock = std::chrono::steady_clock;
   const auto started = Clock::now();
   const std::uint64_t trace =
@@ -301,8 +301,7 @@ ServiceStats FederatedService::stats() const {
   out.submits += fed.counter_or("federation.cross.submits");
   out.admitted += fed.counter_or("federation.cross.admitted");
   out.rejected += fed.counter_or("federation.cross.rejected") +
-                  fed.counter_or("federation.cross.aborted_reserve") +
-                  fed.counter_or("federation.cross.aborted_commit");
+                  fed.counter_or("federation.cross.aborted_reserve");
   out.removes += fed.counter_or("federation.cross.removes");
   return out;
 }
@@ -426,7 +425,7 @@ void FederatedService::repair(ElementKey e) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard two-phase admission (router thread)
+// Cross-shard admission in one reserve round (router thread)
 
 void FederatedService::cross_admit(Application app, Completion on_done) {
   const std::string name = app.name;
@@ -448,21 +447,31 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   // that covers boundary links.  Planning on the closure instead of the
   // full site keeps the router's provisioning cost proportional to the
   // regions an app actually spans, not the whole federation.  Shard-
-  // internal reservations are invisible here; the reserve phase is the
+  // internal reservations are invisible here; the reserve round is the
   // authoritative check.
   const UnionSubnet& sub = union_subnet(pinned_shards(app));
   std::map<CtId, NcpId> sub_pins;
   for (const auto& [ct, g] : app.pinned)
     sub_pins.emplace(ct, sub.to_sub_ncp.at(g));
   CapacitySnapshot start(sub.net);
+  std::set<ElementKey> sub_failed;  // failed_ in sub ids
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     for (std::size_t j = 0; j < sub.to_global_ncp.size(); ++j)
       start.ncp(j) = plan_residual_.ncp(sub.to_global_ncp[j]);
     for (std::size_t l = 0; l < sub.to_global_link.size(); ++l)
       start.link(l) = plan_residual_.link(sub.to_global_link[l]);
+    if (!failed_.empty()) {
+      for (std::size_t j = 0; j < sub.to_global_ncp.size(); ++j)
+        if (failed_.contains(ElementKey::ncp(sub.to_global_ncp[j])))
+          sub_failed.insert(ElementKey::ncp(static_cast<NcpId>(j)));
+      for (std::size_t l = 0; l < sub.to_global_link.size(); ++l)
+        if (failed_.contains(ElementKey::link(sub.to_global_link[l])))
+          sub_failed.insert(ElementKey::link(static_cast<LinkId>(l)));
+    }
   }
   ProvisioningOptions popt;
+  popt.failed = &sub_failed;
   popt.max_paths = kCrossMaxPaths;
   popt.diversity = options_.scheduler.path_diversity;
   popt.overlap_penalty = options_.scheduler.overlap_penalty;
@@ -637,92 +646,40 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   touched.reserve(fragments.size());
   for (const auto& [s, frag] : fragments) touched.push_back(s);
 
-  // 7. Phase one: reserve on every touched shard.  Each hold is taken
-  // atomically against the shard's authoritative residual on the shard's
-  // own scheduling thread; the futures are the barrier.
-  std::vector<std::pair<std::size_t, std::shared_ptr<PhaseResult>>> reserves;
+  // 7. Reserve on every touched shard.  Each hold is taken atomically
+  // against the shard's authoritative residual on the shard's own
+  // scheduling thread; the futures are the barrier.  Any refusal releases
+  // the hold on every shard.
+  std::vector<std::pair<std::size_t, std::shared_ptr<ReserveResult>>> reserves;
   std::vector<std::future<ServiceResult>> futures;
   for (auto& [s, frag] : fragments) {
     auto fragp = std::make_shared<Fragment>(std::move(frag));
-    auto res = std::make_shared<PhaseResult>();
+    auto res = std::make_shared<ReserveResult>();
     futures.push_back(shards_[s]->apply([name, fragp, res](Scheduler& sc) {
       res->ok = sc.reserve_external(name, fragp->load, fragp->elements,
-                                    /*rate=*/1.0, &res->why);
+                                    &res->why);
     }));
     reserves.emplace_back(s, res);
   }
+  std::string refusal;
   for (auto& f : futures) {
     const ServiceResult r = f.get();
-    if (r.status != ServiceResult::Status::kApplied) {
-      // Service stopping mid-protocol: release whatever may have landed.
-      release_on_shards(name, touched);
-      reject("federation.cross.aborted_reserve",
-             "cross-shard reserve interrupted: " + r.reason);
-      return;
-    }
+    if (r.status != ServiceResult::Status::kApplied && refusal.empty())
+      refusal = "cross-shard reserve interrupted: " + r.reason;
   }
-  for (const auto& [s, res] : reserves) {
-    if (res->ok) continue;
+  for (const auto& [s, res] : reserves)
+    if (!res->ok && refusal.empty())
+      refusal = "cross-shard reserve rejected by shard " + std::to_string(s) +
+                ": " + res->why;
+  if (!refusal.empty()) {
     release_on_shards(name, touched);
-    bump("federation.cross.aborted_reserve");
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      route_.erase(name);
-    }
-    const std::string reason = "cross-shard reserve rejected by shard " +
-                               std::to_string(s) + ": " + res->why;
-    log_decision(name, gr, reason, 0.0, 0.0, 0);
-    complete_rejected(on_done, reason);
+    reject("federation.cross.aborted_reserve", refusal);
     return;
   }
 
-  // 8. Between the phases: the abort seam the edge-case tests drive.
-  if (options_.on_reserved) {
-    try {
-      options_.on_reserved(name);
-    } catch (const std::exception& e) {
-      release_on_shards(name, touched);
-      reject("federation.cross.aborted_reserve",
-             std::string("cross-shard admission aborted between phases: ") +
-                 e.what());
-      return;
-    }
-  }
-
-  // 9. Phase two: commit on every touched shard.  A refusal (an element
-  // failed between the phases) aborts the whole admission — release on
-  // *all* shards, committed holds included.
-  std::vector<std::pair<std::size_t, std::shared_ptr<PhaseResult>>> commits;
-  futures.clear();
-  for (const std::size_t s : touched) {
-    auto res = std::make_shared<PhaseResult>();
-    futures.push_back(shards_[s]->apply([name, res](Scheduler& sc) {
-      res->ok = sc.commit_external(name, &res->why);
-    }));
-    commits.emplace_back(s, res);
-  }
-  bool commit_ok = true;
-  std::string commit_why;
-  for (auto& f : futures) {
-    const ServiceResult r = f.get();
-    if (r.status != ServiceResult::Status::kApplied) {
-      commit_ok = false;
-      commit_why = "commit interrupted: " + r.reason;
-    }
-  }
-  for (const auto& [s, res] : commits)
-    if (!res->ok && commit_ok) {
-      commit_ok = false;
-      commit_why = "shard " + std::to_string(s) + ": " + res->why;
-    }
-  if (!commit_ok) {
-    release_on_shards(name, touched);
-    reject("federation.cross.aborted_commit",
-           "cross-shard commit aborted: " + commit_why);
-    return;
-  }
-
-  // 10. Success: account the committed load at the federation level.
+  // 8. Every touched shard holds its fragment: the app is admitted.  An
+  // element failing from here on is ordinary churn — the holds stay until
+  // the app is removed, like a GR reservation on a dead path.
   CrossApp record;
   record.app = std::move(app);
   record.paths = std::move(paths);
@@ -745,7 +702,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   bump("federation.cross.admitted");
   log_decision(name, gr,
                "cross-shard admitted over " + std::to_string(touched.size()) +
-                   " shard(s), two-phase commit",
+                   " shard(s)",
                total_rate, availability, path_count);
   ServiceResult r;
   r.status = ServiceResult::Status::kAdmitted;
@@ -823,7 +780,7 @@ const FederatedService::UnionSubnet& FederatedService::union_subnet(
   // regions only connect through the hubs between them, so a placement
   // may have to relay through shards that own no pin — those transit
   // shards join the planning graph (and, if the placement lands load on
-  // them, the reserve/commit protocol) like any other touched shard.
+  // them, the reserve round) like any other touched shard.
   std::set<std::size_t> closure(shards.begin(), shards.end());
   {
     std::vector<std::set<std::size_t>> adj(plan_.shard_count());

@@ -44,12 +44,12 @@
 ///     admitted by the stock pipeline — no cross-shard synchronization;
 ///   - cross-shard arrivals are planned optimistically by the federation
 ///     router against its own residual snapshot of the *whole* site
-///     (boundary links included — no shard owns those), then admitted via
-///     two-phase reserve/commit: every touched shard takes an atomic
-///     capacity hold (Scheduler::reserve_external, validated against the
-///     shard's authoritative residual), and the placement commits only if
-///     *all* shards accepted — any refusal releases every hold, leaving
-///     no residue (the per-shard invariant checker plus the federation
+///     (boundary links included — no shard owns those), then admitted in
+///     one reserve round: every touched shard takes an atomic capacity
+///     hold (Scheduler::reserve_external, validated against the shard's
+///     authoritative residual), and the app is admitted once *all*
+///     shards accepted — any refusal releases every hold, leaving no
+///     residue (the per-shard invariant checker plus the federation
 ///     conservation check in federation/check.hpp prove it).
 
 namespace sparcle::federation {
@@ -65,12 +65,6 @@ struct FederationOptions {
   SchedulerOptions scheduler{};
   /// Options for every per-shard SchedulerService.
   service::ServiceOptions service{};
-  /// Test hook fired after every touched shard accepted the reserve phase
-  /// and before any commit is sent, with the application name.  Throwing
-  /// from the hook aborts the admission between the phases (all holds are
-  /// released) — the two-phase edge-case tests drive abort/churn races
-  /// through this seam.  Runs on the federation router thread.
-  std::function<void(const std::string&)> on_reserved{};
 };
 
 /// One committed cross-shard application, in federation (full-network)
@@ -140,7 +134,7 @@ class FederatedService : public service::PlacementService {
   /// Copy of the federation planning residual: full capacities minus the
   /// committed cross-shard loads, failed elements zeroed.  Optimistic —
   /// shard-internal GR load is invisible here by design (the reserve
-  /// phase is the authoritative check); boundary links are exact.
+  /// round is the authoritative check); boundary links are exact.
   CapacitySnapshot plan_residual() const;
   /// Elements currently failed from the federation's point of view
   /// (everything injected through mark_failed, boundary links included).
@@ -180,9 +174,9 @@ class FederatedService : public service::PlacementService {
   static constexpr std::size_t kCrossRoute = static_cast<std::size_t>(-1);
 
   /// Routes one arrival: home shard when every pin lands in one shard,
-  /// otherwise a router job for the two-phase path.  Never blocks.
+  /// otherwise a router job for the cross-shard path.  Never blocks.
   void dispatch_submit(Application app, Completion on_done);
-  /// The two-phase cross-shard admission (router thread).
+  /// The one-round cross-shard admission (router thread).
   void cross_admit(Application app, Completion on_done);
   /// Cross-shard removal (router thread): release every hold, return the
   /// load to the planning residual.

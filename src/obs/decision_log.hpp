@@ -43,10 +43,9 @@ enum class DecisionKind : std::uint8_t {
   /// rules these rejects enforce.
   kWireReject,
   /// A federation-router decision on one arrival (docs/federation.md):
-  /// routed to its home shard, admitted cross-shard via two-phase
-  /// reserve-commit, aborted at reserve/commit, or rejected by the γ
-  /// pre-gate.  The reason column records the route taken and the shards
-  /// touched.
+  /// routed to its home shard, admitted cross-shard in one reserve
+  /// round, aborted at reserve, or rejected by the γ pre-gate.  The
+  /// reason column records the route taken and the shards touched.
   kFederate,
 };
 

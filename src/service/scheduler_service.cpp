@@ -430,7 +430,7 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
       const obs::ScopedTimer apply_span("service.apply");
       apply_start[i] = std::chrono::steady_clock::now();
       if (req.verb == Request::Verb::kApply) {
-        // Control function (federation reserve/commit/release, churn
+        // Control function (federation reserve/release, churn
         // injection, inspection).  A throwing fn fails its own request,
         // never the scheduling thread.
         try {

@@ -276,8 +276,8 @@ class SchedulerService : public PlacementService {
 
   /// A control function run on the scheduling thread with exclusive
   /// access to the wrapped Scheduler — the federation layer's hook for
-  /// the two-phase reserve/commit/release calls and churn injection
-  /// without a second synchronization domain.  The function must not
+  /// the cross-shard reserve/release calls and churn injection without
+  /// a second synchronization domain.  The function must not
   /// re-enter the service and must leave any open batch balanced (it
   /// runs inside the current scheduler batch, so deferred PF re-solves
   /// settle at batch end as usual).

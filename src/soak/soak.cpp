@@ -187,7 +187,7 @@ class SchedulerBackend final : public Backend {
 
 // A federation::FederatedService over SoakOptions::federated_shards
 // regional shards: shard-local arrivals run the stock per-shard pipeline,
-// cross-shard arrivals two-phase reserve/commit.  The invariant check is
+// cross-shard arrivals one reserve round.  The invariant check is
 // the federation conservation check, which runs the per-shard battery on
 // every shard.  Per-CT hosts live inside the shards (and are covered by
 // that battery), so the digest folds the admitted rate and path count:

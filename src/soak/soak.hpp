@@ -69,8 +69,8 @@ struct SoakOptions {
   SchedulerOptions scheduler{};
   /// When positive, the soak drives a federation::FederatedService over
   /// this many regional shards instead of one raw Scheduler — shard-local
-  /// arrivals run the stock per-shard pipeline, cross-shard arrivals go
-  /// through two-phase reserve/commit — and every invariant epoch runs
+  /// arrivals run the stock per-shard pipeline, cross-shard arrivals are
+  /// admitted in one reserve round — and every invariant epoch runs
   /// the per-shard checker plus the federation conservation check
   /// (federation/check.hpp).  `regions` is raised to at least this many
   /// shards.  0 = the classic single-scheduler soak.

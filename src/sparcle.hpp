@@ -50,7 +50,6 @@
 #include "sim/stream_simulator.hpp"
 
 // Workload tooling.
-#include "workload/churn.hpp"
 #include "workload/rng.hpp"
 #include "workload/scenario_io.hpp"
 #include "workload/scenarios.hpp"

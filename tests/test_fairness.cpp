@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace sparcle {
 namespace {
@@ -231,6 +233,23 @@ TEST(Fairness, RejectsMalformedProblems) {
     bad.columns[1].entries[0].second = coeff;
     EXPECT_THROW(solve_weighted_pf(bad), std::invalid_argument) << coeff;
   }
+  // Every column entry is >= 0 and at least one is > 0: problem (4) is
+  // unbounded in a variable that loads no row.
+  using Entries = std::vector<std::pair<std::size_t, double>>;
+  for (const Entries& entries :
+       {Entries{}, Entries{{0, 0.0}}, Entries{{0, 0.0}, {0, 0.0}},
+        Entries{{0, -1.0}}, Entries{{0, 1.0}, {0, -1e-9}}}) {
+    PfProblem bad = two_apps;
+    bad.columns[1].entries = entries;
+    EXPECT_THROW(solve_weighted_pf(bad), std::invalid_argument)
+        << entries.size() << " entries";
+  }
+  // A zero entry beside a positive one is fine.
+  PfProblem zero_entry = two_apps;
+  zero_entry.columns[1].entries = {{0, 1.0}, {0, 0.0}};
+  const PfSolution same = solve_weighted_pf(zero_entry);
+  ASSERT_TRUE(same.converged);
+  EXPECT_NEAR(same.app_rate[1], 20.0, 1e-6);
   // An unloaded row's capacity is never read.
   PfProblem unloaded_nan = two_apps;
   unloaded_nan.capacity.push_back(nan);

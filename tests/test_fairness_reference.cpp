@@ -232,9 +232,9 @@ PfSolution reference_solve(const PfProblem& p) {
 // ---- Problem generators --------------------------------------------------
 
 /// Columns whose entries are in no particular row order, most of them
-/// loading one row twice; some entries are non-positive (dropped by the
-/// solver) and some rows are loaded by nobody (one of those has zero
-/// capacity, which is allowed for an unloaded row).
+/// loading one row twice; some entries are zero (dropped by the solver;
+/// a negative one is malformed) and some rows are loaded by nobody (one
+/// of those has zero capacity, which is allowed for an unloaded row).
 PfProblem messy_problem(Rng& rng) {
   const std::size_t apps = static_cast<std::size_t>(rng.uniform_int(2, 10));
   const std::size_t rows = static_cast<std::size_t>(rng.uniform_int(4, 16));
@@ -261,8 +261,7 @@ PfProblem messy_problem(Rng& rng) {
       }
       if (rng.bernoulli(0.2))
         col.entries.emplace_back(
-            static_cast<std::size_t>(rng.uniform_int(0, last)),
-            rng.bernoulli(0.5) ? 0.0 : -1.0);
+            static_cast<std::size_t>(rng.uniform_int(0, last)), 0.0);
       // Shuffle so no column lists its rows in order.
       for (std::size_t i = col.entries.size(); i > 1; --i)
         std::swap(col.entries[i - 1],

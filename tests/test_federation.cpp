@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <set>
@@ -83,26 +84,6 @@ void expect_conserved(FederatedService& fed) {
 double counter(const service::ServiceStats& stats, const std::string& name) {
   const auto it = stats.metrics.find(name);
   return it == stats.metrics.end() ? 0.0 : it->second;
-}
-
-/// A federation over the barbell with a test hook seam: the returned
-/// shared function is invoked from FederationOptions::on_reserved, so a
-/// test can arm/disarm per-submit behavior after construction.
-struct HookedFed {
-  std::shared_ptr<std::function<void(const std::string&)>> hook;
-  std::unique_ptr<FederatedService> fed;
-};
-
-HookedFed make_hooked_fed(Network net, std::size_t shards = 2) {
-  HookedFed h;
-  h.hook = std::make_shared<std::function<void(const std::string&)>>();
-  FederationOptions opt;
-  opt.shards = shards;
-  opt.on_reserved = [hook = h.hook](const std::string& name) {
-    if (*hook) (*hook)(name);
-  };
-  h.fed = std::make_unique<FederatedService>(std::move(net), opt);
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +182,7 @@ TEST(ShardPlan, BuilderErrors) {
 // ---------------------------------------------------------------------------
 // Scheduler external reservations (the per-shard half of the protocol)
 
-TEST(ExternalReservation, ReserveCommitReleaseLifecycle) {
+TEST(ExternalReservation, ReserveReleaseLifecycle) {
   const Network net = make_two_region_net();
   Scheduler sc(net);
 
@@ -212,20 +193,14 @@ TEST(ExternalReservation, ReserveCommitReleaseLifecycle) {
                                             ElementKey::link(0)};
 
   std::string why;
-  ASSERT_TRUE(sc.reserve_external("x", load, elements, 1.0, &why)) << why;
+  ASSERT_TRUE(sc.reserve_external("x", load, elements, &why)) << why;
   EXPECT_DOUBLE_EQ(sc.gr_residual_capacities().ncp(1)[0], 8.0);
   EXPECT_DOUBLE_EQ(sc.gr_residual_capacities().link(0), 995.0);
-  EXPECT_FALSE(sc.external_reservations().at("x").committed);
   EXPECT_TRUE(check::check_scheduler_state(sc, {}).ok());
 
   // Names are unique; the failed reserve mutates nothing.
-  EXPECT_FALSE(sc.reserve_external("x", load, elements, 1.0, &why));
+  EXPECT_FALSE(sc.reserve_external("x", load, elements, &why));
   EXPECT_DOUBLE_EQ(sc.gr_residual_capacities().ncp(1)[0], 8.0);
-
-  ASSERT_TRUE(sc.commit_external("x", &why)) << why;
-  EXPECT_TRUE(sc.external_reservations().at("x").committed);
-  EXPECT_FALSE(sc.commit_external("x", &why));  // double commit refused
-  EXPECT_TRUE(check::check_scheduler_state(sc, {}).ok());
 
   ASSERT_TRUE(sc.release_external("x"));
   EXPECT_FALSE(sc.release_external("x"));  // unknown name: no-op
@@ -243,31 +218,34 @@ TEST(ExternalReservation, ReserveRespectsResidualAndFailures) {
   load.ncp_load(1)[0] = 6.0;
   const std::vector<ElementKey> elements = {ElementKey::ncp(1)};
 
-  // Over capacity: 2 x 6 > 10 refuses without mutating.
+  // Over capacity: 12 > 10 refuses without mutating.
+  LoadMap big = LoadMap::zeros(net);
+  big.ncp_load(1)[0] = 12.0;
   std::string why;
-  EXPECT_FALSE(sc.reserve_external("big", load, elements, 2.0, &why));
+  EXPECT_FALSE(sc.reserve_external("big", big, elements, &why));
   EXPECT_NE(why.find("a1"), std::string::npos) << why;
   EXPECT_DOUBLE_EQ(sc.gr_residual_capacities().ncp(1)[0], 10.0);
   EXPECT_TRUE(sc.external_reservations().empty());
 
   // A failed element refuses the reserve outright.
   sc.mark_failed(ElementKey::ncp(1));
-  EXPECT_FALSE(sc.reserve_external("dead", load, elements, 1.0, &why));
+  EXPECT_FALSE(sc.reserve_external("dead", load, elements, &why));
   sc.mark_recovered(ElementKey::ncp(1));
 
-  // Failure BETWEEN the phases poisons the commit (the distributed abort
-  // trigger); the release still restores everything.
-  ASSERT_TRUE(sc.reserve_external("race", load, elements, 1.0, &why)) << why;
+  // A failure AFTER the hold was taken is churn: the hold stays, and the
+  // release still restores everything.
+  ASSERT_TRUE(sc.reserve_external("held", load, elements, &why)) << why;
   sc.mark_failed(ElementKey::ncp(1));
-  EXPECT_FALSE(sc.commit_external("race", &why));
-  EXPECT_TRUE(sc.release_external("race"));
+  EXPECT_TRUE(sc.external_reservations().contains("held"));
+  EXPECT_TRUE(check::check_scheduler_state(sc, {}).ok());
+  EXPECT_TRUE(sc.release_external("held"));
   sc.mark_recovered(ElementKey::ncp(1));
   EXPECT_DOUBLE_EQ(sc.gr_residual_capacities().ncp(1)[0], 10.0);
   EXPECT_TRUE(check::check_scheduler_state(sc, {}).ok());
 }
 
 // ---------------------------------------------------------------------------
-// FederatedService: routing and the two-phase happy path
+// FederatedService: routing and the cross-shard happy path
 
 TEST(Federation, LocalArrivalsRouteToTheirHomeShard) {
   FederationOptions opt;
@@ -330,14 +308,13 @@ TEST(Federation, CrossShardAdmissionReservesOnEveryTouchedShard) {
   EXPECT_NEAR(ca.total_rate, 0.5, 1e-9);
   EXPECT_NEAR(ca.load.ncp_load(3)[0], 0.5, 1e-9);  // sink: 0.5 x 1 cpu
 
-  // Both shards hold a committed reservation named after the app.
+  // Both shards hold a reservation named after the app.
   for (std::size_t s = 0; s < 2; ++s) {
-    bool committed = false;
+    bool held = false;
     fed.shard(s).inspect([&](const Scheduler& sc) {
-      const auto& ext = sc.external_reservations();
-      committed = ext.count("cross") > 0 && ext.at("cross").committed;
+      held = sc.external_reservations().contains("cross");
     });
-    EXPECT_TRUE(committed) << "shard " << s;
+    EXPECT_TRUE(held) << "shard " << s;
   }
   // The planning residual charged the committed load.
   EXPECT_NEAR(fed.plan_residual().ncp(3)[0], 2.0 - 0.5, 1e-9);
@@ -356,6 +333,27 @@ TEST(Federation, CrossShardAdmissionReservesOnEveryTouchedShard) {
     EXPECT_TRUE(empty) << "shard " << s;
   }
   expect_conserved(fed);
+}
+
+TEST(Federation, CrossShardAdmissionTakesOneBatchPerTouchedShard) {
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  service::LocalClient client(fed);
+  fed.drain();
+
+  std::vector<std::uint64_t> before;
+  for (std::size_t s = 0; s < 2; ++s)
+    before.push_back(fed.shard(s).stats().batches);
+  ASSERT_EQ(client
+                .submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0,
+                                 3, 4.0, 1.0))
+                .status,
+            ServiceResult::Status::kAdmitted);
+  fed.drain();
+  // One reserve round: a single apply, hence a single batch, per shard.
+  for (std::size_t s = 0; s < 2; ++s)
+    EXPECT_EQ(fed.shard(s).stats().batches, before[s] + 1) << "shard " << s;
 }
 
 TEST(Federation, CrossShardBestEffortGetsAFixedFractionHold) {
@@ -429,7 +427,7 @@ TEST(Federation, DuplicateNamesAreRejectedAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Two-phase edge cases — every abort must leave zero residue
+// Cross-shard edge cases — every abort must leave zero residue
 
 TEST(Federation, ShardRefusalAtReserveAbortsWithoutResidue) {
   FederationOptions opt;
@@ -465,100 +463,46 @@ TEST(Federation, ShardRefusalAtReserveAbortsWithoutResidue) {
   expect_conserved(fed);
 }
 
-TEST(Federation, AbortBetweenPhasesReleasesEveryHold) {
-  HookedFed h = make_hooked_fed(make_two_region_net());
-  service::LocalClient client(*h.fed);
+TEST(Federation, TouchedNcpFailingAfterAdmissionKeepsTheHold) {
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  service::LocalClient client(fed);
 
-  *h.hook = [](const std::string&) {
-    throw std::runtime_error("operator abort between phases");
-  };
-  const ServiceResult got = client.submit(
-      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
-  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
-  EXPECT_EQ(
-      counter(h.fed->stats(), "federation.cross.aborted_reserve"),
-      1.0);
-  EXPECT_TRUE(h.fed->cross_apps().empty());
-  expect_conserved(*h.fed);
-
-  // Holds were fully released: the identical resubmit now succeeds.
-  *h.hook = nullptr;
-  EXPECT_EQ(client
+  ASSERT_EQ(client
                 .submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0,
                                  3, 4.0, 1.0))
                 .status,
             ServiceResult::Status::kAdmitted);
-  expect_conserved(*h.fed);
-}
+  // The sink NCP, internal to shard 1, fails right after the admission:
+  // network dynamics, not a revisited admission.  Every hold stays.
+  fed.mark_failed(ElementKey::ncp(3));
+  fed.repair(ElementKey::ncp(3));
+  EXPECT_EQ(fed.cross_apps().size(), 1u);
+  EXPECT_NEAR(fed.plan_residual().ncp(3)[0], 0.0, 1e-9);  // dead
+  for (std::size_t s = 0; s < 2; ++s) {
+    bool held = false;
+    fed.shard(s).inspect([&](const Scheduler& sc) {
+      held = sc.external_reservations().contains("cx");
+    });
+    EXPECT_TRUE(held) << "shard " << s;
+  }
+  expect_conserved(fed);
 
-TEST(Federation, DuplicateCommitAbortsAndReleasesEverywhere) {
-  HookedFed h = make_hooked_fed(make_two_region_net());
-  service::LocalClient client(*h.fed);
-
-  // Between the phases, commit shard 1's hold out-of-band: the protocol's
-  // own commit then sees a double commit and must abort globally.
-  *h.hook = [&h](const std::string& name) {
-    h.fed->shard(1)
-        .apply([name](Scheduler& sc) { sc.commit_external(name); })
-        .get();
-  };
-  const ServiceResult got = client.submit(
-      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
-  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
-  EXPECT_EQ(
-      counter(h.fed->stats(), "federation.cross.aborted_commit"),
-      1.0);
-  EXPECT_TRUE(h.fed->cross_apps().empty());
-  // The abort released even the hold that HAD committed on shard 0.
+  // Removing the app releases the hold on every shard.
+  EXPECT_EQ(client.remove("cx").status, ServiceResult::Status::kRemoved);
+  EXPECT_TRUE(fed.cross_apps().empty());
   for (std::size_t s = 0; s < 2; ++s) {
     bool empty = false;
-    h.fed->shard(s).inspect([&](const Scheduler& sc) {
+    fed.shard(s).inspect([&](const Scheduler& sc) {
       empty = sc.external_reservations().empty();
     });
     EXPECT_TRUE(empty) << "leaked hold on shard " << s;
   }
-  expect_conserved(*h.fed);
-
-  *h.hook = nullptr;
-  EXPECT_EQ(client
-                .submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0,
-                                 3, 4.0, 1.0))
-                .status,
-            ServiceResult::Status::kAdmitted);
-  expect_conserved(*h.fed);
-}
-
-TEST(Federation, ChurnRacingAPendingReservationAborts) {
-  HookedFed h = make_hooked_fed(make_two_region_net());
-  service::LocalClient client(*h.fed);
-
-  // The sink NCP fails after every shard reserved but before any commit:
-  // shard 1's commit refuses (touched element failed) and the admission
-  // aborts leak-free.
-  *h.hook = [&h](const std::string&) {
-    h.fed->mark_failed(ElementKey::ncp(3));
-  };
-  const ServiceResult got = client.submit(
-      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
-  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
-  EXPECT_EQ(
-      counter(h.fed->stats(), "federation.cross.aborted_commit"),
-      1.0);
-  EXPECT_TRUE(h.fed->cross_apps().empty());
-  EXPECT_TRUE(h.fed->failed_elements().contains(ElementKey::ncp(3)));
-  EXPECT_NEAR(h.fed->plan_residual().ncp(3)[0], 0.0, 1e-9);  // dead
-  expect_conserved(*h.fed);
-
-  // Recover + repair, then the same app admits cleanly.
-  *h.hook = nullptr;
-  h.fed->mark_recovered(ElementKey::ncp(3));
-  h.fed->repair(ElementKey::ncp(3));
-  EXPECT_EQ(client
-                .submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0,
-                                 3, 4.0, 1.0))
-                .status,
-            ServiceResult::Status::kAdmitted);
-  expect_conserved(*h.fed);
+  expect_conserved(fed);
+  fed.mark_recovered(ElementKey::ncp(3));
+  EXPECT_NEAR(fed.plan_residual().ncp(3)[0], 2.0, 1e-9);
+  expect_conserved(fed);
 }
 
 TEST(Federation, BoundaryLinkChurnIsFederationOwned) {

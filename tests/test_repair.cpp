@@ -8,8 +8,11 @@
 
 #include <limits>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "core/scheduler.hpp"
 #include "sim/churn_injector.hpp"
 #include "testutil.hpp"
@@ -319,6 +322,82 @@ TEST(Repair, BatchedCallsKeepTheDirectFallbackBaseline) {
   }
   // The trace is harsh enough that the bound is exercised.
   EXPECT_GT(fallbacks, 0u) << testutil::seed_message(seed);
+}
+
+// ---------------------------------------------------------------------------
+// A committed path touches no failed element.  A failed NCP's own capacity
+// is zero, but routing reads only link widths and a zero-requirement CT
+// fits a zero-capacity host, so neither admission nor repair may transit
+// one or host on one.
+
+TEST(FailedNcp, SubmitFindsNoPathThroughIt) {
+  // src - hub - {w, dst}: every route from src to dst crosses the hub.
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("src", ResourceVector::scalar(1.0));
+  net.add_ncp("hub", ResourceVector::scalar(10.0));
+  net.add_ncp("w", ResourceVector::scalar(10.0));
+  net.add_ncp("dst", ResourceVector::scalar(1.0));
+  net.add_link("sh", 0, 1, 1000.0);
+  net.add_link("hw", 1, 2, 1000.0);
+  net.add_link("hd", 1, 3, 1000.0);
+  Scheduler sched(net);
+  sched.mark_failed(ElementKey::ncp(1));
+
+  // Zero-bit TTs cross even a zero-width link, so the search alone
+  // would still route them through the hub.
+  auto free_tts = std::make_shared<TaskGraph>(ResourceSchema::cpu_only());
+  const CtId s = free_tts->add_ct("source", ResourceVector::scalar(1));
+  const CtId m = free_tts->add_ct("mid", ResourceVector::scalar(0));
+  const CtId t = free_tts->add_ct("sink", ResourceVector::scalar(0));
+  free_tts->add_tt("sm", 0.0, s, m);
+  free_tts->add_tt("mt", 0.0, m, t);
+  free_tts->finalize();
+  for (const QoeSpec& qoe :
+       {QoeSpec::best_effort(1.0), QoeSpec::guaranteed_rate(1.0, 0.0)}) {
+    Application zero_bits = make_app("zero_bits", qoe);
+    zero_bits.graph = free_tts;
+    for (const Application& app : {make_app("app", qoe), zero_bits}) {
+      const AdmissionResult r = sched.submit(app);
+      EXPECT_FALSE(r.admitted) << app.name;
+      EXPECT_EQ(r.reason, "no feasible task-assignment path") << app.name;
+    }
+  }
+  EXPECT_TRUE(sched.placed().empty());
+  EXPECT_TRUE(sched.degraded_gr_apps().empty());
+}
+
+TEST(FailedNcp, RepairLeavesAGrAppDegradedRatherThanRouteThroughIt) {
+  // src - r1 - dst carries the app; the only other route, src - hub -
+  // {w, dst}, crosses a hub that failed first.
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("src", ResourceVector::scalar(1.0));
+  net.add_ncp("r1", ResourceVector::scalar(20.0));
+  net.add_ncp("hub", ResourceVector::scalar(1.0));
+  net.add_ncp("dst", ResourceVector::scalar(1.0));
+  net.add_ncp("w", ResourceVector::scalar(10.0));
+  net.add_link("s1", 0, 1, 1000.0);
+  net.add_link("1d", 1, 3, 1000.0);
+  net.add_link("sh", 0, 2, 1000.0);
+  net.add_link("hw", 2, 4, 1000.0);
+  net.add_link("hd", 2, 3, 1000.0);
+  Scheduler sched(net);
+  ASSERT_TRUE(
+      sched.submit(make_app("gr", QoeSpec::guaranteed_rate(1.0, 0.0)))
+          .admitted);
+  ASSERT_EQ(sched.placed().front().paths.front().placement.ct_host(1), 1);
+
+  sched.mark_failed(ElementKey::ncp(2));
+  (void)sched.repair(ElementKey::ncp(2));
+  sched.mark_failed(ElementKey::ncp(1));
+  const auto report = sched.repair(ElementKey::ncp(1));
+
+  EXPECT_EQ(report.still_degraded, std::vector<std::string>{"gr"});
+  EXPECT_EQ(report.paths_added, 0u);
+  const PlacedApp& pa = sched.placed().front();
+  EXPECT_TRUE(pa.paths.empty());
+  EXPECT_DOUBLE_EQ(pa.allocated_rate, 0.0);
+  EXPECT_DOUBLE_EQ(sched.total_gr_rate(), 0.0);
+  EXPECT_TRUE(check::check_scheduler_state(sched, {}).ok());
 }
 
 }  // namespace

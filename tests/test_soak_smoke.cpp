@@ -50,7 +50,7 @@ TEST(SoakSmoke, EveryScenarioPolicyCellClean) {
 // The same cells against a federated site (docs/federation.md): the
 // soak's event loop drives a FederatedService, so shard-local arrivals
 // exercise the per-shard pipelines and the locality tail exercises the
-// two-phase reserve/commit path, under churn in regional_outage; every
+// cross-shard reserve round, under churn in regional_outage; every
 // invariant epoch runs the federation conservation check.  The digest
 // check pins determinism — routing through shards must not depend on
 // thread interleaving.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "bench/churn_replay.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/stats.hpp"
@@ -174,6 +177,90 @@ TEST(Arrivals, LocalityStreamsAreSeedDeterministic) {
     EXPECT_EQ(a.app.pinned, b.app.pinned);
   }
   EXPECT_FALSE(g2.next(b));
+}
+
+// ---------------------------------------------------------------------------
+// Churn: bench_churn part 1's replay (bench/churn_replay.hpp), an arrival
+// stream played through one Scheduler with departures.
+
+using bench::ChurnStats;
+using bench::replay_churn;
+
+/// A small two-region soak site and a steady stream on it.
+struct ChurnFixture {
+  Network net;
+  ArrivalSpec spec;
+  ChurnFixture() {
+    Rng rng(3);
+    net = soak_site(2, 4, rng);
+    spec.arrivals = 60;
+    spec.horizon = 300.0;
+    spec.mean_lifetime = 20.0;
+    spec.gr_fraction = 0.5;
+  }
+};
+
+TEST(Churn, IsDeterministicInSeed) {
+  ChurnFixture f;
+  const ChurnStats a = replay_churn(f.net, f.spec, "SPARCLE", 42);
+  const ChurnStats b = replay_churn(f.net, f.spec, "SPARCLE", 42);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_DOUBLE_EQ(a.avg_carried_gr_rate, b.avg_carried_gr_rate);
+  EXPECT_DOUBLE_EQ(a.avg_concurrent_apps, b.avg_concurrent_apps);
+  EXPECT_DOUBLE_EQ(a.mean_be_rate_at_admission, b.mean_be_rate_at_admission);
+}
+
+TEST(Churn, CountsAreConsistent) {
+  ChurnFixture f;
+  const ChurnStats s = replay_churn(f.net, f.spec, "SPARCLE", 7);
+  EXPECT_EQ(s.arrivals, 60u);
+  EXPECT_LE(s.admitted, s.arrivals);
+  EXPECT_DOUBLE_EQ(s.admitted_fraction, static_cast<double>(s.admitted) / 60.0);
+  // Apps depart, so fewer are placed on average than were ever admitted.
+  EXPECT_GT(s.avg_concurrent_apps, 0.0);
+  EXPECT_LT(s.avg_concurrent_apps, static_cast<double>(s.admitted));
+  EXPECT_GT(s.mean_be_rate_at_admission, 0.0);
+}
+
+TEST(Churn, LightLoadAdmitsAlmostEverything) {
+  // Sessions end long before the next arrival.
+  ChurnFixture f;
+  f.spec.horizon = 6000.0;
+  f.spec.mean_lifetime = 5.0;
+  EXPECT_GE(replay_churn(f.net, f.spec, "SPARCLE", 11).admitted_fraction,
+            0.95);
+}
+
+TEST(Churn, HeavyLoadRejectsSome) {
+  // Guaranteed-rate sessions that never end fill the site.
+  ChurnFixture f;
+  f.spec.arrivals = 300;
+  f.spec.horizon = 30.0;
+  f.spec.mean_lifetime = 1e9;
+  f.spec.gr_fraction = 1.0;
+  const ChurnStats s = replay_churn(f.net, f.spec, "SPARCLE", 11);
+  EXPECT_LT(s.admitted_fraction, 0.6);
+  EXPECT_GT(s.avg_carried_gr_rate, 0.0);
+}
+
+TEST(Churn, WorksWithBaselineAssigners) {
+  ChurnFixture f;
+  const ChurnStats s = replay_churn(f.net, f.spec, "GS", 17);
+  EXPECT_EQ(s.arrivals, 60u);
+  EXPECT_GT(s.admitted, 0u);
+}
+
+TEST(Churn, RejectsBadConfig) {
+  ChurnFixture f;
+  ArrivalSpec timeless = f.spec;
+  timeless.horizon = -1;
+  EXPECT_THROW(replay_churn(f.net, timeless, "SPARCLE", 1),
+               std::invalid_argument);
+  ArrivalSpec none = f.spec;
+  none.arrivals = 0;
+  EXPECT_THROW(replay_churn(f.net, none, "SPARCLE", 1), std::invalid_argument);
+  EXPECT_THROW(replay_churn(f.net, f.spec, "no-such-assigner", 1),
+               std::invalid_argument);
 }
 
 }  // namespace
