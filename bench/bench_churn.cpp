@@ -6,11 +6,10 @@
 /// comparing the admission ratio and the time-averaged carried guaranteed
 /// rate; this is the §III-B "applications arrive over time" environment
 /// played forward with departures.  Part 2: *network* churn —
-/// a seeded element failure/recovery trace replayed through
-/// sim::ChurnInjector against identically loaded schedulers, comparing the
-/// incremental repair() path (reverse usage index, affected apps only)
-/// with the stop-the-world rebalance() baseline on per-event latency and
-/// final carried rate.  Results are recorded in BENCH_churn.json and
+/// a seeded element failure/recovery trace replayed against a loaded
+/// scheduler with sim::ChurnInjector semantics, timing each repair() pass
+/// (reverse usage index, affected apps only) and reporting the final
+/// carried rate.  Results are recorded in BENCH_churn.json and
 /// EXPERIMENTS.md.
 
 #include <algorithm>
@@ -105,7 +104,6 @@ struct RepairRunResult {
   std::size_t paths_dropped{0};
   std::size_t paths_added{0};
   std::size_t retries{0};
-  std::size_t fallbacks{0};
 };
 
 double percentile(std::vector<double> v, double p) {
@@ -119,18 +117,13 @@ double percentile(std::vector<double> v, double p) {
 }
 
 /// Replays the trace with ChurnInjector semantics (redundant events are
-/// skipped) but times only the repair operation itself — the
-/// mark_failed/mark_recovered bookkeeping is identical in both modes.
+/// skipped) but times only the repair() pass itself, not the
+/// mark_failed/mark_recovered bookkeeping before it.
 RepairRunResult replay_trace(const Network& net,
                              const std::vector<Application>& apps,
-                             const sim::ChurnTrace& trace,
-                             sim::RepairMode mode) {
+                             const sim::ChurnTrace& trace) {
   SchedulerOptions sopts;
   sopts.max_paths = 2;  // keep the BE footprint on the capable relays
-  // Losing one of the 8 capable relays legitimately drops ~1/8 of the
-  // carried rate; a 5% bound would escalate every such failure, so tune
-  // the fallback for capacity-loss events (see docs/churn.md).
-  sopts.repair.max_rate_degradation = 0.20;
   Scheduler sched(net, sopts);
   for (const Application& app : apps) (void)sched.submit(app);
   RepairRunResult out;
@@ -145,23 +138,16 @@ RepairRunResult replay_trace(const Network& net,
       sched.mark_failed(ev.element);
     else
       sched.mark_recovered(ev.element);
-    bool active = true;  // a rebalance pass always does the full work
     const auto a = std::chrono::steady_clock::now();
-    if (mode == sim::RepairMode::kIncremental) {
-      const auto r = sched.repair(ev.element);
-      active = r.apps_touched > 0;
-      out.apps_touched += r.apps_touched;
-      out.paths_dropped += r.paths_dropped;
-      out.paths_added += r.paths_added;
-      out.retries += r.retries;
-      if (r.fell_back) ++out.fallbacks;
-    } else {
-      (void)sched.rebalance();
-    }
+    const auto r = sched.repair(ev.element);
     const auto b = std::chrono::steady_clock::now();
+    out.apps_touched += r.apps_touched;
+    out.paths_dropped += r.paths_dropped;
+    out.paths_added += r.paths_added;
+    out.retries += r.retries;
     const double us = std::chrono::duration<double, std::micro>(b - a).count();
     latencies_us.push_back(us);
-    if (active) active_us.push_back(us);
+    if (r.apps_touched > 0) active_us.push_back(us);
   }
   out.events = latencies_us.size();
   for (double v : latencies_us) out.total_ms += v / 1000.0;
@@ -177,17 +163,14 @@ RepairRunResult replay_trace(const Network& net,
   while (!sched.failed_elements().empty()) {
     const ElementKey e = *sched.failed_elements().begin();
     sched.mark_recovered(e);
-    if (mode == sim::RepairMode::kIncremental)
-      (void)sched.repair(e);
-    else
-      (void)sched.rebalance();
+    (void)sched.repair(e);
   }
   out.final_gr_rate = sched.total_gr_rate();
   out.final_rate = sched.total_gr_rate() + sched.total_be_rate();
   return out;
 }
 
-void run_repair_comparison() {
+void run_network_churn() {
   const Network net = make_relay_site(/*big=*/8, /*small=*/160,
                                       /*big_cap=*/100.0, /*small_cap=*/1.0);
   const std::vector<Application> apps = make_repair_mix(/*n_gr=*/24,
@@ -206,81 +189,59 @@ void run_repair_comparison() {
       sim::generate_poisson_churn(net, model, /*horizon=*/600.0, /*seed=*/42);
 
   bench::section(
-      "Network churn: incremental repair() vs full rebalance() — 168-relay "
-      "two-tier site, 72 apps (24 GR + 48 BE), Poisson node churn "
-      "(MTBF 120t, MTTR 5t, horizon 600t)");
-  const RepairRunResult inc =
-      replay_trace(net, apps, trace, sim::RepairMode::kIncremental);
-  const RepairRunResult reb =
-      replay_trace(net, apps, trace, sim::RepairMode::kFullRebalance);
+      "Network churn: repair() per event — 168-relay two-tier site, 72 apps "
+      "(24 GR + 48 BE), Poisson node churn (MTBF 120t, MTTR 5t, horizon "
+      "600t)");
+  const RepairRunResult run = replay_trace(net, apps, trace);
 
-  Table t({"mode", "events", "repair events/s", "repair mean (us)",
-           "p50 (us)", "p99 (us)", "active p50 (us)", "active p99 (us)",
-           "final rate", "final GR rate", "final/healthy"});
-  auto add = [&](const std::string& name, const RepairRunResult& r) {
-    t.add_row({name, std::to_string(r.events),
-               fmt(static_cast<double>(r.events) / (r.total_ms / 1000.0), 0),
-               fmt(r.mean_us, 1), fmt(r.p50_us, 1), fmt(r.p99_us, 1),
-               fmt(r.active_p50_us, 1), fmt(r.active_p99_us, 1),
-               fmt(r.final_rate, 3), fmt(r.final_gr_rate, 3),
-               fmt(r.final_rate / std::max(r.healthy_rate, 1e-9) * 100, 1) +
-                   "%"});
-  };
-  add("incremental repair", inc);
-  add("full rebalance", reb);
+  Table t({"events", "repair events/s", "repair mean (us)", "p50 (us)",
+           "p99 (us)", "active p50 (us)", "active p99 (us)", "final rate",
+           "final GR rate", "final/healthy"});
+  t.add_row(
+      {std::to_string(run.events),
+       fmt(static_cast<double>(run.events) / (run.total_ms / 1000.0), 0),
+       fmt(run.mean_us, 1), fmt(run.p50_us, 1), fmt(run.p99_us, 1),
+       fmt(run.active_p50_us, 1), fmt(run.active_p99_us, 1),
+       fmt(run.final_rate, 3), fmt(run.final_gr_rate, 3),
+       fmt(run.final_rate / std::max(run.healthy_rate, 1e-9) * 100, 1) +
+           "%"});
   t.print();
 
   std::printf(
       "\nflat-tail check (active repairs only, %zu of %zu events): "
       "p99 %.1fus = %.1fx p50 %.1fus\n",
-      inc.active_events, inc.events, inc.active_p99_us,
-      inc.active_p99_us / std::max(inc.active_p50_us, 1e-9),
-      inc.active_p50_us);
+      run.active_events, run.events, run.active_p99_us,
+      run.active_p99_us / std::max(run.active_p50_us, 1e-9),
+      run.active_p50_us);
 
-  const double speedup = reb.mean_us / std::max(inc.mean_us, 1e-9);
-  const double final_vs_healthy =
-      inc.final_rate / std::max(inc.healthy_rate, 1e-9);
   std::printf(
-      "\nincremental: %zu apps touched, %zu paths dropped, %zu added, "
-      "%zu retries, %zu fallbacks over %zu repairs\n",
-      inc.apps_touched, inc.paths_dropped, inc.paths_added, inc.retries,
-      inc.fallbacks, inc.events);
-  std::printf(
-      "speedup: incremental repair is %.1fx faster per event; final "
-      "aggregate rate is %.1f%% of the pre-churn healthy rate\n",
-      speedup, final_vs_healthy * 100.0);
-  bench::note(
-      "\nThe rebalance baseline ratchets down over a long churn run: it can "
-      "only top up apps whose dead paths it shed in the same pass, so an "
-      "app that ever reaches zero paths (or a GR app stranded while "
-      "capacity was out) is never re-provisioned.  repair()'s degraded-app "
-      "scan is what recovers them.");
+      "\nrepair: %zu apps touched, %zu paths dropped, %zu added, %zu "
+      "retries over %zu repairs; final aggregate rate is %.1f%% of the "
+      "pre-churn healthy rate\n",
+      run.apps_touched, run.paths_dropped, run.paths_added, run.retries,
+      run.events, run.final_rate / std::max(run.healthy_rate, 1e-9) * 100.0);
 
   // Flat results map for the BENCH_churn.json trajectory
   // (tools/bench_churn.sh appends a labeled entry and gates the tail).
   if (const char* path = std::getenv("SPARCLE_BENCH_JSON")) {
+    // The "/incremental" suffix keeps the keys of the trajectory's
+    // earlier entries comparable.
     std::map<std::string, double> json;
-    auto emit = [&](const std::string& mode, const RepairRunResult& r) {
-      json["repair_events_per_s/" + mode] =
-          static_cast<double>(r.events) / (r.total_ms / 1000.0);
-      json["repair_latency_mean_us/" + mode] = r.mean_us;
-      json["repair_latency_p50_us/" + mode] = r.p50_us;
-      json["repair_latency_p99_us/" + mode] = r.p99_us;
-      json["repair_active_events/" + mode] =
-          static_cast<double>(r.active_events);
-      json["repair_active_p50_us/" + mode] = r.active_p50_us;
-      json["repair_active_p99_us/" + mode] = r.active_p99_us;
-      json["final_rate_pct_of_healthy/" + mode] =
-          r.final_rate / std::max(r.healthy_rate, 1e-9) * 100.0;
-    };
-    emit("incremental", inc);
-    emit("full_rebalance", reb);
-    json["speedup_mean_per_event"] = speedup;
-    json["fallbacks/incremental"] = static_cast<double>(inc.fallbacks);
-    json["apps_touched/incremental"] = static_cast<double>(inc.apps_touched);
+    json["repair_events_per_s/incremental"] =
+        static_cast<double>(run.events) / (run.total_ms / 1000.0);
+    json["repair_latency_mean_us/incremental"] = run.mean_us;
+    json["repair_latency_p50_us/incremental"] = run.p50_us;
+    json["repair_latency_p99_us/incremental"] = run.p99_us;
+    json["repair_active_events/incremental"] =
+        static_cast<double>(run.active_events);
+    json["repair_active_p50_us/incremental"] = run.active_p50_us;
+    json["repair_active_p99_us/incremental"] = run.active_p99_us;
+    json["final_rate_pct_of_healthy/incremental"] =
+        run.final_rate / std::max(run.healthy_rate, 1e-9) * 100.0;
+    json["apps_touched/incremental"] = static_cast<double>(run.apps_touched);
     json["paths_dropped/incremental"] =
-        static_cast<double>(inc.paths_dropped);
-    json["paths_added/incremental"] = static_cast<double>(inc.paths_added);
+        static_cast<double>(run.paths_dropped);
+    json["paths_added/incremental"] = static_cast<double>(run.paths_added);
     std::FILE* out = std::fopen(path, "w");
     if (out == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", path);
@@ -377,6 +338,6 @@ int main() {
                 admitted["T-Storm"], admitted["VNE"]}) *
           100);
 
-  run_repair_comparison();
+  run_network_churn();
   return 0;
 }

@@ -109,8 +109,8 @@ int main() {
   }
 
   // Finally, the control-plane reaction: relay1 dies, the scheduler
-  // notices the degradation and rebalance() re-provisions onto relay2.
-  std::printf("control-plane repair (Scheduler::rebalance):\n");
+  // notices the degradation and repair() re-provisions onto relay2.
+  std::printf("control-plane repair (Scheduler::repair):\n");
   Scheduler sched(net);
   Application gr = make_app(0.0);
   gr.qoe = QoeSpec::guaranteed_rate(2.0, 0.0);
@@ -122,8 +122,8 @@ int main() {
   sched.mark_failed(ElementKey::ncp(dead));
   std::printf("  %s failed: degraded apps = %zu\n",
               net.ncp(dead).name.c_str(), sched.degraded_gr_apps().size());
-  const auto report = sched.rebalance();
-  std::printf("  rebalance: repaired %zu, still degraded %zu; now on %s at "
+  const auto report = sched.repair(ElementKey::ncp(dead));
+  std::printf("  repair: repaired %zu, still degraded %zu; now on %s at "
               "%.3f units/s\n",
               report.repaired.size(), report.still_degraded.size(),
               net.ncp(sched.placed()[0].paths[0].placement.ct_host(1))

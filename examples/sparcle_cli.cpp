@@ -44,8 +44,7 @@
 ///                        (MTBF, MTTR, horizon, seed) and replay it
 ///   --churn-out FILE     record the replayed trace to FILE (exact
 ///                        round-trip; feed back via --churn-trace)
-///   --churn-repair MODE  repair policy per event: incremental (default),
-///                        rebalance, or none
+/// Every replayed event is followed by one Scheduler::repair() pass.
 ///
 /// A scenario file example ships in examples/scenarios/.
 
@@ -78,7 +77,7 @@ int usage(const char* argv0) {
                "       [--metrics-out FILE] [--trace-out FILE] "
                "[--decision-log FILE] [--validate]\n"
                "       [--churn-trace FILE | --churn-gen MTBF,MTTR,HORIZON,"
-               "SEED] [--churn-out FILE] [--churn-repair MODE]\n"
+               "SEED] [--churn-out FILE]\n"
                "       %s <scenario-file> --connect HOST:PORT\n",
                argv0, argv0);
   return 2;
@@ -194,7 +193,6 @@ int main(int argc, char** argv) {
   double simulate_seconds = 0;
   bool validate = false;
   std::string churn_trace_path, churn_gen_spec, churn_out_path;
-  std::string churn_repair = "incremental";
   std::string connect_endpoint;
   ObsSession obs_session;
 
@@ -250,10 +248,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       churn_out_path = v;
-    } else if (arg == "--churn-repair") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      churn_repair = v;
     } else if (arg == "--connect") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -369,19 +363,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!churn_trace_path.empty() || !churn_gen_spec.empty()) {
-    sim::ChurnInjectorOptions churn_opts;
-    if (churn_repair == "incremental")
-      churn_opts.repair_mode = sim::RepairMode::kIncremental;
-    else if (churn_repair == "rebalance")
-      churn_opts.repair_mode = sim::RepairMode::kFullRebalance;
-    else if (churn_repair == "none")
-      churn_opts.repair_mode = sim::RepairMode::kNone;
-    else {
-      std::fprintf(stderr, "unknown --churn-repair mode %s\n",
-                   churn_repair.c_str());
-      return 2;
-    }
-
     sim::ChurnTrace trace;
     try {
       if (!churn_gen_spec.empty()) {
@@ -411,9 +392,8 @@ int main(int argc, char** argv) {
       std::printf("\nchurn trace (%zu events) written to %s\n",
                   trace.events.size(), churn_out_path.c_str());
 
-    std::printf("\nreplaying %zu churn event(s) (repair: %s):\n",
-                trace.events.size(), churn_repair.c_str());
-    sim::ChurnInjector injector(sched, std::move(trace), churn_opts);
+    std::printf("\nreplaying %zu churn event(s):\n", trace.events.size());
+    sim::ChurnInjector injector(sched, std::move(trace));
     try {
       injector.run_all();
     } catch (const std::logic_error& e) {
@@ -422,15 +402,12 @@ int main(int argc, char** argv) {
       return 3;
     }
     const sim::ChurnInjectorStats& cs = injector.stats();
+    std::printf("  %zu failure(s), %zu recover(y/ies), %zu redundant\n",
+                cs.failures, cs.recoveries, cs.redundant);
     std::printf(
-        "  %zu failure(s), %zu recover(y/ies), %zu redundant, %zu repair "
-        "pass(es), %zu fallback(s)\n",
-        cs.failures, cs.recoveries, cs.redundant, cs.repairs, cs.fallbacks);
-    if (churn_opts.repair_mode == sim::RepairMode::kIncremental)
-      std::printf(
-          "  repair touched %zu app(s); %zu path(s) dropped, %zu added, "
-          "%zu retr(y/ies)\n",
-          cs.apps_touched, cs.paths_dropped, cs.paths_added, cs.retries);
+        "  repair touched %zu app(s); %zu path(s) dropped, %zu added, "
+        "%zu retr(y/ies)\n",
+        cs.apps_touched, cs.paths_dropped, cs.paths_added, cs.retries);
     std::printf("  post-churn: total GR rate %.4f", sched.total_gr_rate());
     const auto degraded = sched.degraded_gr_apps();
     if (!degraded.empty()) {

@@ -484,7 +484,7 @@ ScenarioVerdict run_scenario_checks(const ScenarioFile& s,
   if (s.net.link_count() > 0) {
     scheduler.mark_failed(ElementKey::link(0));
     if (!state_ok()) return verdict;
-    scheduler.rebalance();
+    scheduler.repair(ElementKey::link(0));
     if (!state_ok()) return verdict;
     scheduler.mark_recovered(ElementKey::link(0));
     if (!state_ok()) return verdict;

@@ -14,9 +14,9 @@
 
 /// \file fuzzer.hpp
 /// The shrinking scenario fuzzer: seeded random scenarios are driven
-/// through the full Scheduler pipeline (submit / fail / rebalance /
-/// recover / remove, plus a generated churn trace through the incremental
-/// repair path) with check_scheduler_state after every mutation, and
+/// through the full Scheduler pipeline (submit / fail / repair / recover
+/// / remove, plus a generated churn trace through the injector) with
+/// check_scheduler_state after every mutation, and
 /// through the differential + metamorphic oracles where they are sound.
 /// Any failure is greedily minimized — drop applications, NCPs, links and
 /// CTs, round numbers — while it keeps reproducing the *same* violation

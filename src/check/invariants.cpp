@@ -233,7 +233,7 @@ CheckReport check_scheduler_state(const Scheduler& scheduler,
     }
     if (pa.paths.empty()) {
       // Zero paths is a legitimate degraded state after failures (all of
-      // the app's routes died and rebalance() found no replacement); it is
+      // the app's routes died and repair() found no replacement); it is
       // never legitimate on a pristine scheduler, and even degraded it
       // must carry no rate.
       if (options.assume_pristine)
@@ -266,7 +266,7 @@ CheckReport check_scheduler_state(const Scheduler& scheduler,
 
       // A path crossing a failed element must not carry Best-Effort rate
       // (the PF re-solve blocks its column); GR reservations deliberately
-      // persist until rebalance() and are exempt.
+      // persist until repair() and are exempt.
       if (!gr && r > tol)
         for (const ElementKey& e : path.elements)
           if (failed.contains(e))
@@ -286,7 +286,7 @@ CheckReport check_scheduler_state(const Scheduler& scheduler,
 
     if (gr) {
       // Admitted guarantee: at admission the reservation covers R_j, and on
-      // a pristine scheduler it must still.  After failures rebalance() may
+      // a pristine scheduler it must still.  After failures repair() may
       // drop dead reservations it cannot replace, but then the scheduler's
       // own degradation reporting must acknowledge the shortfall.
       const double slack = pa.allocated_rate - pa.app.qoe.min_rate;

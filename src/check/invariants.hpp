@@ -95,10 +95,10 @@ struct CheckOptions {
   std::size_t mc_trials{20000};
   std::uint64_t mc_seed{0x5bac1e};
   /// The scheduler has seen no element failures (and no failure-driven
-  /// rebalance), so admission-time guarantees are enforceable strictly:
+  /// repair), so admission-time guarantees are enforceable strictly:
   /// every placed app has at least one path, every GR reservation covers
   /// its minimum rate, and the admitted availability target holds.  After
-  /// failures these may legitimately degrade (rebalance() keeps degraded
+  /// failures these may legitimately degrade (repair() keeps degraded
   /// apps placed and reports them); the default steady-state mode then
   /// checks *consistency* instead — a zero-path app carries zero rate, and
   /// a GR shortfall is acknowledged by degraded_gr_apps().

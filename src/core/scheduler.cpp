@@ -108,7 +108,6 @@ void Scheduler::begin_batch() {
     throw std::logic_error("Scheduler::begin_batch: a batch is already open");
   batch_active_ = true;
   batch_dirty_ = false;
-  batch_placed_changed_ = false;
   batch_deferred_ = 0;
   batch_added_be_.clear();
 }
@@ -156,7 +155,6 @@ Scheduler::BatchReport Scheduler::end_batch() {
   batch_dirty_ = false;
   batch_deferred_ = 0;
   batch_added_be_.clear();
-  if (batch_placed_changed_) healthy_rate_ = global_rate();
   run_validation_hook();
   return report;
 }
@@ -374,8 +372,6 @@ bool Scheduler::remove(const std::string& app_name) {
     placed_.erase(placed_.begin() + static_cast<std::ptrdiff_t>(i));
     usage_valid_ = false;  // placed indices shifted
     maybe_reallocate();
-    healthy_rate_ = global_rate();
-    batch_placed_changed_ = true;
     run_validation_hook();
     return true;
   }
@@ -399,91 +395,6 @@ void Scheduler::mark_recovered(ElementKey element) {
   recompute_residual_element(element);
   if (resolve) maybe_reallocate();
   run_validation_hook();
-}
-
-Scheduler::RebalanceReport Scheduler::rebalance() {
-  const obs::ScopedTimer span("scheduler.rebalance");
-  if (obs::MetricsRegistry* reg = obs::metrics())
-    reg->counter("scheduler.rebalances").add(1);
-  RebalanceReport report;
-  for (PlacedApp& pa : placed_) {
-    // Partition the app's paths into alive and dead.
-    std::vector<PathInfo> alive;
-    std::vector<double> alive_rates;
-    std::size_t dead = 0;
-    for (std::size_t k = 0; k < pa.paths.size(); ++k) {
-      if (path_alive(pa.paths[k])) {
-        alive.push_back(std::move(pa.paths[k]));
-        alive_rates.push_back(pa.path_rates[k]);
-      } else {
-        ++dead;
-        if (pa.app.qoe.cls == QoeClass::kGuaranteedRate)
-          gr_reserved_.add_scaled(pa.paths[k].load, -pa.path_rates[k]);
-      }
-    }
-    const std::size_t want = pa.paths.size();
-    // The alive paths were moved out above; put them back in either case.
-    pa.paths = std::move(alive);
-    pa.path_rates = std::move(alive_rates);
-    if (dead == 0) continue;
-    rebuild_residual();  // released reservations are available again
-
-    if (pa.app.qoe.cls == QoeClass::kGuaranteedRate) {
-      double alive_rate = 0;
-      for (double r : pa.path_rates) alive_rate += r;
-      const double shortfall = pa.app.qoe.min_rate - alive_rate;
-      if (shortfall > kEps) {
-        double recovered = 0;
-        auto enough = [&](const std::vector<PathInfo>& paths) {
-          recovered = 0;
-          for (const PathInfo& pi : paths) recovered += pi.standalone_rate;
-          log_path_add(pa.app, pa.paths.size() + paths.size(),
-                       paths.back().standalone_rate, recovered, shortfall,
-                       "rebalance: recovered rate");
-          return recovered + kEps >= shortfall;
-        };
-        std::vector<PathInfo> extra =
-            find_paths(pa.app, residual_, shortfall, enough);
-        if (recovered + kEps >= shortfall) {
-          for (PathInfo& pi : extra) {
-            gr_reserved_.add_scaled(pi.load, pi.standalone_rate);
-            pa.path_rates.push_back(pi.standalone_rate);
-            pa.paths.push_back(std::move(pi));
-          }
-          rebuild_residual();
-          report.repaired.push_back(pa.app.name);
-        } else {
-          report.still_degraded.push_back(pa.app.name);
-        }
-      }
-      pa.allocated_rate = 0;
-      for (double r : pa.path_rates) pa.allocated_rate += r;
-    } else {
-      // Best-Effort: top back up to the previous path count; rates come
-      // from the PF re-solve below.
-      auto enough = [&](const std::vector<PathInfo>& paths) {
-        log_path_add(pa.app, pa.paths.size() + paths.size(),
-                     paths.back().standalone_rate,
-                     static_cast<double>(pa.paths.size() + paths.size()),
-                     static_cast<double>(want), "rebalance: path count");
-        return pa.paths.size() + paths.size() >= want;
-      };
-      std::vector<PathInfo> extra = find_paths(
-          pa.app, residual_, std::numeric_limits<double>::infinity(),
-          enough);
-      if (!extra.empty()) report.repaired.push_back(pa.app.name);
-      for (PathInfo& pi : extra) {
-        pa.path_rates.push_back(0.0);
-        pa.paths.push_back(std::move(pi));
-      }
-    }
-  }
-  reallocate_best_effort();
-  usage_valid_ = false;  // path sets changed
-  competing_valid_ = false;
-  healthy_rate_ = global_rate();
-  run_validation_hook();
-  return report;
 }
 
 Scheduler::ReoptimizeReport Scheduler::global_reoptimize(
@@ -542,7 +453,6 @@ Scheduler::ReoptimizeReport Scheduler::global_reoptimize(
     report.new_gr_rate = report.old_gr_rate;
     usage_valid_ = false;
     competing_valid_ = false;
-    healthy_rate_ = global_rate();
     run_validation_hook();
     return report;
   }
@@ -561,7 +471,6 @@ Scheduler::ReoptimizeReport Scheduler::global_reoptimize(
   report.new_gr_rate = new_gr;
   usage_valid_ = false;
   competing_valid_ = false;
-  healthy_rate_ = global_rate();
   run_validation_hook();
   return report;
 }
@@ -572,7 +481,6 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   if (reg) reg->counter("scheduler.repairs").add(1);
 
   RepairReport report;
-  report.global_rate_before = healthy_rate_;
 
   // Which placed apps need attention?  Users of the triggering element and
   // of every still-failed element, plus apps already degraded by earlier
@@ -603,10 +511,7 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   // Nothing placed crosses the trigger or any failed element and no app is
   // degraded: the index proves there is nothing to shed or restore, so skip
   // the residual rebuild and the PF re-solve and keep the warm index.
-  if (affected.empty()) {
-    report.global_rate_after = healthy_rate_;
-    return report;
-  }
+  if (affected.empty()) return report;
 
   // Pass 1: shed dead paths.  GR reservations on dead paths are released
   // so the freed capacity is visible to the restore pass; BE paths are
@@ -731,55 +636,31 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
     reg->counter("scheduler.repair.paths_added").add(report.paths_added);
   }
 
-  // Fallback: if the incremental result degraded the global carried rate
-  // past the configured bound relative to the last healthy state, escalate
-  // to the stop-the-world rebalance.
-  report.global_rate_after = global_rate();
-  const double floor =
-      (1.0 - options_.repair.max_rate_degradation) * report.global_rate_before;
-  if (report.global_rate_before > kEps &&
-      report.global_rate_after + kEps < floor) {
-    report.fell_back = true;
-    if (reg) reg->counter("scheduler.repair.fallbacks").add(1);
-    (void)rebalance();  // resets usage/healthy itself
-    // rebalance() only reports apps whose dead paths *it* shed — the
-    // incremental pass already shed them — so recompute the outcome lists
-    // from live state: still degraded = GR below guarantee or BE with no
-    // paths left; repaired = every other touched app.
-    report.still_degraded = degraded_gr_apps();
-    for (const PlacedApp& pa : placed_)
-      if (pa.app.qoe.cls == QoeClass::kBestEffort && pa.paths.empty())
-        report.still_degraded.push_back(pa.app.name);
-    report.repaired.clear();
-    for (std::size_t pi : order) {
-      const std::string& name = placed_[pi].app.name;
-      if (std::find(report.still_degraded.begin(),
-                    report.still_degraded.end(),
-                    name) == report.still_degraded.end())
-        report.repaired.push_back(name);
-    }
-    report.global_rate_after = global_rate();
-  }
-
   if (obs::DecisionLog* log = obs::decision_log()) {
     const std::string elem = element_label(net_, element);
+    const auto listed = [](const std::vector<std::string>& names,
+                           const std::string& name) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
     for (std::size_t pi : order) {
       const PlacedApp& pa = placed_[pi];
-      const bool ok =
-          std::find(report.still_degraded.begin(), report.still_degraded.end(),
-                    pa.app.name) == report.still_degraded.end();
+      // Apps in neither list lost some paths but kept enough alive ones
+      // (a GR guarantee still covered, a BE app with paths left).
+      std::string verdict =
+          "kept " + std::to_string(pa.paths.size()) + " alive path(s)";
+      if (listed(report.repaired, pa.app.name))
+        verdict = "restored";
+      else if (listed(report.still_degraded, pa.app.name))
+        verdict = "still degraded";
       log->record(obs::DecisionKind::kRepair, pa.app.name, qoe_name(pa.app),
-                  "repair after " + elem + ": " +
-                      (ok ? "restored" : "still degraded") +
-                      (report.fell_back ? " (fell back to rebalance)" : ""),
-                  pa.allocated_rate, 0.0, pa.paths.size());
+                  "repair after " + elem + ": " + verdict, pa.allocated_rate,
+                  0.0, pa.paths.size());
     }
   }
 
   usage_valid_ = false;  // touched apps' path lists changed
   competing_valid_ = false;
-  healthy_rate_ = report.global_rate_after;
-  if (!report.fell_back) run_validation_hook();  // rebalance() already ran it
+  run_validation_hook();
   return report;
 }
 
@@ -803,11 +684,8 @@ AdmissionResult Scheduler::submit(const Application& app) {
                                      ? submit_best_effort(app)
                                      : submit_guaranteed_rate(app);
   log_admission(app, result);
-  if (result.admitted) {
-    index_new_app();  // keep the element->path index warm for repair()
-    healthy_rate_ = global_rate();
-    batch_placed_changed_ = true;
-  }
+  // Keep the element->path index warm for repair().
+  if (result.admitted) index_new_app();
   run_validation_hook();
   return result;
 }

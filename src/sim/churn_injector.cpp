@@ -226,9 +226,8 @@ ChurnTrace load_churn_trace_file(const std::string& path, const Network& net) {
   return parse_churn_trace(in, net);
 }
 
-ChurnInjector::ChurnInjector(Scheduler& scheduler, ChurnTrace trace,
-                             ChurnInjectorOptions options)
-    : scheduler_(&scheduler), trace_(std::move(trace)), options_(options) {
+ChurnInjector::ChurnInjector(Scheduler& scheduler, ChurnTrace trace)
+    : scheduler_(&scheduler), trace_(std::move(trace)) {
   // Stable: events at the same instant keep their trace order.
   std::stable_sort(trace_.events.begin(), trace_.events.end(),
                    [](const ChurnEvent& a, const ChurnEvent& b) {
@@ -260,24 +259,11 @@ bool ChurnInjector::step() {
     scheduler_->mark_recovered(ev.element);
     ++stats_.recoveries;
   }
-  switch (options_.repair_mode) {
-    case RepairMode::kIncremental: {
-      const Scheduler::RepairReport r = scheduler_->repair(ev.element);
-      ++stats_.repairs;
-      stats_.apps_touched += r.apps_touched;
-      stats_.paths_dropped += r.paths_dropped;
-      stats_.paths_added += r.paths_added;
-      stats_.retries += r.retries;
-      if (r.fell_back) ++stats_.fallbacks;
-      break;
-    }
-    case RepairMode::kFullRebalance:
-      scheduler_->rebalance();
-      ++stats_.repairs;
-      break;
-    case RepairMode::kNone:
-      break;
-  }
+  const Scheduler::RepairReport r = scheduler_->repair(ev.element);
+  stats_.apps_touched += r.apps_touched;
+  stats_.paths_dropped += r.paths_dropped;
+  stats_.paths_added += r.paths_added;
+  stats_.retries += r.retries;
   return true;
 }
 

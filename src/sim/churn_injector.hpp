@@ -14,7 +14,7 @@
 /// Deterministic fault injection for the admission scheduler: element
 /// failure/recovery traces (generated from seeded stochastic models or
 /// loaded from a file) are replayed against a Scheduler, driving its
-/// incremental repair() path — the network-dynamics regime the paper
+/// repair() pass — the network-dynamics regime the paper
 /// defers to future work.  docs/churn.md is the operator runbook.
 ///
 /// Trace file format (line-oriented, `#` comments, scenario_io style):
@@ -98,17 +98,6 @@ ChurnTrace parse_churn_trace_text(const std::string& text, const Network& net);
 /// cannot be opened.
 ChurnTrace load_churn_trace_file(const std::string& path, const Network& net);
 
-/// How the injector repairs the scheduler after each applied event.
-enum class RepairMode : std::uint8_t {
-  kIncremental,   ///< Scheduler::repair() — the churn-resilient default
-  kFullRebalance, ///< Scheduler::rebalance() after every event (baseline)
-  kNone,          ///< only mark_failed/mark_recovered (measurement harness)
-};
-
-struct ChurnInjectorOptions {
-  RepairMode repair_mode{RepairMode::kIncremental};
-};
-
 /// Aggregate outcome counters across all applied events.
 struct ChurnInjectorStats {
   std::size_t failures{0};    ///< fail events applied
@@ -116,16 +105,14 @@ struct ChurnInjectorStats {
   /// Events skipped because the element was already in the target state
   /// (e.g. a burst trace failing an element twice).
   std::size_t redundant{0};
-  std::size_t repairs{0};       ///< repair passes run (either mode)
-  std::size_t fallbacks{0};     ///< incremental repairs that fell back
-  std::size_t apps_touched{0};  ///< summed over incremental repairs
+  std::size_t apps_touched{0};  ///< summed over repairs, one per event
   std::size_t paths_dropped{0};
   std::size_t paths_added{0};
   std::size_t retries{0};
 };
 
 /// Replays a ChurnTrace against a live Scheduler, one event at a time:
-/// `mark_failed`/`mark_recovered` followed by the configured repair pass.
+/// `mark_failed`/`mark_recovered` followed by Scheduler::repair().
 /// The caller owns the scheduler and may interleave its own submissions
 /// between step()/run_until() calls — that is how the fuzzer mixes churn
 /// into application workloads.  Deterministic: the same trace replayed
@@ -134,8 +121,7 @@ class ChurnInjector {
  public:
   /// Events are stably sorted by time on construction (ties keep trace
   /// order, so replay order is reproducible).
-  ChurnInjector(Scheduler& scheduler, ChurnTrace trace,
-                ChurnInjectorOptions options = {});
+  ChurnInjector(Scheduler& scheduler, ChurnTrace trace);
 
   /// True when every event has been applied.
   bool done() const { return next_ >= trace_.events.size(); }
@@ -159,7 +145,6 @@ class ChurnInjector {
  private:
   Scheduler* scheduler_;
   ChurnTrace trace_;
-  ChurnInjectorOptions options_;
   std::size_t next_{0};
   ChurnInjectorStats stats_;
 };

@@ -1,11 +1,12 @@
 /// \file test_repair.cpp
-/// Scheduler::repair() — the incremental, usage-index-driven counterpart
-/// of rebalance(): only applications whose paths cross a failed element
-/// are touched, GR apps restore before BE apps, BE apps shed gracefully,
-/// and the degradation bound escalates to a full rebalance.
+/// Scheduler::repair(), the one failure-repair pass: only applications
+/// whose paths cross a failed element (or are still degraded) are
+/// touched, GR apps restore before BE apps, BE apps shed gracefully,
+/// and no repaired path touches a failed element.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -14,6 +15,7 @@
 
 #include "check/invariants.hpp"
 #include "core/scheduler.hpp"
+#include "obs/obs.hpp"
 #include "sim/churn_injector.hpp"
 #include "testutil.hpp"
 #include "workload/arrivals.hpp"
@@ -21,11 +23,12 @@
 namespace sparcle {
 namespace {
 
-Network make_two_relay_net(double r1 = 10.0, double r2 = 10.0) {
+Network make_two_relay_net(double r1 = 10.0, double r2 = 10.0,
+                           double relay_fail_prob = 0.0) {
   Network net(ResourceSchema::cpu_only());
   net.add_ncp("src", ResourceVector::scalar(1.0));
-  net.add_ncp("r1", ResourceVector::scalar(r1));
-  net.add_ncp("r2", ResourceVector::scalar(r2));
+  net.add_ncp("r1", ResourceVector::scalar(r1), relay_fail_prob);
+  net.add_ncp("r2", ResourceVector::scalar(r2), relay_fail_prob);
   net.add_ncp("dst", ResourceVector::scalar(1.0));
   net.add_link("s1", 0, 1, 1000.0);
   net.add_link("1d", 1, 3, 1000.0);
@@ -59,7 +62,6 @@ TEST(Repair, NoopWithoutFailures) {
   EXPECT_TRUE(report.repaired.empty());
   EXPECT_TRUE(report.still_degraded.empty());
   EXPECT_EQ(report.paths_dropped, 0u);
-  EXPECT_FALSE(report.fell_back);
   EXPECT_DOUBLE_EQ(sched.total_gr_rate(), 1.0);
 }
 
@@ -147,34 +149,46 @@ TEST(Repair, BeStaysPlacedWhenNoCapacityRemains) {
   EXPECT_GT(sched.placed()[0].allocated_rate, 0.0);
 }
 
-TEST(Repair, FallbackBoundTripsAndCanBeDisabled) {
-  // Second relay too small to restore the guarantee: the incremental pass
-  // degrades the global rate, so a zero-tolerance policy must escalate.
-  SchedulerOptions strict;
-  strict.repair.max_rate_degradation = 0.0;
-  {
-    Scheduler sched(make_two_relay_net(10.0, 2.0), strict);
-    ASSERT_TRUE(
-        sched.submit(make_app("gr", QoeSpec::guaranteed_rate(1.5, 0.0)))
-            .admitted);
-    sched.mark_failed(ElementKey::ncp(1));
-    const auto report = sched.repair(ElementKey::ncp(1));
-    EXPECT_TRUE(report.fell_back);
-    EXPECT_LT(report.global_rate_after + 1e-9, report.global_rate_before);
-  }
-  {
-    // A bound of 1.0 floors at rate 0, which no repair falls below.
-    SchedulerOptions no_fallback;
-    no_fallback.repair.max_rate_degradation = 1.0;
-    Scheduler sched(make_two_relay_net(10.0, 2.0), no_fallback);
-    ASSERT_TRUE(
-        sched.submit(make_app("gr", QoeSpec::guaranteed_rate(1.5, 0.0)))
-            .admitted);
-    sched.mark_failed(ElementKey::ncp(1));
-    const auto report = sched.repair(ElementKey::ncp(1));
-    EXPECT_FALSE(report.fell_back);
-    ASSERT_EQ(report.still_degraded.size(), 1u);
-  }
+TEST(Repair, ReportsUnrepairableGuarantees) {
+  // Second relay too small to carry the guarantee.
+  Scheduler sched(make_two_relay_net(10.0, 2.0));
+  ASSERT_TRUE(
+      sched.submit(make_app("gr", QoeSpec::guaranteed_rate(1.5, 0.0)))
+          .admitted);
+  ASSERT_EQ(sched.placed()[0].paths[0].placement.ct_host(1), 1);
+  sched.mark_failed(ElementKey::ncp(1));
+  const auto report = sched.repair(ElementKey::ncp(1));
+  EXPECT_EQ(report.still_degraded, std::vector<std::string>{"gr"});
+  EXPECT_TRUE(report.repaired.empty());
+  EXPECT_EQ(sched.degraded_gr_apps(), std::vector<std::string>{"gr"});
+}
+
+TEST(Repair, LogRowOfAnAppThatKeptAlivePathsIsNotRestored) {
+  // Relays fail 10% of the time, so a 0.95 availability target takes a
+  // path over each.  Losing one relay leaves one alive path: repair()
+  // sheds the dead one and adds nothing, so the app is neither repaired
+  // nor degraded, and its log row must say so.
+  obs::DecisionLog log;
+  obs::Observability sinks;
+  sinks.decisions = &log;
+  const obs::ScopedInstall installed(sinks);
+
+  Scheduler sched(make_two_relay_net(10.0, 10.0, 0.1));
+  ASSERT_TRUE(
+      sched.submit(make_app("be", QoeSpec::best_effort(1.0, 0.95)))
+          .admitted);
+  ASSERT_EQ(sched.placed()[0].paths.size(), 2u);
+  sched.mark_failed(ElementKey::ncp(1));
+  const auto report = sched.repair(ElementKey::ncp(1));
+  EXPECT_EQ(report.paths_dropped, 1u);
+  EXPECT_TRUE(report.repaired.empty());
+  EXPECT_TRUE(report.still_degraded.empty());
+
+  std::vector<std::string> rows;
+  for (const obs::Decision& d : log.snapshot())
+    if (d.kind == obs::DecisionKind::kRepair) rows.push_back(d.reason);
+  EXPECT_EQ(rows, std::vector<std::string>{
+                      "repair after ncp:r1: kept 1 alive path(s)"});
 }
 
 TEST(Repair, ReleasesDeadReservations) {
@@ -234,15 +248,23 @@ TEST(Repair, RepeatedCyclesStayFeasible) {
   }
 }
 
+// What replay_churn() saw: every repair's report, the placed paths that
+// touched a failed element right after each repair, and the end state.
+struct ChurnReplay {
+  std::vector<Scheduler::RepairReport> reports;
+  std::vector<std::size_t> dead_paths_after_repair;
+  std::vector<PlacedApp> end_state;
+};
+
 // Replays one steady arrival stream (sessions depart after their
-// lifetime) merged with a burst-churn trace against a fresh scheduler,
-// and returns every repair's report.  `batched` wraps each call in its
+// lifetime) merged with a burst-churn trace against a fresh scheduler on
+// a soak site, all drawn from `seed`.  `batched` wraps each call in its
 // own begin_batch()/end_batch(), the way SchedulerService::apply drives
 // a federation shard (mark_failed and repair in separate batches).
-std::vector<Scheduler::RepairReport> replay_churn(const Network& net,
-                                                  std::uint64_t seed,
-                                                  bool batched) {
+ChurnReplay replay_churn(std::uint64_t seed, bool batched) {
   constexpr double kNever = std::numeric_limits<double>::infinity();
+  Rng rng(seed);
+  const Network net = workload::soak_site(4, 6, rng);
   Scheduler sched(net);
   const auto call = [&](const auto& fn) {
     if (batched) sched.begin_batch();
@@ -262,7 +284,7 @@ std::vector<Scheduler::RepairReport> replay_churn(const Network& net,
   const sim::ChurnTrace trace =
       sim::generate_burst_churn(net, burst, spec.horizon, seed);
 
-  std::vector<Scheduler::RepairReport> reports;
+  ChurnReplay out;
   std::multimap<double, std::string> departures;
   workload::Arrival arrival;
   bool have_arrival = gen.next(arrival);
@@ -284,7 +306,14 @@ std::vector<Scheduler::RepairReport> replay_churn(const Network& net,
         else
           sched.mark_recovered(ev.element);
       });
-      call([&] { reports.push_back(sched.repair(ev.element)); });
+      call([&] { out.reports.push_back(sched.repair(ev.element)); });
+      std::size_t dead = 0;
+      for (const PlacedApp& pa : sched.placed())
+        for (const PathInfo& path : pa.paths)
+          dead += std::ranges::any_of(path.elements, [&](ElementKey e) {
+            return sched.failed_elements().contains(e);
+          });
+      out.dead_paths_after_repair.push_back(dead);
     } else {
       bool admitted = false;
       call([&] { admitted = sched.submit(arrival.app).admitted; });
@@ -293,35 +322,74 @@ std::vector<Scheduler::RepairReport> replay_churn(const Network& net,
       have_arrival = gen.next(arrival);
     }
   }
-  return reports;
+  out.end_state = sched.placed();
+  return out;
 }
 
-// A batch that only marks a failure must not move repair()'s fallback
-// baseline: only admissions, removals and the repair passes themselves
-// do, inside a batch or not.  So every repair sees the same baseline
-// and makes the same escalation decision whether the calls are made
-// directly or each in its own batch.
-TEST(Repair, BatchedCallsKeepTheDirectFallbackBaseline) {
+// After every repair() no placed path touches a failed element: dead
+// paths are shed and replacements are provisioned around every failed
+// element.  Nothing else would stop a repaired path from transiting a
+// failed NCP, since routing reads only link widths.
+TEST(Repair, LeavesNoPathThroughAFailedElement) {
   const std::uint64_t seed = testutil::test_seed() + 1;
-  Rng rng(seed);
-  const Network net = workload::soak_site(4, 6, rng);
-  const std::vector<Scheduler::RepairReport> direct =
-      replay_churn(net, seed, /*batched=*/false);
-  const std::vector<Scheduler::RepairReport> batched =
-      replay_churn(net, seed, /*batched=*/true);
+  const ChurnReplay replay = replay_churn(seed, /*batched=*/false);
+  std::size_t dropped = 0;
+  std::size_t added = 0;
+  for (std::size_t i = 0; i < replay.reports.size(); ++i) {
+    EXPECT_EQ(replay.dead_paths_after_repair[i], 0u)
+        << "after repair #" << i << testutil::seed_message(seed);
+    dropped += replay.reports[i].paths_dropped;
+    added += replay.reports[i].paths_added;
+  }
+  // The stream is harsh enough that repairs shed and replace paths.
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(added, 0u);
+}
 
-  ASSERT_EQ(direct.size(), batched.size()) << testutil::seed_message(seed);
-  ASSERT_FALSE(direct.empty());
-  std::size_t fallbacks = 0;
-  for (std::size_t i = 0; i < direct.size(); ++i) {
+// A federation shard runs each churn call in its own service batch.
+// Every repair must then decide exactly what the same calls made
+// directly decide, and leave the same placed state.
+TEST(Repair, BatchedCallsMatchDirectCalls) {
+  const std::uint64_t seed = testutil::test_seed() + 1;
+  const ChurnReplay direct = replay_churn(seed, /*batched=*/false);
+  const ChurnReplay batched = replay_churn(seed, /*batched=*/true);
+
+  ASSERT_EQ(direct.reports.size(), batched.reports.size())
+      << testutil::seed_message(seed);
+  ASSERT_FALSE(direct.reports.empty());
+  std::size_t added = 0;
+  for (std::size_t i = 0; i < direct.reports.size(); ++i) {
     SCOPED_TRACE("repair #" + std::to_string(i) +
                  testutil::seed_message(seed));
-    EXPECT_EQ(direct[i].global_rate_before, batched[i].global_rate_before);
-    EXPECT_EQ(direct[i].fell_back, batched[i].fell_back);
-    if (direct[i].fell_back) ++fallbacks;
+    const Scheduler::RepairReport& d = direct.reports[i];
+    const Scheduler::RepairReport& b = batched.reports[i];
+    EXPECT_EQ(d.repaired, b.repaired);
+    EXPECT_EQ(d.still_degraded, b.still_degraded);
+    EXPECT_EQ(d.apps_touched, b.apps_touched);
+    EXPECT_EQ(d.paths_dropped, b.paths_dropped);
+    EXPECT_EQ(d.paths_added, b.paths_added);
+    EXPECT_EQ(d.retries, b.retries);
+    added += d.paths_added;
   }
-  // The trace is harsh enough that the bound is exercised.
-  EXPECT_GT(fallbacks, 0u) << testutil::seed_message(seed);
+  // The stream exercises re-provisioning, not only shedding.
+  EXPECT_GT(added, 0u) << testutil::seed_message(seed);
+
+  ASSERT_EQ(direct.end_state.size(), batched.end_state.size());
+  for (std::size_t i = 0; i < direct.end_state.size(); ++i) {
+    const PlacedApp& d = direct.end_state[i];
+    const PlacedApp& b = batched.end_state[i];
+    SCOPED_TRACE(d.app.name + testutil::seed_message(seed));
+    EXPECT_EQ(d.app.name, b.app.name);
+    EXPECT_EQ(d.allocated_rate, b.allocated_rate);
+    EXPECT_EQ(d.path_rates, b.path_rates);
+    ASSERT_EQ(d.paths.size(), b.paths.size());
+    for (std::size_t k = 0; k < d.paths.size(); ++k) {
+      EXPECT_EQ(d.paths[k].elements, b.paths[k].elements);
+      const Placement& pd = d.paths[k].placement;
+      for (CtId c = 0; c < static_cast<CtId>(pd.ct_count()); ++c)
+        EXPECT_EQ(pd.ct_host(c), b.paths[k].placement.ct_host(c));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

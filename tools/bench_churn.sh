@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Refreshes the BENCH_churn.json trajectory: runs bench_churn (which
-# writes its part-2 repair-comparison results as a flat JSON map when
+# writes its part-2 repair results as a flat JSON map when
 # SPARCLE_BENCH_JSON is set) and appends one labeled entry.
 #
 # Usage: tools/bench_churn.sh <label> [build-dir]
@@ -8,10 +8,10 @@
 #
 # After appending, the script gates the repair tail: over *active*
 # repairs (working set non-empty — the all-events distribution is
-# bimodal because most churn hits relays carrying nothing), incremental
-# repair's p99 must stay within SPARCLE_CHURN_TAIL_RATIO (default 20) of
-# its p50.  A fat tail means a repair class is falling off the
-# incremental path (cold PF solves, rebalance fallbacks).
+# bimodal because most churn hits relays carrying nothing), repair's
+# p99 must stay within SPARCLE_CHURN_TAIL_RATIO (default 20) of its p50.
+# A fat tail means some repair class costs far more than the rest (for
+# example a working set that grows with the site instead of the damage).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,8 +35,8 @@ entry = {"label": sys.argv[2], "time_unit": "us",
          "benchmarks": raw["benchmarks"]}
 path = pathlib.Path("BENCH_churn.json")
 doc = json.loads(path.read_text()) if path.exists() else {
-    "description": "Churn replay: incremental repair() vs full "
-                   "rebalance() (bench_churn part 2; see docs/churn.md)",
+    "description": "Churn replay: repair() per event "
+                   "(bench_churn part 2; see docs/churn.md)",
     "trajectory": [],
 }
 doc["trajectory"].append(entry)
