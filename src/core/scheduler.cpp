@@ -484,7 +484,9 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
 
   // Which placed apps need attention?  Users of the triggering element and
   // of every still-failed element, plus apps already degraded by earlier
-  // events (a recovery restores capacity they can reclaim).
+  // events (a recovery restores capacity they can reclaim): GR apps below
+  // their guarantee, BE apps whose alive paths miss their availability
+  // target (no path left included).
   ensure_usage_index();
   std::set<std::size_t> affected;
   auto collect = [&](const ElementKey& e) {
@@ -494,14 +496,16 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   collect(element);
   for (const ElementKey& dead : failed_) collect(dead);
   for (std::size_t i = 0; i < placed_.size(); ++i) {
+    // Apps outside the set so far have no path through a failed element.
+    if (affected.contains(i)) continue;
     const PlacedApp& pa = placed_[i];
     if (pa.app.qoe.cls == QoeClass::kGuaranteedRate) {
       double alive_rate = 0;
       for (std::size_t k = 0; k < pa.paths.size(); ++k)
         if (path_alive(pa.paths[k])) alive_rate += pa.path_rates[k];
       if (alive_rate + kEps < pa.app.qoe.min_rate) affected.insert(i);
-    } else if (pa.paths.empty()) {
-      affected.insert(i);  // BE app shed down to zero paths earlier
+    } else if (be_below_target(pa)) {
+      affected.insert(i);
     }
   }
   report.apps_touched = affected.size();
@@ -602,33 +606,66 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
         report.repaired.push_back(pa.app.name);
       else
         report.still_degraded.push_back(pa.app.name);
-    } else if (pa.paths.empty()) {
-      // BE app with no service left: re-provision one path against the
-      // priority-share prediction (eq. (6)); rates come from the PF
-      // re-solve below.  On failure the app stays placed with zero paths.
-      // The app itself has an empty footprint right now, so the cached
-      // competing-priority index already excludes it.
-      const CapacitySnapshot& effective =
-          options_.use_prediction
-              ? predicted_capacities(pa.app.qoe.priority)
-              : residual_;
-      auto enough = [](const std::vector<PathInfo>& paths) {
-        return !paths.empty();
-      };
-      std::vector<PathInfo> extra = find_paths(pa.app, effective, kInf, enough);
+    } else if (be_below_target(pa)) {
+      // BE app below its availability target (its dead paths are shed by
+      // now): re-provision against the priority-share prediction (eq. (6))
+      // with admission's stop rule over the alive paths plus the new ones,
+      // keeping only new paths that raise the availability, up to
+      // max_paths in all.  Rates come from the PF re-solve below; the app
+      // is never evicted, zero paths included.  Its alive paths stay in
+      // the competing-priority index, so the prediction counts its own
+      // priority there too — which only steers new paths off them.
+      const double target = pa.app.qoe.availability;
+      std::vector<std::vector<ElementKey>> sets;
+      for (const PathInfo& p : pa.paths) sets.push_back(p.elements);
+      double achieved = sets.empty() ? 0.0 : availability_any(net_, sets);
+      double reached = achieved;
+      std::size_t useful = 0;
+      std::vector<PathInfo> extra;
+      if (sets.size() < options_.max_paths) {
+        const CapacitySnapshot& effective =
+            options_.use_prediction
+                ? predicted_capacities(pa.app.qoe.priority)
+                : residual_;
+        auto enough = [&](const std::vector<PathInfo>& paths) {
+          sets.push_back(paths.back().elements);
+          const double prev = achieved;
+          achieved = availability_any(net_, sets);
+          if (sets.size() == 1 || achieved > prev + kEps) {
+            useful = paths.size();
+            reached = achieved;
+          }
+          if (achieved + kEps >= target) return true;
+          // Stagnation: an extra path that reuses the same elements
+          // cannot help.
+          return (sets.size() > 1 && achieved <= prev + kEps) ||
+                 sets.size() >= options_.max_paths;
+        };
+        extra = find_paths(pa.app, effective, kInf, enough);
+        extra.erase(extra.begin() + static_cast<std::ptrdiff_t>(useful),
+                    extra.end());
+      }
       if (!extra.empty()) {
+        const bool had_paths = !pa.paths.empty();
         for (PathInfo& p : extra) {
           pa.path_rates.push_back(0.0);
           pa.paths.push_back(std::move(p));
           ++report.paths_added;
         }
-        competing_add_app(pa);  // later restores see the new footprint
-        report.repaired.push_back(pa.app.name);
-      } else {
-        report.still_degraded.push_back(pa.app.name);
+        // Later restores see the new footprint: added to an empty one
+        // exactly, rebuilt where alive paths already count.
+        if (had_paths)
+          competing_valid_ = false;
+        else
+          competing_add_app(pa);
       }
+      if (!pa.paths.empty() && reached + kEps >= target)
+        report.repaired.push_back(pa.app.name);
+      else
+        report.still_degraded.push_back(pa.app.name);
     }
-    // BE apps that still hold alive paths only need the PF re-solve.
+    // BE apps whose alive paths meet their target only need the PF
+    // re-solve.
   }
   reallocate_best_effort();
   if (reg) {
@@ -662,6 +699,15 @@ Scheduler::RepairReport Scheduler::repair(ElementKey element) {
   competing_valid_ = false;
   run_validation_hook();
   return report;
+}
+
+bool Scheduler::be_below_target(const PlacedApp& pa) const {
+  if (pa.paths.empty()) return true;
+  const double target = pa.app.qoe.availability;
+  if (target <= kEps) return false;  // any path meets it
+  std::vector<std::vector<ElementKey>> sets;
+  for (const PathInfo& p : pa.paths) sets.push_back(p.elements);
+  return availability_any(net_, sets) + kEps < target;
 }
 
 std::vector<std::string> Scheduler::degraded_gr_apps() const {

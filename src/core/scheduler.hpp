@@ -161,15 +161,16 @@ class Scheduler {
 
   /// Outcome of a repair() pass.
   struct RepairReport {
-    /// Apps that had dead paths replaced (GR: guarantee restored, possibly
-    /// after retries; BE: re-provisioned from zero alive paths).
+    /// Apps brought back to their target (GR: guarantee restored, possibly
+    /// after retries; BE: re-provisioned up to its availability target).
     std::vector<std::string> repaired;
-    /// GR apps still below their guarantee, and BE apps left without a
-    /// path, after the pass.
+    /// GR apps still below their guarantee, and BE apps still below their
+    /// availability target (no path left included), after the pass.
     std::vector<std::string> still_degraded;
     /// Size of the repair working set: apps whose paths cross the trigger
     /// or any failed element, plus GR apps below their guarantee and BE
-    /// apps with no path (everything else was left untouched).
+    /// apps whose alive paths miss their availability target (everything
+    /// else was left untouched).
     std::size_t apps_touched{0};
     std::size_t paths_dropped{0};  ///< dead paths shed across all apps
     std::size_t paths_added{0};    ///< replacement paths committed
@@ -189,8 +190,9 @@ class Scheduler {
   ///     asking for half the previous target) accepting a partial
   ///     restore when the full shortfall is not placeable;
   ///  3. BE apps shed dead paths gracefully — they are never evicted —
-  ///     and are re-provisioned (against the eq. (6) predicted capacities)
-  ///     only when no alive path remains;
+  ///     and are re-provisioned (against the eq. (6) predicted capacities,
+  ///     with admission's stop rule) when their alive paths miss their
+  ///     availability target;
   ///  4. one Best-Effort PF re-solve finishes the pass.
   ///
   /// Afterwards no placed path touches a failed element: replacements are
@@ -370,6 +372,9 @@ class Scheduler {
 
   /// True when every element the path touches is currently alive.
   bool path_alive(const PathInfo& path) const;
+  /// True when BE app `pa`, whose paths are all alive, has none or their
+  /// availability_any misses its availability target.
+  bool be_below_target(const PlacedApp& pa) const;
 
   /// Runs the installed validation hook (if any) on *this.
   void run_validation_hook() const;

@@ -37,13 +37,11 @@ constexpr double kCrossBeRateFraction = 0.25;
 /// Cap on task-assignment paths provisioned for one cross-shard app.
 constexpr std::size_t kCrossMaxPaths = 2;
 
-/// One shard's outcome of its reserve_external call, written on the
-/// shard's scheduling thread and read by the router after the apply
-/// future resolved (the future is the synchronization edge).
-struct ReserveResult {
-  bool ok{false};
-  std::string why;
-};
+using Clock = std::chrono::steady_clock;
+
+double us_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
 
 }  // namespace
 
@@ -54,7 +52,16 @@ FederatedService::FederatedService(Network net, FederationOptions options)
       // The shards' assigner options, policy included, so cross-shard
       // apps are ranked by the same rule as shard-local ones.
       assigner_(options_.scheduler.assigner_options_with_policy()),
+      busy_us_(registry_.counter("federation.router.busy_us")),
+      cross_in_flight_(registry_.gauge("federation.cross.in_flight")),
+      plan_us_(registry_.histogram("federation.cross.plan.us",
+                                   obs::default_time_bounds_us())),
+      round_us_(registry_.histogram("federation.cross.round.us",
+                                    obs::default_time_bounds_us())),
       cross_load_(LoadMap::zeros(net_)),
+      held_(LoadMap::zeros(net_)),
+      held_ncps_(net_.ncp_count(), 0),
+      held_links_(net_.link_count(), 0),
       plan_residual_(net_) {
   shards_.reserve(plan_.shard_count());
   for (std::size_t s = 0; s < plan_.shard_count(); ++s)
@@ -138,7 +145,7 @@ void FederatedService::dispatch_submit(Application app, Completion on_done) {
 
   bump("federation.cross.submits");
   auto shared_app = std::make_shared<Application>(std::move(app));
-  const auto enqueued = std::chrono::steady_clock::now();
+  const auto enqueued = Clock::now();
   enqueue_job(
       [this, shared_app, enqueued, on_done = std::move(on_done)]() mutable {
         cross_admit(std::move(*shared_app),
@@ -151,24 +158,20 @@ FederatedService::Completion FederatedService::stamp_timeline(
   // Cross-shard requests never pass through a SchedulerService queue, so
   // the federation fills the wire's request-tracing contract itself:
   // queue_us is the wait for the router thread, apply_us is the
-  // cross-shard protocol's own work (there is no batch or shared PF solve
-  // to report).  Called at job start on the router thread; the stamp
-  // wraps the completion, so every cross outcome — admitted, rejected,
-  // aborted, removed — carries a timeline.
-  using Clock = std::chrono::steady_clock;
+  // cross-shard protocol's own work, its rounds included (there is no
+  // batch or shared PF solve to report).  Called at job start on the
+  // router thread; the stamp wraps the completion, so every cross
+  // outcome — admitted, rejected, aborted, removed — carries a timeline.
   const auto started = Clock::now();
   const std::uint64_t trace =
       next_trace_.fetch_add(1, std::memory_order_relaxed);
   return [on_done = std::move(on_done), enqueued, started,
           trace](ServiceResult r) {
     const auto done = Clock::now();
-    const auto us = [](Clock::duration d) {
-      return std::chrono::duration<double, std::micro>(d).count();
-    };
     r.timeline.trace_id = trace;
-    r.timeline.queue_us = us(started - enqueued);
-    r.timeline.apply_us = us(done - started);
-    r.latency_us = us(done - enqueued);
+    r.timeline.queue_us = us_between(enqueued, started);
+    r.timeline.apply_us = us_between(started, done);
+    r.latency_us = us_between(enqueued, done);
     on_done(std::move(r));
   };
 }
@@ -214,7 +217,7 @@ void FederatedService::remove_async(std::string app_name, Completion on_done) {
   }
 
   auto shared_name = std::make_shared<std::string>(std::move(app_name));
-  const auto enqueued = std::chrono::steady_clock::now();
+  const auto enqueued = Clock::now();
   enqueue_job(
       [this, shared_name, enqueued, on_done = std::move(on_done)]() mutable {
         cross_remove(*shared_name,
@@ -257,7 +260,9 @@ std::shared_ptr<const ServiceSnapshot> FederatedService::snapshot() const {
 void FederatedService::drain() {
   {
     std::unique_lock<std::mutex> lock(router_mu_);
-    idle_cv_.wait(lock, [this] { return jobs_.empty() && !router_busy_; });
+    idle_cv_.wait(lock, [this] {
+      return jobs_.empty() && !router_busy_ && in_flight_rounds_ == 0;
+    });
   }
   for (const auto& shard : shards_) shard->drain();
 }
@@ -268,9 +273,13 @@ void FederatedService::stop() {
     if (stopping_ && !router_.joinable()) return;
     stopping_ = true;
   }
+  // Shards first: each answers every reserve and release it holds queued
+  // (a paused shard resumes to do so), and a request sent to a stopped
+  // shard is answered at once with kShutdown.  So every round in flight
+  // gets its last reply, and the router exits once it has finished them.
+  for (const auto& shard : shards_) shard->stop();
   router_cv_.notify_all();
   if (router_.joinable()) router_.join();
-  for (const auto& shard : shards_) shard->stop();
 }
 
 ServiceStats FederatedService::stats() const {
@@ -395,7 +404,7 @@ void FederatedService::mark_failed(ElementKey e) {
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     failed_.insert(e);
-    rebuild_plan_residual();
+    update_plan_residual(e);
     ++cross_version_;
   }
   bump("federation.churn.failures");
@@ -411,7 +420,7 @@ void FederatedService::mark_recovered(ElementKey e) {
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     failed_.erase(e);
-    rebuild_plan_residual();
+    update_plan_residual(e);
     ++cross_version_;
   }
   bump("federation.churn.recoveries");
@@ -425,26 +434,23 @@ void FederatedService::repair(ElementKey e) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard admission in one reserve round (router thread)
+// Cross-shard admission in one reserve round (router jobs)
 
 void FederatedService::cross_admit(Application app, Completion on_done) {
+  const auto started = Clock::now();
   const std::string name = app.name;
   const bool gr = app.qoe.cls == QoeClass::kGuaranteedRate;
 
-  const auto reject = [&](const char* counter, const std::string& reason) {
-    bump(counter);
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      route_.erase(name);
-    }
-    log_decision(name, gr, reason, 0.0, 0.0, 0);
-    complete_rejected(on_done, reason);
+  const auto reject = [&](const std::string& reason) {
+    plan_us_.observe(us_between(started, Clock::now()));
+    reject_cross(name, gr, "federation.cross.rejected", reason, on_done);
   };
 
   // 1. Optimistic planning on the union sub-network of the pinned shards
   // (transit-closed: shards on a shortest boundary path between the pins
   // join too) against the federation's residual snapshot — the only view
-  // that covers boundary links.  Planning on the closure instead of the
+  // that covers boundary links, and one that carries the pending holds
+  // of rounds still in flight.  Planning on the closure instead of the
   // full site keeps the router's provisioning cost proportional to the
   // regions an app actually spans, not the whole federation.  Shard-
   // internal reservations are invisible here; the reserve round is the
@@ -487,44 +493,8 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   std::vector<PathInfo> paths = provision_paths(
       sub.net, *app.graph, sub_pins, start, assigner_, popt, enough);
   if (paths.empty()) {
-    reject("federation.cross.rejected",
-           "cross-shard: no feasible task-assignment path");
+    reject("cross-shard: no feasible task-assignment path");
     return;
-  }
-
-  // Back to full-site coordinates: every PathInfo leaves this loop with
-  // global placements, element keys, and per-unit loads, so the rest of
-  // the protocol (and the stored CrossApp record) never sees sub ids.
-  for (PathInfo& p : paths) {
-    Placement global_placement(*app.graph);
-    for (std::size_t i = 0; i < p.placement.ct_count(); ++i)
-      if (p.placement.ct_placed(i))
-        global_placement.place_ct(i, sub.to_global_ncp[p.placement.ct_host(i)]);
-    for (std::size_t k = 0; k < p.placement.tt_count(); ++k) {
-      if (!p.placement.tt_placed(k)) continue;
-      std::vector<LinkId> route;
-      route.reserve(p.placement.tt_route(k).size());
-      for (const LinkId l : p.placement.tt_route(k))
-        route.push_back(sub.to_global_link[l]);
-      global_placement.place_tt(k, std::move(route));
-    }
-    LoadMap global_load = LoadMap::zeros(net_);
-    std::vector<ElementKey> global_elements;
-    global_elements.reserve(p.elements.size());
-    for (const ElementKey& e : p.elements) {
-      if (e.kind == ElementKey::Kind::kNcp) {
-        const NcpId g = sub.to_global_ncp[static_cast<std::size_t>(e.index)];
-        global_load.ncp_load(g) = p.load.ncp_load(e.index);
-        global_elements.push_back(ElementKey::ncp(g));
-      } else {
-        const LinkId g = sub.to_global_link[static_cast<std::size_t>(e.index)];
-        global_load.link_load(g) = p.load.link_load(e.index);
-        global_elements.push_back(ElementKey::link(g));
-      }
-    }
-    p.placement = std::move(global_placement);
-    p.load = std::move(global_load);
-    p.elements = std::move(global_elements);
   }
 
   // 2. Committed per-path rates: GR paths fill the guarantee in path
@@ -550,20 +520,56 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
     }
     paths = std::move(kept);
     if (gr && remaining > kTol * (1.0 + min_rate)) {
-      reject("federation.cross.rejected",
-             "cross-shard γ pre-gate: placeable rate " +
-                 std::to_string(total_rate) + " below guaranteed minimum " +
-                 std::to_string(min_rate));
+      reject("cross-shard γ pre-gate: placeable rate " +
+             std::to_string(total_rate) + " below guaranteed minimum " +
+             std::to_string(min_rate));
       return;
     }
     if (paths.empty()) {
-      reject("federation.cross.rejected",
-             "cross-shard: no path with positive rate");
+      reject("cross-shard: no path with positive rate");
       return;
     }
   }
 
-  // 3. Predicted availability gate (eq. (7) for GR, any-path for BE).
+  // 3. Back to full-site coordinates: every PathInfo leaves this loop with
+  // global placements and element keys, and its rate-scaled per-unit load
+  // lands in the app's one full-site aggregate, so the rest of the
+  // protocol (and the stored CrossApp record) never sees sub ids.
+  LoadMap load = LoadMap::zeros(net_);
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    PathInfo& p = paths[k];
+    Placement global_placement(*app.graph);
+    for (std::size_t i = 0; i < p.placement.ct_count(); ++i)
+      if (p.placement.ct_placed(i))
+        global_placement.place_ct(i, sub.to_global_ncp[p.placement.ct_host(i)]);
+    for (std::size_t t = 0; t < p.placement.tt_count(); ++t) {
+      if (!p.placement.tt_placed(t)) continue;
+      std::vector<LinkId> route;
+      route.reserve(p.placement.tt_route(t).size());
+      for (const LinkId l : p.placement.tt_route(t))
+        route.push_back(sub.to_global_link[l]);
+      global_placement.place_tt(t, std::move(route));
+    }
+    std::vector<ElementKey> global_elements;
+    global_elements.reserve(p.elements.size());
+    for (const ElementKey& e : p.elements) {
+      const auto i = static_cast<std::size_t>(e.index);
+      if (e.kind == ElementKey::Kind::kNcp) {
+        const NcpId g = sub.to_global_ncp[i];
+        load.ncp_load(g) += p.load.ncp_load(e.index) * rates[k];
+        global_elements.push_back(ElementKey::ncp(g));
+      } else {
+        const LinkId g = sub.to_global_link[i];
+        load.link_load(g) += p.load.link_load(e.index) * rates[k];
+        global_elements.push_back(ElementKey::link(g));
+      }
+    }
+    p.placement = std::move(global_placement);
+    p.load = LoadMap();
+    p.elements = std::move(global_elements);
+  }
+
+  // 4. Predicted availability gate (eq. (7) for GR, any-path for BE).
   std::vector<std::vector<ElementKey>> element_sets;
   element_sets.reserve(paths.size());
   for (const PathInfo& p : paths) element_sets.push_back(p.elements);
@@ -573,16 +579,11 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   const double required = gr ? app.qoe.min_rate_availability
                              : app.qoe.availability;
   if (availability + 1e-12 < required) {
-    reject("federation.cross.rejected",
-           "cross-shard availability " + std::to_string(availability) +
-               " below requested " + std::to_string(required));
+    reject("cross-shard availability " + std::to_string(availability) +
+           " below requested " + std::to_string(required));
     return;
   }
 
-  // 4. Aggregate load and element footprint on the full network.
-  LoadMap load = LoadMap::zeros(net_);
-  for (std::size_t k = 0; k < paths.size(); ++k)
-    load.add_scaled_at(paths[k].elements, paths[k].load, rates[k]);
   std::vector<ElementKey> elements;
   for (const PathInfo& p : paths)
     elements.insert(elements.end(), p.elements.begin(), p.elements.end());
@@ -592,28 +593,34 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
 
   // 5. Boundary links belong to no shard — the federation residual is
   // authoritative for them, so re-check under the lock (planning ran on
-  // a copy that concurrent churn may have invalidated).
+  // a copy that concurrent churn or another round's hold may have
+  // invalidated), and take the app's pending hold in the same critical
+  // section: later plans see it, so no boundary link is booked twice.
+  std::string refusal;
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     for (const ElementKey& e : elements) {
       if (e.kind != ElementKey::Kind::kLink || !plan_.is_boundary(e.index))
         continue;
       if (failed_.contains(e)) {
-        reject("federation.cross.rejected",
-               "cross-shard: boundary link " + net_.link(e.index).name +
-                   " is failed");
-        return;
+        refusal = "cross-shard: boundary link " + net_.link(e.index).name +
+                  " is failed";
+        break;
       }
       const double have = plan_residual_.link(e.index);
       const double want = load.link_load(e.index);
       if (want > have + kTol * (1.0 + have)) {
-        reject("federation.cross.rejected",
-               "cross-shard: boundary link " + net_.link(e.index).name +
-                   " lacks capacity (" + std::to_string(want) + " > " +
-                   std::to_string(have) + ")");
-        return;
+        refusal = "cross-shard: boundary link " + net_.link(e.index).name +
+                  " lacks capacity (" + std::to_string(want) + " > " +
+                  std::to_string(have) + ")";
+        break;
       }
     }
+    if (refusal.empty()) hold(elements, load, +1);
+  }
+  if (!refusal.empty()) {
+    reject(refusal);
+    return;
   }
 
   // 6. Split the load into per-shard fragments (shard-local ids).
@@ -642,78 +649,119 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
     }
   }
 
-  std::vector<std::size_t> touched;
-  touched.reserve(fragments.size());
-  for (const auto& [s, frag] : fragments) touched.push_back(s);
+  auto round = std::make_shared<Round>();
+  auto frags = std::make_shared<std::vector<Fragment>>();
+  for (auto& [s, frag] : fragments) {
+    round->shards.push_back(s);
+    frags->push_back(std::move(frag));
+  }
+  auto record = std::make_shared<CrossApp>();
+  record->app = std::move(app);
+  record->paths = std::move(paths);
+  record->path_rates = std::move(rates);
+  record->total_rate = total_rate;
+  record->availability = availability;
+  record->shards = round->shards;
+  record->load = std::move(load);
+  record->elements = std::move(elements);
 
   // 7. Reserve on every touched shard.  Each hold is taken atomically
   // against the shard's authoritative residual on the shard's own
-  // scheduling thread; the futures are the barrier.  Any refusal releases
-  // the hold on every shard.
-  std::vector<std::pair<std::size_t, std::shared_ptr<ReserveResult>>> reserves;
-  std::vector<std::future<ServiceResult>> futures;
-  for (auto& [s, frag] : fragments) {
-    auto fragp = std::make_shared<Fragment>(std::move(frag));
-    auto res = std::make_shared<ReserveResult>();
-    futures.push_back(shards_[s]->apply([name, fragp, res](Scheduler& sc) {
-      res->ok = sc.reserve_external(name, fragp->load, fragp->elements,
-                                    &res->why);
-    }));
-    reserves.emplace_back(s, res);
-  }
+  // scheduling thread; the last reply posts finish_admit().
+  begin_round(name);
+  plan_us_.observe(us_between(started, Clock::now()));
+  send_round(
+      round,
+      [name, frags, round = round.get()](Scheduler& sc, std::size_t i) {
+        const Fragment& frag = (*frags)[i];
+        round->held[i] = sc.reserve_external(name, frag.load, frag.elements,
+                                             &round->refusals[i]);
+      },
+      [this, round, record, on_done = std::move(on_done)] {
+        finish_admit(round, record, on_done);
+      });
+}
+
+void FederatedService::finish_admit(const std::shared_ptr<Round>& round,
+                                    const std::shared_ptr<CrossApp>& record,
+                                    const Completion& on_done) {
+  round_us_.observe(us_between(round->sent, round->answered));
+  const std::string name = record->app.name;
+  const bool gr = record->app.qoe.cls == QoeClass::kGuaranteedRate;
+  const double rate = record->total_rate;
+  const double availability = record->availability;
+  const std::size_t paths = record->paths.size();
+  const std::size_t shards = record->shards.size();
+
+  // A request a shard never ran (queue_full, shutdown) refuses first,
+  // then a reserve a shard refused, each in shard order.
   std::string refusal;
-  for (auto& f : futures) {
-    const ServiceResult r = f.get();
-    if (r.status != ServiceResult::Status::kApplied && refusal.empty())
+  for (const ServiceResult& r : round->replies)
+    if (r.status != ServiceResult::Status::kApplied) {
       refusal = "cross-shard reserve interrupted: " + r.reason;
+      break;
+    }
+  for (std::size_t i = 0; refusal.empty() && i < round->shards.size(); ++i)
+    if (!round->held[i])
+      refusal = "cross-shard reserve rejected by shard " +
+                std::to_string(round->shards[i]) + ": " + round->refusals[i];
+
+  {
+    std::lock_guard<std::mutex> lock(cross_mu_);
+    if (refusal.empty())
+      cross_load_.add_scaled_at(record->elements, record->load, 1.0);
+    hold(record->elements, record->load, -1);
+    if (refusal.empty()) {
+      cross_.emplace(name, std::move(*record));
+      registry_.gauge("federation.cross.apps")
+          .set(static_cast<double>(cross_.size()));
+      ++cross_version_;
+    }
   }
-  for (const auto& [s, res] : reserves)
-    if (!res->ok && refusal.empty())
-      refusal = "cross-shard reserve rejected by shard " + std::to_string(s) +
-                ": " + res->why;
+
   if (!refusal.empty()) {
-    release_on_shards(name, touched);
-    reject("federation.cross.aborted_reserve", refusal);
+    // Release wherever the reserve ran and may hold: every shard that
+    // accepted, and any whose control function failed part-way.
+    std::vector<std::size_t> release;
+    for (std::size_t i = 0; i < round->shards.size(); ++i) {
+      const ServiceResult::Status st = round->replies[i].status;
+      if (st == ServiceResult::Status::kApplied
+              ? round->held[i] != 0
+              : st == ServiceResult::Status::kRejected)
+        release.push_back(round->shards[i]);
+    }
+    release_round(name, std::move(release), [this, name, gr, refusal,
+                                             on_done] {
+      end_round(name, [&] {
+        reject_cross(name, gr, "federation.cross.aborted_reserve", refusal,
+                     on_done);
+      });
+    });
     return;
   }
 
-  // 8. Every touched shard holds its fragment: the app is admitted.  An
+  // Every touched shard holds its fragment: the app is admitted.  An
   // element failing from here on is ordinary churn — the holds stay until
   // the app is removed, like a GR reservation on a dead path.
-  CrossApp record;
-  record.app = std::move(app);
-  record.paths = std::move(paths);
-  record.path_rates = std::move(rates);
-  record.total_rate = total_rate;
-  record.availability = availability;
-  record.shards = touched;
-  record.load = std::move(load);
-  record.elements = std::move(elements);
-  std::size_t path_count = record.paths.size();
-  {
-    std::lock_guard<std::mutex> lock(cross_mu_);
-    cross_load_.add_scaled_at(record.elements, record.load, 1.0);
-    rebuild_plan_residual();
-    cross_.emplace(name, std::move(record));
-    registry_.gauge("federation.cross.apps")
-        .set(static_cast<double>(cross_.size()));
-    ++cross_version_;
-  }
   bump("federation.cross.admitted");
   log_decision(name, gr,
-               "cross-shard admitted over " + std::to_string(touched.size()) +
+               "cross-shard admitted over " + std::to_string(shards) +
                    " shard(s)",
-               total_rate, availability, path_count);
+               rate, availability, paths);
   ServiceResult r;
   r.status = ServiceResult::Status::kAdmitted;
-  r.rate = total_rate;
+  r.rate = rate;
   r.availability = availability;
-  r.paths = path_count;
-  on_done(std::move(r));
+  r.paths = paths;
+  end_round(name, [&] { on_done(std::move(r)); });
 }
 
 void FederatedService::cross_remove(const std::string& name,
                                     Completion on_done) {
+  if (const auto it = rounds_.find(name); it != rounds_.end()) {
+    it->second.push_back(std::move(on_done));  // answered by end_round()
+    return;
+  }
   std::vector<std::size_t> touched;
   bool gr = false;
   {
@@ -729,45 +777,157 @@ void FederatedService::cross_remove(const std::string& name,
     touched = it->second.shards;
     gr = it->second.app.qoe.cls == QoeClass::kGuaranteedRate;
   }
-  release_on_shards(name, touched);
-  {
-    std::lock_guard<std::mutex> lock(cross_mu_);
-    const auto it = cross_.find(name);
-    if (it != cross_.end()) {
-      cross_load_.add_scaled_at(it->second.elements, it->second.load, -1.0);
-      rebuild_plan_residual();
-      cross_.erase(it);
+  begin_round(name);
+  release_round(name, std::move(touched), [this, name, gr, on_done] {
+    {
+      std::lock_guard<std::mutex> lock(cross_mu_);
+      const auto it = cross_.find(name);
+      if (it != cross_.end()) {
+        cross_load_.add_scaled_at(it->second.elements, it->second.load, -1.0);
+        for (const ElementKey& e : it->second.elements)
+          update_plan_residual(e);
+        cross_.erase(it);
+      }
+      registry_.gauge("federation.cross.apps")
+          .set(static_cast<double>(cross_.size()));
+      ++cross_version_;
     }
-    registry_.gauge("federation.cross.apps")
-        .set(static_cast<double>(cross_.size()));
-    ++cross_version_;
-  }
+    {
+      std::lock_guard<std::mutex> lock(route_mu_);
+      route_.erase(name);
+    }
+    bump("federation.cross.removes");
+    log_decision(name, gr, "cross-shard removed, holds released", 0.0, 0.0,
+                 0);
+    ServiceResult r;
+    r.status = ServiceResult::Status::kRemoved;
+    end_round(name, [&] { on_done(std::move(r)); });
+  });
+}
+
+void FederatedService::reject_cross(const std::string& name, bool gr,
+                                    const char* counter,
+                                    const std::string& reason,
+                                    const Completion& on_done) {
+  bump(counter);
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     route_.erase(name);
   }
-  bump("federation.cross.removes");
-  log_decision(name, gr, "cross-shard removed, holds released", 0.0, 0.0, 0);
-  ServiceResult r;
-  r.status = ServiceResult::Status::kRemoved;
-  on_done(std::move(r));
+  log_decision(name, gr, reason, 0.0, 0.0, 0);
+  complete_rejected(on_done, reason);
 }
 
-void FederatedService::release_on_shards(
-    const std::string& name, const std::vector<std::size_t>& shards) {
-  std::vector<std::future<ServiceResult>> futures;
-  for (const std::size_t s : shards)
-    futures.push_back(shards_[s]->apply(
-        [name](Scheduler& sc) { sc.release_external(name); }));
-  for (auto& f : futures) f.get();
+void FederatedService::send_round(
+    const std::shared_ptr<Round>& round,
+    std::function<void(Scheduler&, std::size_t)> fn,
+    std::function<void()> then) {
+  const std::size_t n = round->shards.size();
+  round->replies.resize(n);
+  round->refusals.resize(n);
+  round->held.assign(n, 0);
+  round->waiting = n;
+  round->sent = round->answered = Clock::now();
+  if (n == 0) {
+    then();
+    return;
+  }
+  auto finish = std::make_shared<std::function<void()>>(std::move(then));
+  for (std::size_t i = 0; i < n; ++i)
+    shards_[round->shards[i]]->apply(
+        [fn, i](Scheduler& sc) { fn(sc, i); },
+        [this, round, finish, i](ServiceResult r) {
+          // A shard's scheduling thread (or the sender, for a bounce):
+          // record the reply and, on the last one, post the finishing job.
+          round->replies[i] = std::move(r);
+          if (round->waiting.fetch_sub(1) == 1) {
+            round->answered = Clock::now();
+            enqueue_job(std::move(*finish), /*finishes_round=*/true);
+          }
+        });
 }
 
-void FederatedService::rebuild_plan_residual() {
-  plan_residual_ = CapacitySnapshot(net_);
-  plan_residual_.subtract_scaled(cross_load_, 1.0);
-  if (!failed_.empty())
-    plan_residual_.scale_elements(
-        std::vector<ElementKey>(failed_.begin(), failed_.end()), 0.0);
+void FederatedService::release_round(const std::string& name,
+                                     std::vector<std::size_t> shards,
+                                     std::function<void()> then) {
+  auto round = std::make_shared<Round>();
+  round->shards = std::move(shards);
+  send_round(
+      round,
+      [name](Scheduler& sc, std::size_t) { sc.release_external(name); },
+      std::move(then));
+}
+
+void FederatedService::begin_round(const std::string& name) {
+  rounds_.try_emplace(name);
+  {
+    std::lock_guard<std::mutex> lock(router_mu_);
+    in_flight_rounds_ = rounds_.size();
+  }
+  cross_in_flight_.set(static_cast<double>(rounds_.size()));
+}
+
+void FederatedService::end_round(const std::string& name,
+                                 const std::function<void()>& reply) {
+  std::deque<Completion> parked = std::move(rounds_.at(name));
+  rounds_.erase(name);
+  {
+    std::lock_guard<std::mutex> lock(router_mu_);
+    in_flight_rounds_ = rounds_.size();
+  }
+  cross_in_flight_.set(static_cast<double>(rounds_.size()));
+  reply();
+  // Then the removes that arrived during the round, in arrival order, as
+  // the FIFO router would have run them after it.
+  while (!parked.empty()) {
+    Completion next = std::move(parked.front());
+    parked.pop_front();
+    cross_remove(name, std::move(next));
+    const auto it = rounds_.find(name);
+    if (it == rounds_.end()) continue;
+    for (Completion& c : parked) it->second.push_back(std::move(c));
+    return;  // the rest wait on the removal round just begun
+  }
+}
+
+void FederatedService::hold(const std::vector<ElementKey>& elements,
+                            const LoadMap& load, int sign) {
+  held_.add_scaled_at(elements, load, static_cast<double>(sign));
+  for (const ElementKey& e : elements) {
+    const auto i = static_cast<std::size_t>(e.index);
+    const bool ncp = e.kind == ElementKey::Kind::kNcp;
+    std::size_t& holds = ncp ? held_ncps_[i] : held_links_[i];
+    holds = sign > 0 ? holds + 1 : holds - 1;
+    // An add and a subtract do not round-trip in floating point: with no
+    // hold left, the element reads exactly capacity − cross_load_ again.
+    if (holds == 0) {
+      if (ncp)
+        held_.ncp_load(e.index) = ResourceVector(net_.schema().size());
+      else
+        held_.link_load(e.index) = 0.0;
+    }
+    update_plan_residual(e);
+  }
+}
+
+void FederatedService::update_plan_residual(const ElementKey& e) {
+  // Capacity minus committed and pending cross load, clamped at zero,
+  // zeroed if failed.  With no hold pending (held_ exactly 0 there) it
+  // reads capacity minus the committed load alone.
+  const double keep = failed_.contains(e) ? 0.0 : 1.0;
+  if (e.kind == ElementKey::Kind::kNcp) {
+    ResourceVector v = net_.ncp(e.index).capacity;
+    v -= cross_load_.ncp_load(e.index);
+    v -= held_.ncp_load(e.index);
+    v.clamp_nonnegative();
+    v *= keep;
+    plan_residual_.ncp(e.index) = std::move(v);
+  } else {
+    double v = net_.link(e.index).bandwidth - cross_load_.link_load(e.index) -
+               held_.link_load(e.index);
+    if (v < 0) v = 0;
+    plan_residual_.link(e.index) = v * keep;
+  }
 }
 
 const FederatedService::UnionSubnet& FederatedService::union_subnet(
@@ -912,10 +1072,11 @@ std::vector<std::size_t> FederatedService::pinned_shards(
 // ---------------------------------------------------------------------------
 // Router plumbing
 
-void FederatedService::enqueue_job(std::function<void()> job) {
+void FederatedService::enqueue_job(std::function<void()> job,
+                                   bool finishes_round) {
   {
     std::lock_guard<std::mutex> lock(router_mu_);
-    jobs_.push_back(std::move(job));
+    (finishes_round ? finishes_ : jobs_).push_back(std::move(job));
   }
   router_cv_.notify_one();
 }
@@ -923,16 +1084,27 @@ void FederatedService::enqueue_job(std::function<void()> job) {
 void FederatedService::router_loop() {
   std::unique_lock<std::mutex> lock(router_mu_);
   for (;;) {
-    router_cv_.wait(lock, [this] { return !jobs_.empty() || stopping_; });
-    if (jobs_.empty() && stopping_) return;
-    std::function<void()> job = std::move(jobs_.front());
-    jobs_.pop_front();
+    // Stopping, the router still finishes the rounds in flight: their
+    // last replies post the jobs that answer them.
+    router_cv_.wait(lock, [this] {
+      return !finishes_.empty() || !jobs_.empty() ||
+             (stopping_ && in_flight_rounds_ == 0);
+    });
+    // A finished round first: it only answers a request, and behind the
+    // planning queue its reply would wait for the router a second time.
+    auto& queue = finishes_.empty() ? jobs_ : finishes_;
+    if (queue.empty()) return;
+    std::function<void()> job = std::move(queue.front());
+    queue.pop_front();
     router_busy_ = true;
     lock.unlock();
+    const auto t0 = Clock::now();
     job();
+    busy_us_.add(static_cast<std::uint64_t>(
+        std::llround(us_between(t0, Clock::now()))));
     lock.lock();
     router_busy_ = false;
-    if (jobs_.empty()) idle_cv_.notify_all();
+    if (jobs_.empty() && in_flight_rounds_ == 0) idle_cv_.notify_all();
   }
 }
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,7 +49,10 @@
 ///     authoritative residual), and the app is admitted once *all*
 ///     shards accepted — any refusal releases every hold, leaving no
 ///     residue (the per-shard invariant checker plus the federation
-///     conservation check in federation/check.hpp prove it).
+///     conservation check in federation/check.hpp prove it);
+///   - the router never waits on a shard: reserves and releases complete
+///     by callback, and the last reply posts the job that finishes the
+///     round, so the router plans the next app while rounds are in flight.
 
 namespace sparcle::federation {
 
@@ -72,7 +74,9 @@ struct FederationOptions {
 /// reservations named after the app inside each touched shard.
 struct CrossApp {
   Application app;                 ///< the admitted request (global pins)
-  std::vector<PathInfo> paths;     ///< committed paths on the full network
+  /// Committed paths: placements and elements in full-network ids.  Their
+  /// per-unit loads are folded into `load` and not kept per path.
+  std::vector<PathInfo> paths;
   std::vector<double> path_rates;  ///< committed rate per path
   double total_rate{0.0};          ///< Σ path_rates
   double availability{0.0};        ///< achieved availability estimate
@@ -103,9 +107,13 @@ class FederatedService : public service::PlacementService {
   /// shard) followed by the committed cross-shard apps; version is the sum
   /// of shard versions plus the federation's own mutation counter.
   std::shared_ptr<const service::ServiceSnapshot> snapshot() const override;
-  /// Blocks until the router queue is empty and every shard drained.
+  /// Blocks until the router queue is empty, no cross-shard reserve or
+  /// release round is in flight, and every shard drained.
   void drain() override;
-  /// Stops the router, then every shard.  Idempotent.
+  /// Refuses new requests, stops every shard (each answers what it has
+  /// queued, a paused one included), then lets the router finish every
+  /// round those replies complete.  Every completion fires exactly once.
+  /// Idempotent.
   void stop() override;
   /// Shard counters summed, plus the federation's own `federation.*`
   /// instruments merged into ServiceStats::metrics.
@@ -132,9 +140,11 @@ class FederatedService : public service::PlacementService {
   /// Copy of the committed cross-shard app table (name → CrossApp).
   std::map<std::string, CrossApp> cross_apps() const;
   /// Copy of the federation planning residual: full capacities minus the
-  /// committed cross-shard loads, failed elements zeroed.  Optimistic —
-  /// shard-internal GR load is invisible here by design (the reserve
-  /// round is the authoritative check); boundary links are exact.
+  /// committed cross-shard loads and minus the pending holds of
+  /// admissions whose reserve round is still in flight, failed elements
+  /// zeroed.  Optimistic — shard-internal GR load is invisible here by
+  /// design (the reserve round is the authoritative check); boundary
+  /// links are exact.
   CapacitySnapshot plan_residual() const;
   /// Elements currently failed from the federation's point of view
   /// (everything injected through mark_failed, boundary links included).
@@ -158,12 +168,13 @@ class FederatedService : public service::PlacementService {
     std::vector<ElementKey> elements;  ///< distinct local elements
   };
 
-  /// The union sub-network of one touched-shard set: those shards' NCPs,
-  /// their intra-shard links, and every boundary link with both endpoints
+  /// The union sub-network of one touched-shard set: the pinned shards'
+  /// NCPs, the backbone of every transit shard between them, their
+  /// intra-shard links, and every boundary link with both endpoints
   /// inside the union.  Cross-shard planning provisions on this instead
   /// of the full site, so the router's cost scales with the regions an
-  /// app actually spans rather than the whole federation — on a 2048-NCP
-  /// site a two-region app plans on a 128-node graph.
+  /// app actually spans rather than the whole federation — on perfbench's
+  /// fed16 (2048 NCPs, 16 shards) a cross-shard plan averages ~266 NCPs.
   struct UnionSubnet {
     Network net;                          ///< the induced sub-graph
     std::vector<NcpId> to_global_ncp;     ///< sub node id -> full-site id
@@ -171,23 +182,64 @@ class FederatedService : public service::PlacementService {
     std::map<NcpId, NcpId> to_sub_ncp;    ///< full-site node id -> sub id
   };
 
+  /// One round of control requests (reserves or releases) in flight, one
+  /// per shard.  Each shard callback writes only its own slot; the last
+  /// one stamps `answered` and posts the round's finishing router job.
+  struct Round {
+    std::vector<std::size_t> shards;           ///< shards asked, ascending
+    std::vector<service::ServiceResult> replies;  ///< by position in shards
+    std::vector<std::string> refusals;  ///< reserve: the shard's reason
+    std::vector<char> held;             ///< reserve: the shard holds it
+    std::atomic<std::size_t> waiting{0};  ///< replies still outstanding
+    std::chrono::steady_clock::time_point sent, answered;
+  };
+
   static constexpr std::size_t kCrossRoute = static_cast<std::size_t>(-1);
 
   /// Routes one arrival: home shard when every pin lands in one shard,
   /// otherwise a router job for the cross-shard path.  Never blocks.
   void dispatch_submit(Application app, Completion on_done);
-  /// The one-round cross-shard admission (router thread).
+  /// Cross-shard admission, first half (router job): plans the app,
+  /// takes its pending hold at the boundary check and sends the reserve
+  /// round; finish_admit() completes it.
   void cross_admit(Application app, Completion on_done);
-  /// Cross-shard removal (router thread): release every hold, return the
-  /// load to the planning residual.
+  /// Second half (router job, posted by the last reserve reply): admits
+  /// the app, or releases its holds and then rejects it.
+  void finish_admit(const std::shared_ptr<Round>& round,
+                    const std::shared_ptr<CrossApp>& record,
+                    const Completion& on_done);
+  /// Cross-shard removal (router job): sends the release round, answered
+  /// once every shard replied.  Parked while the app's own round is in
+  /// flight, so same-name requests keep their order.
   void cross_remove(const std::string& name, Completion on_done);
-  /// Releases the named hold on the given shards, ignoring failures
-  /// (unknown names are no-ops) — the abort path.
-  void release_on_shards(const std::string& name,
-                         const std::vector<std::size_t>& shards);
-  /// Rebuilds plan_residual_ = full capacities − cross_load_, failed
-  /// elements zeroed.  Caller holds cross_mu_.
-  void rebuild_plan_residual();
+  /// Answers a cross-shard submit with a rejection: frees its name,
+  /// counts `counter`, logs the decision.
+  void reject_cross(const std::string& name, bool gr, const char* counter,
+                    const std::string& reason, const Completion& on_done);
+  /// Sends `fn(scheduler, i)` to every shard of `round` (i = its slot);
+  /// the last reply posts `then` as a router job.  Never blocks.
+  void send_round(const std::shared_ptr<Round>& round,
+                  std::function<void(Scheduler&, std::size_t)> fn,
+                  std::function<void()> then);
+  /// Sends the release of hold `name` to `shards`, then runs `then` as a
+  /// router job once all replied (at once when `shards` is empty).
+  void release_round(const std::string& name, std::vector<std::size_t> shards,
+                     std::function<void()> then);
+  /// Marks `name`'s round begun (router thread).
+  void begin_round(const std::string& name);
+  /// Ends `name`'s round: it leaves the in-flight count, `reply` answers
+  /// the round's own request, then the removes parked behind it are
+  /// answered in arrival order.
+  void end_round(const std::string& name,
+                 const std::function<void()>& reply);
+  /// Adds (`sign` +1) or drops (−1) a pending hold of `load` on
+  /// `elements`; an element whose last hold is dropped reads exactly 0
+  /// again.  Caller holds cross_mu_.
+  void hold(const std::vector<ElementKey>& elements, const LoadMap& load,
+            int sign);
+  /// plan_residual_ at `e` = capacity − cross_load_ − held_, or 0 when
+  /// failed.  Caller holds cross_mu_.
+  void update_plan_residual(const ElementKey& e);
   /// Translates an application's pinned NCPs to shard-local ids.
   Application to_local(const Application& app) const;
   /// The shard owning shard-internal element `e` (global id) and `e`'s
@@ -199,7 +251,10 @@ class FederatedService : public service::PlacementService {
   const UnionSubnet& union_subnet(const std::vector<std::size_t>& shards);
   /// Ascending distinct shard indices the app's pins land in.
   std::vector<std::size_t> pinned_shards(const Application& app) const;
-  void enqueue_job(std::function<void()> job);
+  /// Queues a router job: a request to plan or remove, or (with
+  /// `finishes_round`) the job a round's last reply posts, which the
+  /// router runs first.
+  void enqueue_job(std::function<void()> job, bool finishes_round = false);
   void router_loop();
   void bump(const char* name, std::uint64_t n = 1);
   /// Records a kFederate decision-log row when a log is installed.
@@ -236,7 +291,16 @@ class FederatedService : public service::PlacementService {
   /// Touched only from the router thread, so no lock guards it.
   std::map<std::vector<std::size_t>, UnionSubnet> subnets_;
 
+  /// Names with a reserve or release round in flight, each with the
+  /// removes parked behind it in arrival order.  Router thread only.
+  std::map<std::string, std::deque<Completion>> rounds_;
+
   obs::MetricsRegistry registry_;  ///< federation.* instruments
+  // Instruments resolved once, so no exit pays a name lookup.
+  obs::Counter& busy_us_;      ///< federation.router.busy_us
+  obs::Gauge& cross_in_flight_;  ///< federation.cross.in_flight
+  obs::Histogram& plan_us_;    ///< federation.cross.plan.us
+  obs::Histogram& round_us_;   ///< federation.cross.round.us
 
   /// Trace ids for requests the *federation* answers (the cross-shard
   /// path); shard-local requests carry their shard service's ids.
@@ -247,20 +311,27 @@ class FederatedService : public service::PlacementService {
   mutable std::mutex route_mu_;
   std::map<std::string, std::size_t> route_;
 
-  /// Cross-shard state: committed apps, their aggregate load, the
-  /// planning residual derived from it, and the failed-element set.
+  /// Cross-shard state: committed apps and their aggregate load, the
+  /// pending holds of admissions whose reserve round is in flight (kept
+  /// apart, so an aborted round leaves cross_load_ untouched), the
+  /// planning residual derived from both, and the failed-element set.
   mutable std::mutex cross_mu_;
   std::map<std::string, CrossApp> cross_;
   LoadMap cross_load_;
+  LoadMap held_;
+  std::vector<std::size_t> held_ncps_, held_links_;  ///< holds per element
   CapacitySnapshot plan_residual_;
   std::set<ElementKey> failed_;
   std::uint64_t cross_version_{0};  ///< bumps on every cross mutation
 
-  /// Router: one thread serializing cross-shard admissions/removals.
+  /// Router: one thread that plans cross-shard admissions and finishes
+  /// their rounds; it never waits on a shard.
   mutable std::mutex router_mu_;
   std::condition_variable router_cv_;   ///< wakes the router thread
   std::condition_variable idle_cv_;     ///< wakes drain()ers
-  std::deque<std::function<void()>> jobs_;
+  std::deque<std::function<void()>> jobs_;      ///< arrivals, FIFO
+  std::deque<std::function<void()>> finishes_;  ///< finished rounds, FIFO
+  std::size_t in_flight_rounds_{0};  ///< rounds_.size(), for drain()/stop()
   bool router_busy_{false};
   bool stopping_{false};
   std::thread router_;  ///< last member: joins before teardown

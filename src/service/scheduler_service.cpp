@@ -157,12 +157,16 @@ void SchedulerService::remove_async(std::string app_name, Completion on_done) {
           default_deadline());
 }
 
-std::future<ServiceResult> SchedulerService::apply(SchedulerFn fn) {
-  std::future<ServiceResult> future;
+void SchedulerService::apply(SchedulerFn fn, Completion on_done) {
   enqueue({.verb = Request::Verb::kApply,
            .fn = std::move(fn),
-           .callback = fulfilling(future)},
+           .callback = std::move(on_done)},
           kNoDeadline);
+}
+
+std::future<ServiceResult> SchedulerService::apply(SchedulerFn fn) {
+  std::future<ServiceResult> future;
+  apply(std::move(fn), fulfilling(future));
   return future;
 }
 

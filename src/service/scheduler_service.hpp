@@ -283,9 +283,12 @@ class SchedulerService : public PlacementService {
   /// settle at batch end as usual).
   using SchedulerFn = std::function<void(Scheduler&)>;
 
-  /// Enqueues `fn` at control priority (ahead of submits); the future
-  /// resolves with kApplied after the batch containing it completes.
-  /// Control requests never expire.
+  /// Enqueues `fn` at control priority (ahead of submits); `on_done`
+  /// fires with kApplied on the scheduling thread after the batch
+  /// containing it completes, or at once with kQueueFull / kShutdown when
+  /// `fn` never ran.  Control requests never expire.
+  void apply(SchedulerFn fn, Completion on_done);
+  /// apply() with a future that resolves to the reply.
   std::future<ServiceResult> apply(SchedulerFn fn);
 
   /// Runs `fn` on the scheduling thread against the settled post-batch

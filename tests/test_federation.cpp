@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -50,6 +53,25 @@ Network make_two_region_net(double relay_cap = 10.0, double sink_cap = 2.0) {
   return net;
 }
 
+/// Three regions around a0/a1: r0 = {a0, a1}, r1 = {b0, b1}, r2 =
+/// {c0, c1}, with boundary links "ab" (a1-b0, `ab_bw`) and "ac" (a1-c0).
+/// An app a0 -> b1 touches shards 0 and 1; a0 -> c1 touches 0 and 2.
+Network make_three_region_net(double ab_bw = 1000.0) {
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("a0", ResourceVector::scalar(1.0), 0.0, "r0");
+  net.add_ncp("a1", ResourceVector::scalar(10.0), 0.0, "r0");
+  net.add_ncp("b0", ResourceVector::scalar(10.0), 0.0, "r1");
+  net.add_ncp("b1", ResourceVector::scalar(2.0), 0.0, "r1");
+  net.add_ncp("c0", ResourceVector::scalar(10.0), 0.0, "r2");
+  net.add_ncp("c1", ResourceVector::scalar(2.0), 0.0, "r2");
+  net.add_link("aa", 0, 1, 1000.0);
+  net.add_link("ab", 1, 2, ab_bw);  // boundary r0-r1
+  net.add_link("bb", 2, 3, 1000.0);
+  net.add_link("ac", 1, 4, 1000.0);  // boundary r0-r2
+  net.add_link("cc", 4, 5, 1000.0);
+  return net;
+}
+
 /// source (0 cpu) -> mid (`mid_cpu`) -> sink (`sink_cpu`), 1-bit TTs.
 std::shared_ptr<const TaskGraph> make_pipeline_graph(double mid_cpu,
                                                      double sink_cpu = 0.0) {
@@ -84,6 +106,49 @@ void expect_conserved(FederatedService& fed) {
 double counter(const service::ServiceStats& stats, const std::string& name) {
   const auto it = stats.metrics.find(name);
   return it == stats.metrics.end() ? 0.0 : it->second;
+}
+
+/// Records every reply by request label, in the order they fire, from
+/// whichever thread fires them.
+class Replies {
+ public:
+  service::PlacementService::Completion on(const std::string& label) {
+    return [this, label](ServiceResult r) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++fired_[label];
+      order_.push_back(label + ":" + service::to_string(r.status));
+      last_[label] = std::move(r);
+    };
+  }
+  /// Times `label`'s completion fired.
+  int fired(const std::string& label) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = fired_.find(label);
+    return it == fired_.end() ? 0 : it->second;
+  }
+  ServiceResult last(const std::string& label) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return last_.at(label);
+  }
+  std::vector<std::string> order() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, int> fired_;
+  std::map<std::string, ServiceResult> last_;
+  std::vector<std::string> order_;
+};
+
+/// True once `shard`'s reservation table holds `name`.
+bool holds(FederatedService& fed, std::size_t shard, const std::string& name) {
+  bool held = false;
+  fed.shard(shard).inspect([&](const Scheduler& sc) {
+    held = sc.external_reservations().contains(name);
+  });
+  return held;
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +601,239 @@ TEST(Federation, BoundaryLinkChurnIsFederationOwned) {
                                  3, 4.0, 1.0))
                 .status,
             ServiceResult::Status::kAdmitted);
+  expect_conserved(fed);
+}
+
+// ---------------------------------------------------------------------------
+// The non-blocking router: rounds in flight complete by callback
+
+TEST(FederationRouter, DoesNotWaitOnAPausedShard) {
+  FederationOptions opt;
+  opt.shards = 3;
+  FederatedService fed(make_three_region_net(), opt);
+  Replies replies;
+
+  // Shard 1 holds the first app's reserve unanswered; the router must
+  // still plan and admit the second, which never touches shard 1.
+  fed.shard(1).pause();
+  fed.submit_async(
+      make_app("to_b", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
+      replies.on("to_b"));
+  auto free = fed.submit(
+      make_app("to_c", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 5, 4.0, 1.0));
+  ASSERT_EQ(free.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const ServiceResult got = free.get();
+  EXPECT_EQ(got.status, ServiceResult::Status::kAdmitted) << got.reason;
+  EXPECT_EQ(replies.fired("to_b"), 0);  // its round is still pending
+  const service::ServiceStats pending = fed.stats();
+  EXPECT_EQ(counter(pending, "federation.cross.in_flight"), 1.0);
+  // The pending app's hold is already charged to the planning residual.
+  EXPECT_LT(fed.plan_residual().ncp(3)[0], 2.0);
+  EXPECT_TRUE(fed.cross_apps().contains("to_c"));
+  EXPECT_FALSE(fed.cross_apps().contains("to_b"));
+
+  fed.shard(1).resume();
+  fed.drain();
+  ASSERT_EQ(replies.fired("to_b"), 1);
+  EXPECT_EQ(replies.last("to_b").status, ServiceResult::Status::kAdmitted)
+      << replies.last("to_b").reason;
+  const service::ServiceStats after = fed.stats();
+  EXPECT_EQ(counter(after, "federation.cross.in_flight"), 0.0);
+  EXPECT_GT(counter(after, "federation.router.busy_us"), 0.0);
+  const obs::Histogram* plan = fed.registry().find_histogram(
+      "federation.cross.plan.us");
+  const obs::Histogram* round = fed.registry().find_histogram(
+      "federation.cross.round.us");
+  ASSERT_NE(plan, nullptr);
+  ASSERT_NE(round, nullptr);
+  EXPECT_EQ(plan->count(), 2u);
+  EXPECT_EQ(round->count(), 2u);
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, RemoveSentBeforeTheAdmissionReplyIsAnsweredAfterIt) {
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  Replies replies;
+
+  fed.shard(1).pause();
+  fed.submit_async(
+      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
+      replies.on("submit"));
+  // The remove reaches the router while the admission's round waits on
+  // shard 1: it is parked, and answered once the admission resolved.
+  fed.remove_async("cx", replies.on("remove"));
+  fed.remove_async("cx", replies.on("again"));
+  fed.shard(1).resume();
+  fed.drain();
+
+  EXPECT_EQ(replies.order(),
+            (std::vector<std::string>{"submit:admitted", "remove:removed",
+                                      "again:not_found"}));
+  EXPECT_TRUE(fed.cross_apps().empty());
+  for (std::size_t s = 0; s < 2; ++s)
+    EXPECT_FALSE(holds(fed, s, "cx")) << "leaked hold on shard " << s;
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, DrainWaitsForEveryRoundInFlight) {
+  FederationOptions opt;
+  opt.shards = 3;
+  FederatedService fed(make_three_region_net(), opt);
+  Replies replies;
+  std::vector<std::string> names;
+  for (int i = 0; i < 12; ++i) {
+    const std::string name = "cx" + std::to_string(i);
+    names.push_back(name);
+    fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.1, 0.0), 0,
+                              i % 2 == 0 ? 3 : 5, 0.5, 0.1),
+                     replies.on(name));
+    if (i % 3 == 0) fed.remove_async(name, replies.on("rm_" + name));
+  }
+  fed.drain();
+  for (const std::string& name : names) {
+    EXPECT_EQ(replies.fired(name), 1) << name;
+    EXPECT_EQ(replies.last(name).status, ServiceResult::Status::kAdmitted)
+        << name << ": " << replies.last(name).reason;
+  }
+  for (int i = 0; i < 12; i += 3)
+    EXPECT_EQ(replies.fired("rm_cx" + std::to_string(i)), 1);
+  EXPECT_EQ(fed.cross_apps().size(), 8u);
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, StopRightAfterAPauseAnswersEveryRequestOnce) {
+  FederationOptions opt;
+  opt.shards = 3;
+  Replies replies;
+  std::vector<std::string> labels;
+  {
+    FederatedService fed(make_three_region_net(), opt);
+    fed.shard(1).pause();
+    for (int i = 0; i < 6; ++i) {
+      const std::string name = "cx" + std::to_string(i);
+      labels.push_back(name);
+      fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.1, 0.0), 0,
+                                i % 2 == 0 ? 3 : 5, 0.5, 0.1),
+                       replies.on(name));
+      if (i == 0) {
+        labels.push_back("rm");
+        fed.remove_async(name, replies.on("rm"));
+      }
+    }
+    labels.push_back("local");
+    fed.submit_async(make_app("local", QoeSpec::best_effort(1.0), 2, 3),
+                     replies.on("local"));
+    fed.stop();
+    for (const std::string& label : labels)
+      EXPECT_EQ(replies.fired(label), 1) << label;
+    // Stopped: later requests bounce at once.
+    fed.submit_async(
+        make_app("late", QoeSpec::guaranteed_rate(0.1, 0.0), 0, 3, 0.5, 0.1),
+        replies.on("late"));
+    EXPECT_EQ(replies.last("late").status, ServiceResult::Status::kShutdown);
+    fed.stop();  // idempotent
+  }
+  for (const std::string& label : labels)
+    EXPECT_EQ(replies.fired(label), 1) << label;
+}
+
+TEST(FederationRouter, QueueFullReserveAbortsWithoutResidue) {
+  FederationOptions opt;
+  opt.shards = 2;
+  opt.service.queue_capacity = 1;
+  const Network net = make_two_region_net();
+  FederatedService fed(net, opt);
+  Replies replies;
+
+  // Shard 1's one queue slot is taken, so its reserve bounces.
+  fed.shard(1).pause();
+  fed.submit_async(make_app("filler", QoeSpec::best_effort(1.0), 2, 3),
+                   replies.on("filler"));
+  const ServiceResult got =
+      fed.submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3,
+                          4.0, 1.0))
+          .get();
+  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
+  EXPECT_NE(got.reason.find("queue_full"), std::string::npos) << got.reason;
+  EXPECT_EQ(counter(fed.stats(), "federation.cross.aborted_reserve"), 1.0);
+  EXPECT_TRUE(fed.cross_apps().empty());
+  EXPECT_FALSE(holds(fed, 0, "cx"));  // shard 0's hold was released
+
+  // Bit-identical to never having planned the app.
+  const CapacitySnapshot fresh(net);
+  const CapacitySnapshot residual = fed.plan_residual();
+  for (NcpId j = 0; j < static_cast<NcpId>(net.ncp_count()); ++j)
+    EXPECT_EQ(residual.ncp(j)[0], fresh.ncp(j)[0]) << "ncp " << j;
+  for (LinkId l = 0; l < static_cast<LinkId>(net.link_count()); ++l)
+    EXPECT_EQ(residual.link(l), fresh.link(l)) << "link " << l;
+
+  fed.shard(1).resume();
+  expect_conserved(fed);
+  EXPECT_EQ(replies.last("filler").status, ServiceResult::Status::kAdmitted);
+}
+
+TEST(FederationRouter, ShutdownReserveAbortsWithoutResidue) {
+  FederationOptions opt;
+  opt.shards = 2;
+  const Network net = make_two_region_net();
+  FederatedService fed(net, opt);
+
+  fed.shard(1).stop();
+  const ServiceResult got =
+      fed.submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3,
+                          4.0, 1.0))
+          .get();
+  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
+  EXPECT_NE(got.reason.find("interrupted"), std::string::npos) << got.reason;
+  EXPECT_EQ(counter(fed.stats(), "federation.cross.aborted_reserve"), 1.0);
+  EXPECT_TRUE(fed.cross_apps().empty());
+  EXPECT_FALSE(holds(fed, 0, "cx"));
+  const CapacitySnapshot fresh(net);
+  const CapacitySnapshot residual = fed.plan_residual();
+  for (NcpId j = 0; j < static_cast<NcpId>(net.ncp_count()); ++j)
+    EXPECT_EQ(residual.ncp(j)[0], fresh.ncp(j)[0]) << "ncp " << j;
+  for (LinkId l = 0; l < static_cast<LinkId>(net.link_count()); ++l)
+    EXPECT_EQ(residual.link(l), fresh.link(l)) << "link " << l;
+
+  // The stopped shard cannot be inspected; that is the only finding.
+  fed.drain();
+  const ConservationReport report = federation::check_federation(fed);
+  ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+  EXPECT_NE(report.violations[0].find("not inspectable"), std::string::npos);
+}
+
+TEST(FederationRouter, RoundsInFlightNeverOverbookABoundaryLink) {
+  // "ab" carries 1.0; each app sends 0.4 across it.  All six are planned
+  // while shard 1 holds every reserve unanswered, so only the pending
+  // holds keep later plans from booking the link again.
+  FederationOptions opt;
+  opt.shards = 3;
+  FederatedService fed(make_three_region_net(1.0), opt);
+  Replies replies;
+  fed.shard(1).pause();
+  for (int i = 0; i < 6; ++i)
+    fed.submit_async(make_app("cx" + std::to_string(i),
+                              QoeSpec::guaranteed_rate(0.4, 0.0), 0, 3, 0.5,
+                              0.1),
+                     replies.on("cx" + std::to_string(i)));
+  fed.shard(1).resume();
+  fed.drain();
+
+  int admitted = 0;
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "cx" + std::to_string(i);
+    ASSERT_EQ(replies.fired(name), 1) << name;
+    if (replies.last(name).status == ServiceResult::Status::kAdmitted)
+      ++admitted;
+  }
+  EXPECT_EQ(admitted, 2);
+  double used = 0.0;
+  for (const auto& [name, ca] : fed.cross_apps())
+    used += ca.load.link_load(1);
+  EXPECT_LE(used, 1.0 + 1e-9);
   expect_conserved(fed);
 }
 

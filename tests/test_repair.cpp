@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "check/invariants.hpp"
+#include "core/availability.hpp"
 #include "core/scheduler.hpp"
 #include "obs/obs.hpp"
 #include "sim/churn_injector.hpp"
@@ -165,9 +166,10 @@ TEST(Repair, ReportsUnrepairableGuarantees) {
 
 TEST(Repair, LogRowOfAnAppThatKeptAlivePathsIsNotRestored) {
   // Relays fail 10% of the time, so a 0.95 availability target takes a
-  // path over each.  Losing one relay leaves one alive path: repair()
-  // sheds the dead one and adds nothing, so the app is neither repaired
-  // nor degraded, and its log row must say so.
+  // path over each.  Losing one relay leaves one alive path at 0.90:
+  // repair() sheds the dead one and, with the other relay down, finds
+  // nothing that raises the availability, so the app stays degraded and
+  // its log row must say so, not `restored`.
   obs::DecisionLog log;
   obs::Observability sinks;
   sinks.decisions = &log;
@@ -181,14 +183,54 @@ TEST(Repair, LogRowOfAnAppThatKeptAlivePathsIsNotRestored) {
   sched.mark_failed(ElementKey::ncp(1));
   const auto report = sched.repair(ElementKey::ncp(1));
   EXPECT_EQ(report.paths_dropped, 1u);
+  EXPECT_EQ(report.paths_added, 0u);
   EXPECT_TRUE(report.repaired.empty());
-  EXPECT_TRUE(report.still_degraded.empty());
+  EXPECT_EQ(report.still_degraded, std::vector<std::string>{"be"});
+  EXPECT_EQ(sched.placed()[0].paths.size(), 1u);
 
   std::vector<std::string> rows;
   for (const obs::Decision& d : log.snapshot())
     if (d.kind == obs::DecisionKind::kRepair) rows.push_back(d.reason);
   EXPECT_EQ(rows, std::vector<std::string>{
-                      "repair after ncp:r1: kept 1 alive path(s)"});
+                      "repair after ncp:r1: still degraded"});
+}
+
+TEST(Repair, BeRegainsThePathsItsAvailabilityTargetNeeds) {
+  // The same two-path app (availability 0.95 over relays failing 10%):
+  // down to one path (0.90) while relay 1 is failed, and back to two
+  // paths over both relays, meeting its target, once it recovers.
+  Scheduler sched(make_two_relay_net(10.0, 10.0, 0.1));
+  ASSERT_TRUE(
+      sched.submit(make_app("be", QoeSpec::best_effort(1.0, 0.95)))
+          .admitted);
+  ASSERT_EQ(sched.placed()[0].paths.size(), 2u);
+  sched.mark_failed(ElementKey::ncp(1));
+  const auto down = sched.repair(ElementKey::ncp(1));
+  EXPECT_EQ(down.still_degraded, std::vector<std::string>{"be"});
+  ASSERT_EQ(sched.placed()[0].paths.size(), 1u);
+  EXPECT_NEAR(sched.placed()[0].allocated_rate, 2.0, 0.02);
+
+  sched.mark_recovered(ElementKey::ncp(1));
+  const auto up = sched.repair(ElementKey::ncp(1));
+  EXPECT_EQ(up.repaired, std::vector<std::string>{"be"});
+  EXPECT_TRUE(up.still_degraded.empty());
+  EXPECT_EQ(up.apps_touched, 1u);
+  EXPECT_EQ(up.paths_added, 1u);
+  const PlacedApp& pa = sched.placed()[0];
+  ASSERT_EQ(pa.paths.size(), 2u);
+  EXPECT_NE(pa.paths[0].placement.ct_host(1), pa.paths[1].placement.ct_host(1));
+  std::vector<std::vector<ElementKey>> sets;
+  for (const PathInfo& p : pa.paths) sets.push_back(p.elements);
+  EXPECT_GE(availability_any(sched.network(), sets), 0.95);
+  EXPECT_NEAR(pa.allocated_rate, 4.0, 0.04);  // 10 cpu / 5 per relay
+  const check::CheckReport report = check::check_scheduler_state(sched);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+
+  // At its target again, a further pass leaves it as it is.
+  const auto again = sched.repair(ElementKey::ncp(1));
+  EXPECT_EQ(again.paths_added, 0u);
+  EXPECT_TRUE(again.repaired.empty());
+  EXPECT_TRUE(again.still_degraded.empty());
 }
 
 TEST(Repair, ReleasesDeadReservations) {
