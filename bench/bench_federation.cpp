@@ -14,13 +14,16 @@
 /// after each epoch the timer stops and the federation conservation check
 /// (per-shard invariant checker + cross-shard reservation accounting)
 /// must come back clean — a throughput number from a corrupted scheduler
-/// state is worthless.
+/// state is worthless.  The whole axis runs kRuns times, each row on a
+/// fresh service; a row reports the median of its runs, and a speedup
+/// the median of the per-run ratios to that run's one-shard row.
 ///
 /// With SPARCLE_BENCH_JSON=<path> set, a flat JSON results map is written
 /// for tools/bench_federation.sh, which appends a labeled entry to the
 /// checked-in BENCH_federation.json trajectory and gates the >= 5x
 /// speedup at 8 shards.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -44,12 +47,14 @@ namespace {
 constexpr std::size_t kRegions = 32;
 constexpr std::size_t kNcpsPerRegion = 64;  // 32 x 64 = 2048 NCPs
 constexpr std::size_t kEpochs = 4;
+/// Runs of the whole shard axis.  One axis of 64 arrivals takes about a
+/// second, so one run's 8-shard speedup swings ~2x with host load; the
+/// median over five runs is what the gate reads.
+constexpr std::size_t kRuns = 5;
+static_assert(kRuns % 2 == 1, "a median of kRuns values is one of them");
 
 /// Arrival count, overridable for longer runs (SPARCLE_BENCH_ARRIVALS);
-/// the checked-in gate uses the default.  64 keeps the whole axis under
-/// ~5 minutes — the single-scheduler baseline pays seconds *per
-/// admission* at 2048 NCPs, and that deliberately-slow row dominates
-/// the bench's wall time (which is the point being measured).
+/// the checked-in gate uses the default.
 std::size_t arrival_count() {
   if (const char* env = std::getenv("SPARCLE_BENCH_ARRIVALS")) {
     const long n = std::strtol(env, nullptr, 10);
@@ -118,8 +123,6 @@ AxisResult run_axis(const Network& net,
 
     // Untimed: the epoch's state must pass the conservation check (which
     // itself runs the per-shard invariant checker on every shard).
-    std::fprintf(stderr, "shards=%zu epoch %zu/%zu: %.1fs cumulative\n",
-                 shards, e + 1, kEpochs, result.wall_s);
     ++result.epochs_checked;
     const federation::ConservationReport report =
         federation::check_federation(fed);
@@ -139,6 +142,12 @@ AxisResult run_axis(const Network& net,
   return result;
 }
 
+/// The middle one of kRuns values.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -149,42 +158,62 @@ int main() {
 
   bench::section("federated placement: " + std::to_string(net.ncp_count()) +
                  "-NCP site, " + std::to_string(stream.size()) +
-                 " arrivals (locality 0.9), shard axis 1 -> 16");
+                 " arrivals (locality 0.9), shard axis 1 -> 16, " +
+                 std::to_string(kRuns) + " runs");
   bench::note(
       "shards=1 is the single global scheduler every admission serializes\n"
-      "through; each row replays the identical arrival stream.  Epoch\n"
+      "through; each row replays the identical arrival stream on a fresh\n"
+      "service, and reports the median of its runs.  The speedup is the\n"
+      "median of the per-run ratios (their range in brackets).  Epoch\n"
       "checks run the per-shard invariant checker plus the federation\n"
       "conservation check with the timer stopped.");
 
+  const std::vector<std::size_t> axis = {1, 2, 4, 8, 16};
+  // runs[k][r]: row k of run r.
+  std::vector<std::vector<AxisResult>> runs(axis.size());
+  for (std::size_t r = 0; r < kRuns; ++r)
+    for (std::size_t k = 0; k < axis.size(); ++k)
+      runs[k].push_back(run_axis(net, stream, axis[k]));
+
   Table table({"shards", "admissions/s", "speedup", "admitted", "rejected",
                "cross", "checks"});
-  double base = 0.0;
   bool all_clean = true;
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
-        std::size_t{16}}) {
-    const AxisResult r = run_axis(net, stream, shards);
-    if (shards == 1) base = r.admissions_per_s();
-    const double speedup = base > 0.0 ? r.admissions_per_s() / base : 0.0;
-    all_clean = all_clean && r.checks_ok();
-    table.add_row({std::to_string(shards), fmt(r.admissions_per_s(), 0),
-                   fmt(speedup, 2), std::to_string(r.admitted),
-                   std::to_string(r.rejected),
-                   std::to_string(r.cross_admitted),
-                   r.checks_ok() ? std::to_string(r.epochs_clean) + "/" +
-                                       std::to_string(r.epochs_checked)
-                                 : "FAIL"});
-    const std::string key = "shards" + std::to_string(shards);
-    json["admissions_per_s/" + key] = r.admissions_per_s();
-    json["speedup/" + key] = speedup;
-    json["admitted/" + key] = static_cast<double>(r.admitted);
-    json["rejected/" + key] = static_cast<double>(r.rejected);
-    json["cross_admitted/" + key] = static_cast<double>(r.cross_admitted);
-    json["checks_clean/" + key] = r.checks_ok() ? 1.0 : 0.0;
+  for (std::size_t k = 0; k < axis.size(); ++k) {
+    std::vector<double> rate, speedup, admitted, rejected, cross;
+    std::size_t clean = 0, checked = 0;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      const AxisResult& x = runs[k][r];
+      const double base = runs[0][r].admissions_per_s();
+      rate.push_back(x.admissions_per_s());
+      speedup.push_back(base > 0.0 ? x.admissions_per_s() / base : 0.0);
+      admitted.push_back(static_cast<double>(x.admitted));
+      rejected.push_back(static_cast<double>(x.rejected));
+      cross.push_back(static_cast<double>(x.cross_admitted));
+      clean += x.epochs_clean;
+      checked += x.epochs_checked;
+    }
+    const bool ok = clean == checked;
+    all_clean = all_clean && ok;
+    const auto [lo, hi] = std::minmax_element(speedup.begin(), speedup.end());
+    table.add_row({std::to_string(axis[k]), fmt(median(rate), 0),
+                   fmt(median(speedup), 2) + " [" + fmt(*lo, 2) + ", " +
+                       fmt(*hi, 2) + "]",
+                   fmt(median(admitted), 0), fmt(median(rejected), 0),
+                   fmt(median(cross), 0),
+                   ok ? std::to_string(clean) + "/" + std::to_string(checked)
+                      : "FAIL"});
+    const std::string key = "shards" + std::to_string(axis[k]);
+    json["admissions_per_s/" + key] = median(rate);
+    json["speedup/" + key] = median(speedup);
+    json["admitted/" + key] = median(admitted);
+    json["rejected/" + key] = median(rejected);
+    json["cross_admitted/" + key] = median(cross);
+    json["checks_clean/" + key] = ok ? 1.0 : 0.0;
   }
   table.print();
   json["ncps"] = static_cast<double>(net.ncp_count());
   json["arrivals"] = static_cast<double>(stream.size());
+  json["runs"] = static_cast<double>(kRuns);
   json["all_checks_clean"] = all_clean ? 1.0 : 0.0;
 
   if (const char* path = std::getenv("SPARCLE_BENCH_JSON")) {

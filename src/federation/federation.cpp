@@ -54,6 +54,8 @@ FederatedService::FederatedService(Network net, FederationOptions options)
       assigner_(options_.scheduler.assigner_options_with_policy()),
       busy_us_(registry_.counter("federation.router.busy_us")),
       cross_in_flight_(registry_.gauge("federation.cross.in_flight")),
+      plan_wait_us_(registry_.histogram("federation.cross.plan_wait.us",
+                                        obs::default_time_bounds_us())),
       plan_us_(registry_.histogram("federation.cross.plan.us",
                                    obs::default_time_bounds_us())),
       round_us_(registry_.histogram("federation.cross.round.us",
@@ -155,13 +157,14 @@ void FederatedService::dispatch_submit(Application app, Completion on_done) {
 
 FederatedService::Completion FederatedService::stamp_timeline(
     Completion on_done, std::chrono::steady_clock::time_point enqueued) {
-  // Cross-shard requests never pass through a SchedulerService queue, so
-  // the federation fills the wire's request-tracing contract itself:
-  // queue_us is the wait for the router thread, apply_us is the
-  // cross-shard protocol's own work, its rounds included (there is no
-  // batch or shared PF solve to report).  Called at job start on the
-  // router thread; the stamp wraps the completion, so every cross
-  // outcome — admitted, rejected, aborted, removed — carries a timeline.
+  // Cross-shard requests are answered by the federation, not by one
+  // SchedulerService, so it fills the wire's request-tracing contract
+  // itself: queue_us is the wait for the router thread, apply_us is the
+  // cross-shard protocol's own work — the plan's wait on its shard, the
+  // plan and the rounds (there is no batch or shared PF solve to
+  // report).  Called at job start on the router thread; the stamp wraps
+  // the completion, so every cross outcome — admitted, rejected,
+  // aborted, removed — carries a timeline.
   const auto started = Clock::now();
   const std::uint64_t trace =
       next_trace_.fetch_add(1, std::memory_order_relaxed);
@@ -273,10 +276,11 @@ void FederatedService::stop() {
     if (stopping_ && !router_.joinable()) return;
     stopping_ = true;
   }
-  // Shards first: each answers every reserve and release it holds queued
-  // (a paused shard resumes to do so), and a request sent to a stopped
-  // shard is answered at once with kShutdown.  So every round in flight
-  // gets its last reply, and the router exits once it has finished them.
+  // Shards first: each answers every plan, reserve and release it holds
+  // queued (a paused shard resumes to do so), and a request sent to a
+  // stopped shard is answered at once with kShutdown.  So every plan and
+  // round in flight gets its last reply, and the router exits once it
+  // has finished them.
   for (const auto& shard : shards_) shard->stop();
   router_cv_.notify_all();
   if (router_.joinable()) router_.join();
@@ -301,7 +305,8 @@ ServiceStats FederatedService::stats() const {
     out.pf_newton_iters += s.pf_newton_iters;
     for (const auto& [name, v] : s.metrics) out.metrics[name] += v;
   }
-  const obs::MetricsSnapshot fed = registry_.snapshot();
+  obs::MetricsSnapshot fed = registry_.snapshot();
+  add_shard_gauges(fed);
   for (const auto& [name, v] : fed.counters)
     out.metrics[name] += static_cast<double>(v);
   for (const auto& [name, v] : fed.gauges) out.metrics[name] += v;
@@ -332,7 +337,18 @@ std::string FederatedService::prometheus_text() const {
       acc.sum += h.sum;
     }
   }
+  add_shard_gauges(merged);
   return obs::to_prometheus(merged);
+}
+
+void FederatedService::add_shard_gauges(obs::MetricsSnapshot& out) const {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::string prefix = "federation.shard." + std::to_string(s);
+    out.gauges[prefix + ".queue_depth"] =
+        static_cast<double>(shards_[s]->queue_depth());
+    out.gauges[prefix + ".apps"] =
+        static_cast<double>(shards_[s]->snapshot()->apps.size());
+  }
 }
 
 std::map<std::string, std::string> FederatedService::health_fields() const {
@@ -434,16 +450,50 @@ void FederatedService::repair(ElementKey e) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard admission in one reserve round (router jobs)
+// Cross-shard admission: a plan on a pinned shard, then one reserve round
 
 void FederatedService::cross_admit(Application app, Completion on_done) {
+  // The plan runs on the scheduling thread of the pinned shard with the
+  // shortest queue; local admissions there wait for it, and plans of
+  // different apps run side by side on different shards.
+  std::size_t planner = 0;
+  std::size_t depth = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t s : pinned_shards(app)) {
+    const std::size_t d = shards_[s]->queue_depth();
+    if (d < depth) {
+      planner = s;
+      depth = d;
+    }
+  }
+  auto plan = std::make_shared<CrossPlan>();
+  plan->record.app = std::move(app);
+  // The round begins with the plan, so a remove that arrives while the
+  // app is planning is parked behind it.
+  begin_round(plan->record.app.name);
+  const auto sent = Clock::now();
+  shards_[planner]->apply(
+      [this, plan, sent](Scheduler&) {
+        plan_wait_us_.observe(us_between(sent, Clock::now()));
+        plan_cross(*plan);
+      },
+      [this, plan, on_done = std::move(on_done)](ServiceResult r) {
+        // The planning shard's thread (or the sender, for a bounce).
+        enqueue_job(
+            [this, plan, r = std::move(r), on_done] {
+              reserve_cross(plan, r, on_done);
+            },
+            /*finishes_round=*/true);
+      });
+}
+
+void FederatedService::plan_cross(CrossPlan& plan) {
   const auto started = Clock::now();
-  const std::string name = app.name;
+  const Application& app = plan.record.app;
   const bool gr = app.qoe.cls == QoeClass::kGuaranteedRate;
 
-  const auto reject = [&](const std::string& reason) {
+  const auto reject = [&](std::string reason) {
+    plan.refusal = std::move(reason);
     plan_us_.observe(us_between(started, Clock::now()));
-    reject_cross(name, gr, "federation.cross.rejected", reason, on_done);
   };
 
   // 1. Optimistic planning on the union sub-network of the pinned shards
@@ -451,7 +501,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   // join too) against the federation's residual snapshot — the only view
   // that covers boundary links, and one that carries the pending holds
   // of rounds still in flight.  Planning on the closure instead of the
-  // full site keeps the router's provisioning cost proportional to the
+  // full site keeps a plan's provisioning cost proportional to the
   // regions an app actually spans, not the whole federation.  Shard-
   // internal reservations are invisible here; the reserve round is the
   // authoritative check.
@@ -593,13 +643,22 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
 
   // 5. Boundary links belong to no shard — the federation residual is
   // authoritative for them, so re-check under the lock (planning ran on
-  // a copy that concurrent churn or another round's hold may have
-  // invalidated), and take the app's pending hold in the same critical
-  // section: later plans see it, so no boundary link is booked twice.
+  // a copy that concurrent churn, another plan or another round's hold
+  // may have invalidated), and take the app's pending hold in the same
+  // critical section: later plans see it, so no boundary link is booked
+  // twice.  The record is filled first: nothing may throw once the hold
+  // is taken.
+  CrossApp& record = plan.record;
+  record.paths = std::move(paths);
+  record.path_rates = std::move(rates);
+  record.total_rate = total_rate;
+  record.availability = availability;
+  record.load = std::move(load);
+  record.elements = std::move(elements);
   std::string refusal;
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
-    for (const ElementKey& e : elements) {
+    for (const ElementKey& e : record.elements) {
       if (e.kind != ElementKey::Kind::kLink || !plan_.is_boundary(e.index))
         continue;
       if (failed_.contains(e)) {
@@ -608,7 +667,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
         break;
       }
       const double have = plan_residual_.link(e.index);
-      const double want = load.link_load(e.index);
+      const double want = record.load.link_load(e.index);
       if (want > have + kTol * (1.0 + have)) {
         refusal = "cross-shard: boundary link " + net_.link(e.index).name +
                   " lacks capacity (" + std::to_string(want) + " > " +
@@ -616,16 +675,36 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
         break;
       }
     }
-    if (refusal.empty()) hold(elements, load, +1);
+    if (refusal.empty()) hold(record.elements, record.load, +1);
   }
   if (!refusal.empty()) {
-    reject(refusal);
+    reject(std::move(refusal));
+    return;
+  }
+  plan_us_.observe(us_between(started, Clock::now()));
+}
+
+void FederatedService::reserve_cross(const std::shared_ptr<CrossPlan>& plan,
+                                     const ServiceResult& planned,
+                                     const Completion& on_done) {
+  CrossApp& record = plan->record;
+  const std::string name = record.app.name;
+  // A plan its shard never ran (queue_full, shutdown) or that threw
+  // took no hold; neither did one that refused.
+  std::string refusal = plan->refusal;
+  if (planned.status != ServiceResult::Status::kApplied)
+    refusal = "cross-shard plan interrupted: " + planned.reason;
+  if (!refusal.empty()) {
+    const bool gr = record.app.qoe.cls == QoeClass::kGuaranteedRate;
+    end_round(name, [&] {
+      reject_cross(name, gr, "federation.cross.rejected", refusal, on_done);
+    });
     return;
   }
 
   // 6. Split the load into per-shard fragments (shard-local ids).
   std::map<std::size_t, Fragment> fragments;
-  for (const ElementKey& e : elements) {
+  for (const ElementKey& e : record.elements) {
     if (e.kind == ElementKey::Kind::kNcp) {
       const std::size_t s =
           plan_.shard_of_ncp.at(static_cast<std::size_t>(e.index));
@@ -633,7 +712,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
       Fragment& frag = it->second;
       if (inserted) frag.load = LoadMap::zeros(plan_.shards[s].net);
       const NcpId local = plan_.local_ncp.at(static_cast<std::size_t>(e.index));
-      frag.load.ncp_load(local) = load.ncp_load(e.index);
+      frag.load.ncp_load(local) = record.load.ncp_load(e.index);
       frag.elements.push_back(ElementKey::ncp(local));
     } else {
       if (plan_.is_boundary(e.index)) continue;
@@ -644,7 +723,7 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
       if (inserted) frag.load = LoadMap::zeros(plan_.shards[s].net);
       const LinkId local =
           plan_.local_link.at(static_cast<std::size_t>(e.index));
-      frag.load.link_load(local) = load.link_load(e.index);
+      frag.load.link_load(local) = record.load.link_load(e.index);
       frag.elements.push_back(ElementKey::link(local));
     }
   }
@@ -655,21 +734,11 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
     round->shards.push_back(s);
     frags->push_back(std::move(frag));
   }
-  auto record = std::make_shared<CrossApp>();
-  record->app = std::move(app);
-  record->paths = std::move(paths);
-  record->path_rates = std::move(rates);
-  record->total_rate = total_rate;
-  record->availability = availability;
-  record->shards = round->shards;
-  record->load = std::move(load);
-  record->elements = std::move(elements);
+  record.shards = round->shards;
 
   // 7. Reserve on every touched shard.  Each hold is taken atomically
   // against the shard's authoritative residual on the shard's own
   // scheduling thread; the last reply posts finish_admit().
-  begin_round(name);
-  plan_us_.observe(us_between(started, Clock::now()));
   send_round(
       round,
       [name, frags, round = round.get()](Scheduler& sc, std::size_t i) {
@@ -677,21 +746,20 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
         round->held[i] = sc.reserve_external(name, frag.load, frag.elements,
                                              &round->refusals[i]);
       },
-      [this, round, record, on_done = std::move(on_done)] {
-        finish_admit(round, record, on_done);
-      });
+      [this, round, plan, on_done] { finish_admit(round, plan, on_done); });
 }
 
 void FederatedService::finish_admit(const std::shared_ptr<Round>& round,
-                                    const std::shared_ptr<CrossApp>& record,
+                                    const std::shared_ptr<CrossPlan>& plan,
                                     const Completion& on_done) {
   round_us_.observe(us_between(round->sent, round->answered));
-  const std::string name = record->app.name;
-  const bool gr = record->app.qoe.cls == QoeClass::kGuaranteedRate;
-  const double rate = record->total_rate;
-  const double availability = record->availability;
-  const std::size_t paths = record->paths.size();
-  const std::size_t shards = record->shards.size();
+  CrossApp& record = plan->record;
+  const std::string name = record.app.name;
+  const bool gr = record.app.qoe.cls == QoeClass::kGuaranteedRate;
+  const double rate = record.total_rate;
+  const double availability = record.availability;
+  const std::size_t paths = record.paths.size();
+  const std::size_t shards = record.shards.size();
 
   // A request a shard never ran (queue_full, shutdown) refuses first,
   // then a reserve a shard refused, each in shard order.
@@ -709,10 +777,10 @@ void FederatedService::finish_admit(const std::shared_ptr<Round>& round,
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     if (refusal.empty())
-      cross_load_.add_scaled_at(record->elements, record->load, 1.0);
-    hold(record->elements, record->load, -1);
+      cross_load_.add_scaled_at(record.elements, record.load, 1.0);
+    hold(record.elements, record.load, -1);
     if (refusal.empty()) {
-      cross_.emplace(name, std::move(*record));
+      cross_.emplace(name, std::move(record));
       registry_.gauge("federation.cross.apps")
           .set(static_cast<double>(cross_.size()));
       ++cross_version_;
@@ -932,6 +1000,9 @@ void FederatedService::update_plan_residual(const ElementKey& e) {
 
 const FederatedService::UnionSubnet& FederatedService::union_subnet(
     const std::vector<std::size_t>& shards) {
+  // Built under the lock: the build reads the shard networks' lazily
+  // built adjacency, which must not race either.
+  std::lock_guard<std::mutex> lock(subnets_mu_);
   const auto cached = subnets_.find(shards);
   if (cached != subnets_.end()) return cached->second;
 
@@ -1047,7 +1118,11 @@ const FederatedService::UnionSubnet& FederatedService::union_subnet(
                        lk.fail_prob);
     sub.to_global_link.push_back(l);
   }
-  return subnets_.emplace(shards, std::move(sub)).first->second;
+  UnionSubnet& built = subnets_.emplace(shards, std::move(sub)).first->second;
+  // Network::incident_links builds its adjacency on the first call; make
+  // that call here, so plans on other threads only read it.
+  if (built.net.ncp_count() > 0) built.net.incident_links(0);
+  return built;
 }
 
 Application FederatedService::to_local(const Application& app) const {
@@ -1084,14 +1159,15 @@ void FederatedService::enqueue_job(std::function<void()> job,
 void FederatedService::router_loop() {
   std::unique_lock<std::mutex> lock(router_mu_);
   for (;;) {
-    // Stopping, the router still finishes the rounds in flight: their
-    // last replies post the jobs that answer them.
+    // Stopping, the router still finishes the plans and rounds in
+    // flight: their completions post the jobs that answer them.
     router_cv_.wait(lock, [this] {
       return !finishes_.empty() || !jobs_.empty() ||
              (stopping_ && in_flight_rounds_ == 0);
     });
-    // A finished round first: it only answers a request, and behind the
-    // planning queue its reply would wait for the router a second time.
+    // A finished plan or round first: it only sends the next round or
+    // answers a request, and behind the arrivals its request would wait
+    // for the router a second time.
     auto& queue = finishes_.empty() ? jobs_ : finishes_;
     if (queue.empty()) return;
     std::function<void()> job = std::move(queue.front());

@@ -41,18 +41,20 @@
 ///
 ///   - shard-local arrivals are routed straight to their home shard and
 ///     admitted by the stock pipeline — no cross-shard synchronization;
-///   - cross-shard arrivals are planned optimistically by the federation
-///     router against its own residual snapshot of the *whole* site
-///     (boundary links included — no shard owns those), then admitted in
-///     one reserve round: every touched shard takes an atomic capacity
-///     hold (Scheduler::reserve_external, validated against the shard's
+///   - cross-shard arrivals are planned optimistically on the scheduling
+///     thread of one of their pinned shards, against the federation's
+///     residual snapshot of the *whole* site (boundary links included —
+///     no shard owns those), then admitted in one reserve round: every
+///     touched shard takes an atomic capacity hold
+///     (Scheduler::reserve_external, validated against the shard's
 ///     authoritative residual), and the app is admitted once *all*
 ///     shards accepted — any refusal releases every hold, leaving no
 ///     residue (the per-shard invariant checker plus the federation
 ///     conservation check in federation/check.hpp prove it);
-///   - the router never waits on a shard: reserves and releases complete
-///     by callback, and the last reply posts the job that finishes the
-///     round, so the router plans the next app while rounds are in flight.
+///   - the router plans nothing and never waits on a shard: plans,
+///     reserves and releases complete by callback, and each completion
+///     posts the router job that takes the next step, so plans and
+///     rounds of different apps run side by side.
 
 namespace sparcle::federation {
 
@@ -62,8 +64,8 @@ struct FederationOptions {
   /// region labels when present, balanced graph cut otherwise).  1 is the
   /// degenerate single-scheduler federation (useful as a baseline).
   std::size_t shards{2};
-  /// Options for every per-shard Scheduler (policy plugin included; the
-  /// router's cross-shard planner ranks by the same policy).
+  /// Options for every per-shard Scheduler (policy plugin included;
+  /// cross-shard plans rank by the same policy).
   SchedulerOptions scheduler{};
   /// Options for every per-shard SchedulerService.
   service::ServiceOptions service{};
@@ -107,21 +109,23 @@ class FederatedService : public service::PlacementService {
   /// shard) followed by the committed cross-shard apps; version is the sum
   /// of shard versions plus the federation's own mutation counter.
   std::shared_ptr<const service::ServiceSnapshot> snapshot() const override;
-  /// Blocks until the router queue is empty, no cross-shard reserve or
-  /// release round is in flight, and every shard drained.
+  /// Blocks until the router queue is empty, no cross-shard plan,
+  /// reserve or release round is in flight, and every shard drained.
   void drain() override;
   /// Refuses new requests, stops every shard (each answers what it has
   /// queued, a paused one included), then lets the router finish every
-  /// round those replies complete.  Every completion fires exactly once.
-  /// Idempotent.
+  /// plan and round those replies complete.  Every completion fires
+  /// exactly once.  Idempotent.
   void stop() override;
   /// Shard counters summed, plus the federation's own `federation.*`
-  /// instruments merged into ServiceStats::metrics.
+  /// instruments and the per-shard gauges merged into
+  /// ServiceStats::metrics.
   service::ServiceStats stats() const override;
   obs::MetricsRegistry& registry() override { return registry_; }
   const obs::MetricsRegistry& registry() const override { return registry_; }
   /// Federation registry plus the per-shard registries summed by
-  /// instrument name, rendered as one exposition.
+  /// instrument name, and the per-shard gauges, rendered as one
+  /// exposition.
   std::string prometheus_text() const override;
   std::map<std::string, std::string> health_fields() const override;
   /// The full site network (not one shard).
@@ -172,8 +176,8 @@ class FederatedService : public service::PlacementService {
   /// NCPs, the backbone of every transit shard between them, their
   /// intra-shard links, and every boundary link with both endpoints
   /// inside the union.  Cross-shard planning provisions on this instead
-  /// of the full site, so the router's cost scales with the regions an
-  /// app actually spans rather than the whole federation — on perfbench's
+  /// of the full site, so a plan's cost scales with the regions an app
+  /// actually spans rather than the whole federation — on perfbench's
   /// fed16 (2048 NCPs, 16 shards) a cross-shard plan averages ~266 NCPs.
   struct UnionSubnet {
     Network net;                          ///< the induced sub-graph
@@ -194,19 +198,40 @@ class FederatedService : public service::PlacementService {
     std::chrono::steady_clock::time_point sent, answered;
   };
 
+  /// One cross-shard admission from its plan on.  The planning shard's
+  /// thread fills it; the router reads it in the job the plan's
+  /// completion posts.
+  struct CrossPlan {
+    /// The app in; planning adds paths, rates, availability, load and
+    /// elements, and the router the touched shards.
+    CrossApp record;
+    std::string refusal;  ///< why planning rejected the app, else empty
+  };
+
   static constexpr std::size_t kCrossRoute = static_cast<std::size_t>(-1);
 
   /// Routes one arrival: home shard when every pin lands in one shard,
   /// otherwise a router job for the cross-shard path.  Never blocks.
   void dispatch_submit(Application app, Completion on_done);
-  /// Cross-shard admission, first half (router job): plans the app,
-  /// takes its pending hold at the boundary check and sends the reserve
-  /// round; finish_admit() completes it.
+  /// Cross-shard admission, first step (router job): begins the app's
+  /// round and sends its plan, one SchedulerService::apply, to the
+  /// pinned shard with the shortest queue (ties to the lowest index).
   void cross_admit(Application app, Completion on_done);
-  /// Second half (router job, posted by the last reserve reply): admits
+  /// The plan (planning shard's scheduling thread): provisions the app
+  /// on its union sub-network and, if the boundary recheck passes, takes
+  /// its pending hold.  The hold is its last step, so a plan that throws
+  /// holds nothing.
+  void plan_cross(CrossPlan& plan);
+  /// Second step (router job, posted by the plan's completion): rejects
+  /// the app, or splits its load into per-shard fragments and sends the
+  /// reserve round.
+  void reserve_cross(const std::shared_ptr<CrossPlan>& plan,
+                     const service::ServiceResult& planned,
+                     const Completion& on_done);
+  /// Last step (router job, posted by the last reserve reply): admits
   /// the app, or releases its holds and then rejects it.
   void finish_admit(const std::shared_ptr<Round>& round,
-                    const std::shared_ptr<CrossApp>& record,
+                    const std::shared_ptr<CrossPlan>& plan,
                     const Completion& on_done);
   /// Cross-shard removal (router job): sends the release round, answered
   /// once every shard replied.  Parked while the app's own round is in
@@ -246,14 +271,20 @@ class FederatedService : public service::PlacementService {
   /// key in that shard's own ids.  Boundary links belong to no shard.
   std::pair<std::size_t, ElementKey> to_shard(ElementKey e) const;
   /// The (lazily built, cached) union sub-network for an ascending
-  /// touched-shard index set.  Router thread only — the cache is
-  /// unsynchronized by design.
+  /// touched-shard index set.  Safe from any thread: the cache is built
+  /// and read under subnets_mu_, its entries are never erased, and each
+  /// one's adjacency is built before it is published, so planning
+  /// threads only ever read a returned sub-network.
   const UnionSubnet& union_subnet(const std::vector<std::size_t>& shards);
   /// Ascending distinct shard indices the app's pins land in.
   std::vector<std::size_t> pinned_shards(const Application& app) const;
-  /// Queues a router job: a request to plan or remove, or (with
-  /// `finishes_round`) the job a round's last reply posts, which the
-  /// router runs first.
+  /// Sets `federation.shard.<s>.queue_depth` and `.apps` for every shard
+  /// in `out`: the shard sums of stats() and prometheus_text() hide skew
+  /// between shards.
+  void add_shard_gauges(obs::MetricsSnapshot& out) const;
+  /// Queues a router job: a request to admit or remove, or (with
+  /// `finishes_round`) the job a plan's completion or a round's last
+  /// reply posts, which the router runs first.
   void enqueue_job(std::function<void()> job, bool finishes_round = false);
   void router_loop();
   void bump(const char* name, std::uint64_t n = 1);
@@ -288,17 +319,19 @@ class FederatedService : public service::PlacementService {
   SparcleAssigner assigner_;  ///< assigner driving cross planning
 
   /// union_subnet() cache, keyed by the ascending touched-shard set.
-  /// Touched only from the router thread, so no lock guards it.
+  /// Planning shards share it; a std::map keeps each entry in place.
+  std::mutex subnets_mu_;
   std::map<std::vector<std::size_t>, UnionSubnet> subnets_;
 
-  /// Names with a reserve or release round in flight, each with the
-  /// removes parked behind it in arrival order.  Router thread only.
+  /// Names with a plan, reserve or release round in flight, each with
+  /// the removes parked behind it in arrival order.  Router thread only.
   std::map<std::string, std::deque<Completion>> rounds_;
 
   obs::MetricsRegistry registry_;  ///< federation.* instruments
   // Instruments resolved once, so no exit pays a name lookup.
   obs::Counter& busy_us_;      ///< federation.router.busy_us
   obs::Gauge& cross_in_flight_;  ///< federation.cross.in_flight
+  obs::Histogram& plan_wait_us_;  ///< federation.cross.plan_wait.us
   obs::Histogram& plan_us_;    ///< federation.cross.plan.us
   obs::Histogram& round_us_;   ///< federation.cross.round.us
 
@@ -324,8 +357,8 @@ class FederatedService : public service::PlacementService {
   std::set<ElementKey> failed_;
   std::uint64_t cross_version_{0};  ///< bumps on every cross mutation
 
-  /// Router: one thread that plans cross-shard admissions and finishes
-  /// their rounds; it never waits on a shard.
+  /// Router: one thread that sends cross-shard plans and rounds and
+  /// finishes them; it never plans and never waits on a shard.
   mutable std::mutex router_mu_;
   std::condition_variable router_cv_;   ///< wakes the router thread
   std::condition_variable idle_cv_;     ///< wakes drain()ers

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -12,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -69,6 +71,29 @@ Network make_three_region_net(double ab_bw = 1000.0) {
   net.add_link("bb", 2, 3, 1000.0);
   net.add_link("ac", 1, 4, 1000.0);  // boundary r0-r2
   net.add_link("cc", 4, 5, 1000.0);
+  return net;
+}
+
+/// Four regions in a line: r0 = {a0, a1}, r1 = {b0, b1}, r2 = {c0, c1},
+/// r3 = {d0, d1}, with boundary links "ab" (a1-b0), "bc" (b1-c0) and "cd"
+/// (c1-d0).  An app a0 -> b1 touches shards 0 and 1, one c0 -> d1 shards
+/// 2 and 3: disjoint pairs, planned on different shards.
+Network make_four_region_net() {
+  Network net(ResourceSchema::cpu_only());
+  for (const char r : {'a', 'b', 'c', 'd'}) {
+    const std::string region = "r" + std::to_string(r - 'a');
+    net.add_ncp(std::string(1, r) + "0", ResourceVector::scalar(10.0), 0.0,
+                region);
+    net.add_ncp(std::string(1, r) + "1", ResourceVector::scalar(2.0), 0.0,
+                region);
+  }
+  net.add_link("aa", 0, 1, 1000.0);
+  net.add_link("ab", 1, 2, 1000.0);  // boundary r0-r1
+  net.add_link("bb", 2, 3, 1000.0);
+  net.add_link("bc", 3, 4, 1000.0);  // boundary r1-r2
+  net.add_link("cc", 4, 5, 1000.0);
+  net.add_link("cd", 5, 6, 1000.0);  // boundary r2-r3
+  net.add_link("dd", 6, 7, 1000.0);
   return net;
 }
 
@@ -416,9 +441,16 @@ TEST(Federation, CrossShardAdmissionTakesOneBatchPerTouchedShard) {
                 .status,
             ServiceResult::Status::kAdmitted);
   fed.drain();
-  // One reserve round: a single apply, hence a single batch, per shard.
-  for (std::size_t s = 0; s < 2; ++s)
-    EXPECT_EQ(fed.shard(s).stats().batches, before[s] + 1) << "shard " << s;
+  // One reserve round: a single apply, hence a single batch, per touched
+  // shard.  Exactly one pinned shard takes one batch more: the plan.  No
+  // shard takes a third, so there is no commit round.
+  std::size_t planners = 0;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::uint64_t taken = fed.shard(s).stats().batches - before[s];
+    EXPECT_TRUE(taken == 1 || taken == 2) << "shard " << s << ": " << taken;
+    if (taken == 2) ++planners;
+  }
+  EXPECT_EQ(planners, 1u);
 }
 
 TEST(Federation, CrossShardBestEffortGetsAFixedFractionHold) {
@@ -439,8 +471,8 @@ TEST(Federation, CrossShardBestEffortGetsAFixedFractionHold) {
   expect_conserved(fed);
 }
 
-/// DefaultPolicy that counts its candidate-ranking calls, from the shard
-/// scheduling threads and the router thread alike.
+/// DefaultPolicy that counts its candidate-ranking calls, from every
+/// shard's scheduling thread, local admissions and cross plans alike.
 class CountingPolicy : public policy::DefaultPolicy {
  public:
   std::size_t select_ct(const policy::SelectContext& ctx,
@@ -467,7 +499,8 @@ TEST(Federation, CrossShardPlanningRanksByTheInstalledPolicy) {
   const int local_calls = counting->calls.load();
   EXPECT_GT(local_calls, 0);
 
-  // a0 -> b1 spans both shards: the router plans it, by the same policy.
+  // a0 -> b1 spans both shards: a pinned shard plans it, by the same
+  // policy.
   const ServiceResult cross = client.submit(
       make_app("cross", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
   ASSERT_EQ(cross.status, ServiceResult::Status::kAdmitted) << cross.reason;
@@ -613,8 +646,8 @@ TEST(FederationRouter, DoesNotWaitOnAPausedShard) {
   FederatedService fed(make_three_region_net(), opt);
   Replies replies;
 
-  // Shard 1 holds the first app's reserve unanswered; the router must
-  // still plan and admit the second, which never touches shard 1.
+  // Shard 1 holds the first app's reserve unanswered; the second, which
+  // never touches shard 1, must still be planned and admitted.
   fed.shard(1).pause();
   fed.submit_async(
       make_app("to_b", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
@@ -649,6 +682,163 @@ TEST(FederationRouter, DoesNotWaitOnAPausedShard) {
   ASSERT_NE(round, nullptr);
   EXPECT_EQ(plan->count(), 2u);
   EXPECT_EQ(round->count(), 2u);
+  expect_conserved(fed);
+}
+
+/// DefaultPolicy whose candidate ranking waits, up to 10 s, until a
+/// second thread has entered it: only plans that run side by side meet.
+class RendezvousPolicy : public policy::DefaultPolicy {
+ public:
+  std::size_t select_ct(const policy::SelectContext& ctx,
+                        const std::vector<policy::CtCandidate>& candidates)
+      const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      threads_.insert(std::this_thread::get_id());
+      cv_.notify_all();
+      if (!gave_up_ &&
+          !cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return threads_.size() >= 2; }))
+        gave_up_ = true;  // later calls do not wait again
+    }
+    return DefaultPolicy::select_ct(ctx, candidates);
+  }
+  bool met() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_.size() >= 2 && !gave_up_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::set<std::thread::id> threads_;
+  mutable bool gave_up_{false};
+};
+
+TEST(FederationRouter, CrossPlansRunConcurrently) {
+  // Two cross-shard apps on disjoint shard pairs: each is planned on one
+  // of its own pinned shards, so the two plans rank side by side.  Plans
+  // made one at a time on one thread would each wait out the timeout.
+  auto rendezvous = std::make_shared<RendezvousPolicy>();
+  FederationOptions opt;
+  opt.shards = 4;
+  opt.scheduler.policy = rendezvous;
+  FederatedService fed(make_four_region_net(), opt);
+  auto first = fed.submit(
+      make_app("ab", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
+  auto second = fed.submit(
+      make_app("cd", QoeSpec::guaranteed_rate(0.5, 0.0), 4, 7, 4.0, 1.0));
+  const ServiceResult a = first.get();
+  const ServiceResult c = second.get();
+  EXPECT_EQ(a.status, ServiceResult::Status::kAdmitted) << a.reason;
+  EXPECT_EQ(c.status, ServiceResult::Status::kAdmitted) << c.reason;
+  EXPECT_TRUE(rendezvous->met());
+  EXPECT_EQ(fed.cross_apps().size(), 2u);
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, CrossPlansOnOneUnionSubnetRunConcurrently) {
+  // Two apps a0 -> b1 share one cached union sub-network.  Paused shard
+  // 0 holds the first plan, so the second goes to shard 1, builds the
+  // sub-network and waits in its ranking; then the first plan runs on
+  // shard 0 beside it.  Under ThreadSanitizer this also checks that a
+  // cached sub-network is read-only: its adjacency was built before it
+  // was published.
+  auto rendezvous = std::make_shared<RendezvousPolicy>();
+  FederationOptions opt;
+  opt.shards = 2;
+  opt.scheduler.policy = rendezvous;
+  FederatedService fed(make_two_region_net(), opt);
+  fed.shard(0).pause();
+  auto first = fed.submit(
+      make_app("first", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fed.shard(0).queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_EQ(fed.shard(0).queue_depth(), 1u);
+  auto second = fed.submit(
+      make_app("second", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
+  // Resume only once the second plan started on shard 1; resumed
+  // earlier, shard 0 could take it too, behind the first.
+  const obs::Histogram* started = fed.registry().find_histogram(
+      "federation.cross.plan_wait.us");
+  ASSERT_NE(started, nullptr);
+  while (started->count() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_EQ(started->count(), 1u);
+  fed.shard(0).resume();
+  const ServiceResult a = first.get();
+  const ServiceResult b = second.get();
+  EXPECT_EQ(a.status, ServiceResult::Status::kAdmitted) << a.reason;
+  EXPECT_EQ(b.status, ServiceResult::Status::kAdmitted) << b.reason;
+  EXPECT_TRUE(rendezvous->met());
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, RemoveWhileThePlanIsQueuedIsAnsweredAfterTheAdmission) {
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  Replies replies;
+
+  // Both queues are empty, so the lowest pinned shard, 0, plans; paused,
+  // it holds the plan queued.  The round has begun, but no reserve has
+  // been sent: shard 1 holds nothing yet.
+  fed.shard(0).pause();
+  fed.submit_async(
+      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
+      replies.on("submit"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fed.shard(0).queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_EQ(fed.shard(0).queue_depth(), 1u);
+  EXPECT_EQ(counter(fed.stats(), "federation.cross.in_flight"), 1.0);
+  EXPECT_EQ(counter(fed.stats(), "federation.shard.0.queue_depth"), 1.0);
+  EXPECT_FALSE(holds(fed, 1, "cx"));
+
+  // The remove reaches the router while the app plans: it is parked, and
+  // answered once the admission resolved.
+  fed.remove_async("cx", replies.on("remove"));
+  EXPECT_EQ(replies.fired("remove"), 0);
+  fed.shard(0).resume();
+  fed.drain();
+  EXPECT_EQ(replies.order(),
+            (std::vector<std::string>{"submit:admitted", "remove:removed"}));
+  EXPECT_TRUE(fed.cross_apps().empty());
+  for (std::size_t s = 0; s < 2; ++s)
+    EXPECT_FALSE(holds(fed, s, "cx")) << "leaked hold on shard " << s;
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, DrainWaitsForAPlanInFlight) {
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  Replies replies;
+
+  fed.shard(0).pause();  // the planning shard: its plan stays queued
+  fed.submit_async(
+      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
+      replies.on("cx"));
+  auto drained = std::async(std::launch::async, [&fed] { fed.drain(); });
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  EXPECT_EQ(replies.fired("cx"), 0);
+  fed.shard(0).resume();
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  ASSERT_EQ(replies.fired("cx"), 1);
+  EXPECT_EQ(replies.last("cx").status, ServiceResult::Status::kAdmitted)
+      << replies.last("cx").reason;
+  EXPECT_EQ(counter(fed.stats(), "federation.cross.in_flight"), 0.0);
+  const obs::Histogram* wait = fed.registry().find_histogram(
+      "federation.cross.plan_wait.us");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), 1u);
   expect_conserved(fed);
 }
 
@@ -705,39 +895,44 @@ TEST(FederationRouter, DrainWaitsForEveryRoundInFlight) {
 }
 
 TEST(FederationRouter, StopRightAfterAPauseAnswersEveryRequestOnce) {
-  FederationOptions opt;
-  opt.shards = 3;
-  Replies replies;
-  std::vector<std::string> labels;
-  {
-    FederatedService fed(make_three_region_net(), opt);
-    fed.shard(1).pause();
-    for (int i = 0; i < 6; ++i) {
-      const std::string name = "cx" + std::to_string(i);
-      labels.push_back(name);
-      fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.1, 0.0), 0,
-                                i % 2 == 0 ? 3 : 5, 0.5, 0.1),
-                       replies.on(name));
-      if (i == 0) {
-        labels.push_back("rm");
-        fed.remove_async(name, replies.on("rm"));
+  // Paused shard 1 holds reserves; paused shard 0, which every app pins
+  // (a0), holds the plans sent to it, the first app's included.
+  for (const std::size_t paused : {std::size_t{1}, std::size_t{0}}) {
+    SCOPED_TRACE("paused shard " + std::to_string(paused));
+    FederationOptions opt;
+    opt.shards = 3;
+    Replies replies;
+    std::vector<std::string> labels;
+    {
+      FederatedService fed(make_three_region_net(), opt);
+      fed.shard(paused).pause();
+      for (int i = 0; i < 6; ++i) {
+        const std::string name = "cx" + std::to_string(i);
+        labels.push_back(name);
+        fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.1, 0.0), 0,
+                                  i % 2 == 0 ? 3 : 5, 0.5, 0.1),
+                         replies.on(name));
+        if (i == 0) {
+          labels.push_back("rm");
+          fed.remove_async(name, replies.on("rm"));
+        }
       }
+      labels.push_back("local");
+      fed.submit_async(make_app("local", QoeSpec::best_effort(1.0), 2, 3),
+                       replies.on("local"));
+      fed.stop();
+      for (const std::string& label : labels)
+        EXPECT_EQ(replies.fired(label), 1) << label;
+      // Stopped: later requests bounce at once.
+      fed.submit_async(
+          make_app("late", QoeSpec::guaranteed_rate(0.1, 0.0), 0, 3, 0.5, 0.1),
+          replies.on("late"));
+      EXPECT_EQ(replies.last("late").status, ServiceResult::Status::kShutdown);
+      fed.stop();  // idempotent
     }
-    labels.push_back("local");
-    fed.submit_async(make_app("local", QoeSpec::best_effort(1.0), 2, 3),
-                     replies.on("local"));
-    fed.stop();
     for (const std::string& label : labels)
       EXPECT_EQ(replies.fired(label), 1) << label;
-    // Stopped: later requests bounce at once.
-    fed.submit_async(
-        make_app("late", QoeSpec::guaranteed_rate(0.1, 0.0), 0, 3, 0.5, 0.1),
-        replies.on("late"));
-    EXPECT_EQ(replies.last("late").status, ServiceResult::Status::kShutdown);
-    fed.stop();  // idempotent
   }
-  for (const std::string& label : labels)
-    EXPECT_EQ(replies.fired(label), 1) << label;
 }
 
 TEST(FederationRouter, QueueFullReserveAbortsWithoutResidue) {
@@ -773,6 +968,51 @@ TEST(FederationRouter, QueueFullReserveAbortsWithoutResidue) {
   fed.shard(1).resume();
   expect_conserved(fed);
   EXPECT_EQ(replies.last("filler").status, ServiceResult::Status::kAdmitted);
+}
+
+TEST(FederationRouter, BouncedPlanRejectsWithoutResidue) {
+  FederationOptions opt;
+  opt.shards = 2;
+  opt.service.queue_capacity = 1;
+  const Network net = make_two_region_net();
+  FederatedService fed(net, opt);
+  Replies replies;
+
+  // Both pinned shards' one queue slot is taken, so the plan bounces
+  // before it runs: the app is rejected and nothing was ever held.
+  fed.shard(0).pause();
+  fed.shard(1).pause();
+  fed.submit_async(make_app("fill0", QoeSpec::best_effort(1.0), 0, 1),
+                   replies.on("fill0"));
+  fed.submit_async(make_app("fill1", QoeSpec::best_effort(1.0), 2, 3),
+                   replies.on("fill1"));
+  const ServiceResult got =
+      fed.submit(make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3,
+                          4.0, 1.0))
+          .get();
+  EXPECT_EQ(got.status, ServiceResult::Status::kRejected);
+  EXPECT_NE(got.reason.find("plan interrupted: queue_full"),
+            std::string::npos)
+      << got.reason;
+  const service::ServiceStats stats = fed.stats();
+  EXPECT_EQ(counter(stats, "federation.cross.rejected"), 1.0);
+  EXPECT_EQ(counter(stats, "federation.cross.aborted_reserve"), 0.0);
+  EXPECT_EQ(counter(stats, "federation.cross.in_flight"), 0.0);
+  EXPECT_TRUE(fed.cross_apps().empty());
+  const CapacitySnapshot fresh(net);
+  const CapacitySnapshot residual = fed.plan_residual();
+  for (NcpId j = 0; j < static_cast<NcpId>(net.ncp_count()); ++j)
+    EXPECT_EQ(residual.ncp(j)[0], fresh.ncp(j)[0]) << "ncp " << j;
+  for (LinkId l = 0; l < static_cast<LinkId>(net.link_count()); ++l)
+    EXPECT_EQ(residual.link(l), fresh.link(l)) << "link " << l;
+
+  fed.shard(0).resume();
+  fed.shard(1).resume();
+  expect_conserved(fed);
+  EXPECT_EQ(replies.last("fill0").status, ServiceResult::Status::kAdmitted);
+  EXPECT_EQ(replies.last("fill1").status, ServiceResult::Status::kAdmitted);
+  for (std::size_t s = 0; s < 2; ++s)
+    EXPECT_FALSE(holds(fed, s, "cx")) << "shard " << s;
 }
 
 TEST(FederationRouter, ShutdownReserveAbortsWithoutResidue) {
@@ -834,6 +1074,41 @@ TEST(FederationRouter, RoundsInFlightNeverOverbookABoundaryLink) {
   for (const auto& [name, ca] : fed.cross_apps())
     used += ca.load.link_load(1);
   EXPECT_LE(used, 1.0 + 1e-9);
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, ConcurrentPlansNeverOverbookABoundaryLink) {
+  // "ab" carries 2.0 and each app sends 0.3 across it, so at most six
+  // fit.  Twenty-four apps arrive at once from both ends; their plans
+  // spread over shards 0 and 1 and run side by side on stale residuals,
+  // so only the boundary recheck and the reserves keep the link whole.
+  FederationOptions opt;
+  opt.shards = 3;
+  FederatedService fed(make_three_region_net(2.0), opt);
+  Replies replies;
+  for (int i = 0; i < 24; ++i) {
+    const std::string name = "cx" + std::to_string(i);
+    const bool forward = i % 2 == 0;
+    fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.3, 0.0),
+                              forward ? 0 : 3, forward ? 3 : 0, 0.1, 0.0),
+                     replies.on(name));
+  }
+  fed.drain();
+
+  int admitted = 0;
+  for (int i = 0; i < 24; ++i) {
+    const std::string name = "cx" + std::to_string(i);
+    ASSERT_EQ(replies.fired(name), 1) << name;
+    if (replies.last(name).status == ServiceResult::Status::kAdmitted)
+      ++admitted;
+  }
+  EXPECT_GE(admitted, 1);
+  EXPECT_LE(admitted, 6);
+  double used = 0.0;
+  for (const auto& [name, ca] : fed.cross_apps())
+    used += ca.load.link_load(1);
+  EXPECT_LE(used, 2.0 + 1e-9);
+  EXPECT_EQ(fed.cross_apps().size(), static_cast<std::size_t>(admitted));
   expect_conserved(fed);
 }
 

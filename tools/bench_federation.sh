@@ -10,7 +10,9 @@
 # 0.9, 10% guaranteed-rate) against a 2048-NCP 32-region soak site at
 # shard counts 1 -> 16; shards=1 is the single-global-scheduler baseline.
 # Every epoch ends with the per-shard invariant checker plus the
-# federation conservation check, timer stopped.
+# federation conservation check, timer stopped.  The axis runs five times
+# on fresh services: each row is the median of its runs, and each
+# speedup the median of the per-run ratios to the one-shard row.
 #
 # After appending, the script gates three things:
 #   1. scaling: aggregate admission throughput at 8 shards must be at
