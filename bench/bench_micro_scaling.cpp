@@ -84,7 +84,7 @@ void BM_SparcleAssignSoakSite(benchmark::State& state) {
   const SparcleAssigner assigner;
   for (auto _ : state) benchmark::DoNotOptimize(assigner.assign(p));
 }
-BENCHMARK(BM_SparcleAssignSoakSite)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SparcleAssignSoakSite)->Arg(128)->Arg(256)->Arg(1024);
 
 void BM_WidestPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

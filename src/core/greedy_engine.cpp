@@ -23,6 +23,19 @@ GreedyEngine::GreedyEngine(const AssignmentProblem& problem,
     throw std::invalid_argument("GreedyEngine: problem missing net or graph");
 }
 
+GreedyEngine::GreedyEngine(const GreedyEngine& other)
+    : problem_(other.problem_),
+      probe_min_bits_(other.probe_min_bits_),
+      routing_(other.routing_),
+      placement_(other.placement_),
+      load_(other.load_),
+      placed_(other.placed_),
+      placed_count_(other.placed_count_),
+      probe_bits_(other.probe_bits_),
+      probe_warm_(other.probe_warm_),
+      trees_(other.trees_),
+      generation_(other.generation_) {}
+
 double GreedyEngine::node_term(CtId i, NcpId j) const {
   const TaskGraph& g = graph();
   const CapacitySnapshot& cap = capacities();
@@ -150,8 +163,8 @@ void GreedyEngine::commit(CtId i, NcpId j) {
   placed_[i] = 1;
   ++placed_count_;
   load_.add_ct(g, i, j);
-  ++generation_;  // the loads below change every tree's link weights
 
+  bool loaded_link = false;
   auto route = [&](TtId k, NcpId from, NcpId to) {
     if (from == to) {
       placement_.place_tt(k, {});
@@ -165,6 +178,7 @@ void GreedyEngine::commit(CtId i, NcpId j) {
             : shortest_hop_path(net(), from, to);
     if (!path.reachable) return;  // leaves the placement incomplete
     for (LinkId l : path.links) load_.add_tt(g, k, l);
+    loaded_link = loaded_link || !path.links.empty();
     placement_.place_tt(k, path.links);
   };
 
@@ -176,6 +190,7 @@ void GreedyEngine::commit(CtId i, NcpId j) {
     const CtId dst = g.tt(k).dst;
     if (placed_[dst]) route(k, j, placement_.ct_host(dst));
   }
+  if (loaded_link) ++generation_;  // the link weights of every tree moved
 }
 
 void GreedyEngine::commit_pins() {

@@ -41,6 +41,14 @@ class GreedyEngine {
                         bool probe_with_min_bits_tt = true,
                         Routing routing = Routing::kWidestPath);
 
+  /// An engine in `other`'s state (commits, loads and current trees) that
+  /// goes on alone: it shares no scratch with `other`, and its work
+  /// counters start at zero, so the stats() of the two add up to the work
+  /// both did.
+  GreedyEngine(const GreedyEngine& other);
+  /// Not assignable: copy-construct instead.
+  GreedyEngine& operator=(const GreedyEngine&) = delete;
+
   /// The bound problem's network.
   const Network& net() const { return *problem_->net; }
   /// The bound problem's task graph.
@@ -61,8 +69,8 @@ class GreedyEngine {
   /// impose given everything committed so far.  0 when NCP j cannot reach
   /// the host of a placed related CT.  The link terms are read off
   /// widest-width trees rooted at those hosts (see widest_widths_to),
-  /// built on first use and kept until the next commit().  Not safe to
-  /// call concurrently.
+  /// built on first use and kept until a commit() routes a TT over a
+  /// link.  Not safe to call concurrently.
   double gamma(CtId i, NcpId j) const;
 
   /// argmax_j γ_{i,j}; stores the γ value in *gamma_out when non-null.
@@ -71,7 +79,9 @@ class GreedyEngine {
   NcpId best_host(CtId i, double* gamma_out = nullptr) const;
 
   /// Commits CT i to NCP j, booking its load and routing every TT towards
-  /// already-placed direct neighbours along the widest path.
+  /// already-placed direct neighbours along the widest path.  A tree reads
+  /// only link capacities and link loads, so a commit whose TTs all stay
+  /// on one host (or find no route) keeps every tree.
   void commit(CtId i, NcpId j);
 
   /// Commits all pinned CTs of the bound problem.
@@ -126,11 +136,11 @@ class GreedyEngine {
   bool probe_warm_{false};
   /// Scratch for the Dijkstra runs of gamma()/best_host()/commit().
   mutable WidestPathWorkspace scratch_;
-  /// Tree storage, reused across commits; commit() bumps generation_,
-  /// which retires every tree because the link loads changed.
+  /// Tree storage, reused across commits; a commit() that loads a link
+  /// bumps generation_, which retires every tree.
   mutable std::vector<WidthTree> trees_;
   std::uint64_t generation_{1};
-  /// width vectors of collect_relative_widths().
+  /// width vectors of collect_relative_widths(), pointing into trees_.
   mutable std::vector<const double*> relative_widths_;
   mutable std::uint64_t gamma_evals_{0};
   mutable std::uint64_t widest_path_calls_{0};

@@ -158,18 +158,6 @@ Elimination eliminate(const SymmetricPattern& pattern) {
 
 }  // namespace
 
-bool cholesky_solve(Matrix& a, const std::vector<double>& b,
-                    std::vector<double>& x) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n)
-    throw std::invalid_argument("cholesky_solve: shape mismatch");
-  const auto row = [&a](std::size_t i) { return &a(i, 0); };
-  if (!factor_in_place(row, n)) return false;
-  x = b;
-  solve_in_place(row, n, x.data());
-  return true;
-}
-
 std::vector<std::size_t> minimum_degree_order(
     const SymmetricPattern& pattern) {
   return eliminate(pattern).order;

@@ -6,51 +6,11 @@
 #include <vector>
 
 /// \file smallmat.hpp
-/// Linear algebra for the interior-point fairness solver: a dense
-/// row-major matrix with its in-place Cholesky solve, and a sparse
+/// Linear algebra for the interior-point fairness solver: a sparse
 /// Cholesky solve for symmetric positive-definite systems with a fixed
 /// pattern, ordered by minimum degree.  Not a general-purpose BLAS.
 
 namespace sparcle {
-
-/// Row-major dense matrix of doubles.
-class Matrix {
- public:
-  /// An empty 0x0 matrix.
-  Matrix() = default;
-  /// A rows x cols matrix with every entry set to `fill`.
-  Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  /// Number of rows.
-  std::size_t rows() const { return rows_; }
-  /// Number of columns.
-  std::size_t cols() const { return cols_; }
-  /// Entry (r, c), unchecked.
-  double operator()(std::size_t r, std::size_t c) const {
-    return data_[r * cols_ + c];
-  }
-  /// Mutable entry (r, c), unchecked.
-  double& operator()(std::size_t r, std::size_t c) {
-    return data_[r * cols_ + c];
-  }
-
- private:
-  std::size_t rows_{0};
-  std::size_t cols_{0};
-  std::vector<double> data_;
-};
-
-/// Solves A x = b for symmetric positive-definite A via Cholesky
-/// factorization A = L L^T.  Only the lower triangle of `a` is read, and
-/// it is overwritten in place with L (left-looking, one column at a time);
-/// the upper triangle is never read or written.  Every entry of L is the
-/// same k-ordered sum as in the textbook row-by-row algorithm, so the
-/// factor and the solution match it bit for bit.  Returns false when A is
-/// not (numerically) positive definite; `x` is then untouched and `a`
-/// holds a partial factor.
-bool cholesky_solve(Matrix& a, const std::vector<double>& b,
-                    std::vector<double>& x);
 
 /// The off-diagonal pattern of a symmetric n x n matrix: each pair
 /// (i, j) of `entries` says A(i, j) and A(j, i) may be nonzero.  Repeats
@@ -78,10 +38,10 @@ std::vector<std::size_t> minimum_degree_order(const SymmetricPattern& pattern);
 /// the pattern is full).
 ///
 /// Numerics: with P the permutation of order(), every factor entry and
-/// every entry of x is the same k-ordered sum as in cholesky_solve() of
-/// P A P^T; the skipped terms are products with structural zeros, so x
-/// equals that solve bit for bit whenever A's entries and b are finite
-/// and none of them is -0.
+/// every entry of x is the same k-ordered sum as in the textbook dense
+/// Cholesky solve of P A P^T; the skipped terms are products with
+/// structural zeros, so x equals that solve bit for bit whenever A's
+/// entries and b are finite and none of them is -0.
 class SparseCholesky {
  public:
   /// The symbolic phase for `pattern` (see minimum_degree_order()).

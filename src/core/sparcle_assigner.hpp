@@ -37,10 +37,12 @@ struct SparcleAssignerOptions {
   /// outward from the pinned sources/sinks and wins some balanced
   /// instances.  The default runs both and keeps the better placement
   /// (still polynomial; see bench_ablations for the measured tradeoff).
+  /// The two passes share one engine, and so every round, until their
+  /// picks first differ.
   enum class Ranking {
     kMostConstrainedFirst,   ///< the Algorithm 2 listing (argmin)
     kLeastConstrainedFirst,  ///< the §IV-B prose (argmax)
-    kBestOfBoth,             ///< run both, keep the higher rate
+    kBestOfBoth,  ///< run both, keep the higher rate (argmin's on a tie)
   };
   Ranking ranking{Ranking::kBestOfBoth};  ///< the commit rule in use
   /// Hill-climbing refinement rounds applied after the greedy (extension;

@@ -5,12 +5,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/smallmat.hpp"
+#include "dense_matrix.hpp"
 
 /// \file reference_cholesky.hpp
 /// The textbook row-by-row dense Cholesky solve, kept as the oracle for
-/// the in-place left-looking cholesky_solve(): `a` is read (lower
-/// triangle only) and never modified, the factor goes to `l`.
+/// SparseCholesky and for the in-place left-looking cholesky_solve() of
+/// dense_matrix.hpp: `a` is read (lower triangle only) and never
+/// modified, the factor goes to `l`.
 
 namespace sparcle::testutil {
 

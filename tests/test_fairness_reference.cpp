@@ -27,6 +27,8 @@
 namespace sparcle {
 namespace {
 
+using testutil::Matrix;
+
 // ---- The reference solver ------------------------------------------------
 
 constexpr double kDualityGapTol = 1e-8;

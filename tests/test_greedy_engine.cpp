@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
+#include <string>
+#include <utility>
 
 namespace sparcle {
 namespace {
@@ -154,6 +157,100 @@ TEST(GreedyEngine, GammaZeroWhenDisconnected) {
   e.commit_pins();
   EXPECT_DOUBLE_EQ(e.gamma(x, 1), 0.0);  // no link between the islands
   EXPECT_GT(e.gamma(x, 0), 0.0);         // co-location still works
+}
+
+/// Three middle CTs between one pinned source and sink, on the line
+/// 0 -(10)- 1 -(100)- 2: s -> a|b|c -> t, each TT with its own size.
+struct ThreeBranches {
+  Network net{ResourceSchema::cpu_only()};
+  TaskGraph graph{ResourceSchema::cpu_only()};
+  AssignmentProblem problem;
+
+  ThreeBranches() {
+    net.add_ncp("n0", ResourceVector::scalar(10));
+    net.add_ncp("n1", ResourceVector::scalar(20));
+    net.add_ncp("n2", ResourceVector::scalar(100));
+    net.add_link("l01", 0, 1, 10);
+    net.add_link("l12", 1, 2, 100);
+    const CtId s = graph.add_ct("s", ResourceVector::scalar(0));
+    const CtId t = graph.add_ct("t", ResourceVector::scalar(0));
+    for (int m = 0; m < 3; ++m) {
+      const std::string name(1, static_cast<char>('a' + m));
+      const CtId c = graph.add_ct(name, ResourceVector::scalar(1 + m));
+      graph.add_tt("s" + name, 1 + m, s, c);
+      graph.add_tt(name + "t", 2 + m, c, t);
+    }
+    graph.finalize();
+    problem.net = &net;
+    problem.graph = &graph;
+    problem.capacities = CapacitySnapshot(net);
+    problem.pinned = {{s, 0}, {t, 0}};
+  }
+};
+
+/// γ(i, j) of `e` agrees bit for bit, for every unplaced CT and every NCP,
+/// with a fresh engine on `problem` that commits the pins and `commits`.
+void expect_fresh_gammas(
+    const AssignmentProblem& problem, const GreedyEngine& e,
+    std::initializer_list<std::pair<CtId, NcpId>> commits) {
+  GreedyEngine fresh(problem);
+  fresh.commit_pins();
+  for (const auto& [i, j] : commits) fresh.commit(i, j);
+  for (CtId i = 0; i < static_cast<CtId>(e.graph().ct_count()); ++i) {
+    ASSERT_EQ(e.placed(i), fresh.placed(i)) << "ct " << i;
+    if (e.placed(i)) continue;
+    for (NcpId j = 0; j < static_cast<NcpId>(e.net().ncp_count()); ++j)
+      EXPECT_EQ(e.gamma(i, j), fresh.gamma(i, j))
+          << "ct " << i << " ncp " << j;
+  }
+}
+
+TEST(GreedyEngine, TreesOutliveCommitsThatRouteNoLink) {
+  ThreeBranches f;
+  constexpr CtId kA = 2, kB = 3, kC = 4;
+  GreedyEngine e(f.problem);
+  e.commit_pins();
+  e.warm_probe_cache();
+  for (CtId i : {kA, kB, kC}) e.best_host(i);
+  const std::uint64_t probed = e.stats().widest_path_calls;
+  ASSERT_GT(probed, 0u);
+
+  // a beside s and t: both its TTs stay on n0, no link load moves.
+  e.commit(kA, 0);
+  EXPECT_EQ(e.load().link_load(0), 0.0);
+  EXPECT_EQ(e.load().link_load(1), 0.0);
+  for (CtId i : {kB, kC}) e.best_host(i);
+  EXPECT_EQ(e.stats().widest_path_calls, probed);
+  expect_fresh_gammas(f.problem, e, {{kA, 0}});
+
+  // b on n2: its two TTs load l01 and l12, so c's trees are rebuilt.
+  e.commit(kB, 2);
+  const std::uint64_t routed = e.stats().widest_path_calls;
+  EXPECT_EQ(routed, probed + 2);  // the two routes
+  e.best_host(kC);
+  EXPECT_EQ(e.stats().widest_path_calls, routed + 2);  // c's two trees
+  expect_fresh_gammas(f.problem, e, {{kA, 0}, {kB, 2}});
+}
+
+TEST(GreedyEngine, CopyGoesOnAlone) {
+  ThreeBranches f;
+  GreedyEngine e(f.problem);
+  e.commit_pins();
+  e.warm_probe_cache();
+  e.best_host(2);
+  GreedyEngine copy(e);
+  EXPECT_EQ(copy.stats().widest_path_calls, 0u);
+  EXPECT_EQ(copy.stats().gamma_evals, 0u);
+  copy.best_host(2);  // the copied trees are current: no Dijkstra
+  EXPECT_EQ(copy.stats().widest_path_calls, 0u);
+
+  // Commits on the copy leave the original as it was.
+  copy.commit(2, 2);
+  EXPECT_TRUE(copy.placed(2));
+  EXPECT_FALSE(e.placed(2));
+  EXPECT_EQ(e.load().link_load(0), 0.0);
+  expect_fresh_gammas(f.problem, e, {});
+  expect_fresh_gammas(f.problem, copy, {{2, 2}});
 }
 
 TEST(GreedyEngine, ZeroRequirementCtHasInfiniteNodeTerm) {

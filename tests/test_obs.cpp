@@ -468,6 +468,59 @@ TEST(ObsE2E, AssignerMemoCountersMatchCallPattern) {
     EXPECT_EQ(traced.placement.ct_host(i), plain.placement.ct_host(i));
 }
 
+/// The default kBestOfBoth ranking is one assign(): one count, one span
+/// and one histogram observation.  Its two passes share at least their
+/// first round, so the call runs between U and 2U rounds and evaluates at
+/// least U·N fewer γ than the two passes run as separate assigns.
+TEST(ObsE2E, BestOfBothIsOneAssign) {
+  using Ranking = SparcleAssignerOptions::Ranking;
+  Rng rng(7);
+  workload::ScenarioSpec spec;
+  spec.topology = workload::TopologyKind::kStar;
+  spec.graph = workload::GraphKind::kDiamond;
+  spec.bottleneck = workload::BottleneckCase::kBalanced;
+  const workload::Scenario sc = workload::make_scenario(spec, rng);
+  const AssignmentProblem p = sc.problem();
+  const auto u =
+      static_cast<std::uint64_t>(sc.graph->ct_count() - sc.pinned.size());
+  const auto n = static_cast<std::uint64_t>(sc.net.ncp_count());
+  ASSERT_GE(u, 2u);
+
+  struct Counts {
+    std::uint64_t assigns, rounds, gammas, spans, observations;
+  };
+  const auto run = [&](Ranking ranking) {
+    SparcleAssignerOptions opt;
+    opt.ranking = ranking;
+    MetricsRegistry reg;
+    ChromeTraceCollector trace;
+    {
+      Observability o;
+      o.metrics = &reg;
+      o.trace = &trace;
+      ScopedInstall session(o);
+      EXPECT_TRUE(SparcleAssigner(opt).assign(p).feasible);
+    }
+    const Histogram* us = reg.find_histogram("assigner.assign.us");
+    return Counts{reg.counter("assigner.assigns").value(),
+                  reg.counter("assigner.ranking_rounds").value(),
+                  reg.counter("assigner.gamma_evals").value(),
+                  trace.event_count(), us == nullptr ? 0 : us->count()};
+  };
+  const Counts both = run(Ranking::kBestOfBoth);
+  EXPECT_EQ(both.assigns, 1u);
+  EXPECT_EQ(both.spans, 1u);
+  EXPECT_EQ(both.observations, 1u);
+  EXPECT_GE(both.rounds, u);
+  EXPECT_LE(both.rounds, 2 * u);
+
+  const Counts argmin = run(Ranking::kMostConstrainedFirst);
+  const Counts argmax = run(Ranking::kLeastConstrainedFirst);
+  EXPECT_EQ(argmin.rounds, u);
+  EXPECT_EQ(argmax.rounds, u);
+  EXPECT_LE(both.gammas + u * n, argmin.gammas + argmax.gammas);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: scheduler decisions and spans
 

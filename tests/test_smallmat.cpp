@@ -15,6 +15,9 @@
 namespace sparcle {
 namespace {
 
+using testutil::cholesky_solve;
+using testutil::Matrix;
+
 TEST(Matrix, ShapeAndIndexing) {
   Matrix m(2, 3, 1.5);
   EXPECT_EQ(m.rows(), 2u);
