@@ -9,11 +9,13 @@
 
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/availability.hpp"
 #include "core/fairness.hpp"
+#include "core/provisioning.hpp"
 #include "core/scheduler.hpp"
 #include "core/sparcle_assigner.hpp"
 #include "core/widest_path.hpp"
@@ -85,6 +87,51 @@ void BM_SparcleAssignSoakSite(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(assigner.assign(p));
 }
 BENCHMARK(BM_SparcleAssignSoakSite)->Arg(128)->Arg(256)->Arg(1024);
+
+/// The site-sized fixed cost of one admission's provisioning: one
+/// provision_paths call (first path only, as for a BE app at availability
+/// 0) for a steady arrival on an empty soak_site(n / 64, 64), with every
+/// CT but one pinned to its host in the arrival's own assignment.  The
+/// search places one CT, so what grows with n is the residual copies,
+/// the load maps and that CT's widest-width trees over the whole site.
+void BM_ProvisionPathsSoakSite(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(20260808);
+  const Network net = soak_site(n / 64, 64, rng);
+  ArrivalSpec spec;
+  spec.arrivals = 1;
+  spec.locality = 0.9;
+  ArrivalGenerator gen(net, spec, 20260808);
+  Arrival arrival;
+  gen.next(arrival);
+  const TaskGraph& graph = *arrival.app.graph;
+  const CapacitySnapshot empty(net);
+  const SparcleAssigner assigner;
+  AssignmentProblem p;
+  p.net = &net;
+  p.graph = &graph;
+  p.capacities = empty;
+  p.pinned = arrival.app.pinned;
+  const AssignmentResult full = assigner.assign(p);
+  if (!full.feasible) state.SkipWithError("arrival does not fit");
+  // Pin every CT to its host, then free the first one the arrival left free.
+  std::map<CtId, NcpId> pinned;
+  for (CtId i = 0; i < static_cast<CtId>(graph.ct_count()); ++i)
+    pinned[i] = full.placement.ct_host(i);
+  for (CtId i = 0; i < static_cast<CtId>(graph.ct_count()); ++i)
+    if (!arrival.app.pinned.contains(i)) {
+      pinned.erase(i);
+      break;
+    }
+  const ProvisioningOptions options;
+  const StopPredicate first_path = [](const std::vector<PathInfo>&) {
+    return true;
+  };
+  for (auto _ : state)
+    benchmark::DoNotOptimize(provision_paths(net, graph, pinned, empty,
+                                             assigner, options, first_path));
+}
+BENCHMARK(BM_ProvisionPathsSoakSite)->Arg(128)->Arg(2048);
 
 void BM_WidestPath(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -7,7 +7,7 @@ namespace sparcle {
 void apply_priority_shares(
     CapacitySnapshot& scratch,
     const std::unordered_map<ElementKey, double>& competing,
-    double new_priority, std::vector<ElementKey>& touched) {
+    double new_priority) {
   if (!(new_priority > 0))
     throw std::invalid_argument("apply_priority_shares: priority must be > 0");
   for (const auto& [e, total_priority] : competing) {
@@ -17,7 +17,6 @@ void apply_priority_shares(
       scratch.ncp(e.index) *= share;
     else
       scratch.link(e.index) *= share;
-    touched.push_back(e);
   }
 }
 

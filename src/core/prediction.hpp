@@ -23,9 +23,7 @@ namespace sparcle {
 
 /// Scales each element of `competing` in `scratch` (capacities already
 /// net of GR reservations) by the eq. (6) share of an arriving
-/// application with `new_priority` > 0, and appends every scaled element
-/// to `touched` so the caller can restore `scratch` to its base with a
-/// sparse copy instead of a full snapshot.  `competing` maps an element
+/// application with `new_priority` > 0.  `competing` maps an element
 /// to the total priority of the placed BE applications using it, each
 /// counted once however many of its paths cross the element (the
 /// scheduler maintains it incrementally); an element whose total is not
@@ -34,6 +32,6 @@ namespace sparcle {
 void apply_priority_shares(
     CapacitySnapshot& scratch,
     const std::unordered_map<ElementKey, double>& competing,
-    double new_priority, std::vector<ElementKey>& touched);
+    double new_priority);
 
 }  // namespace sparcle

@@ -184,7 +184,6 @@ void Scheduler::rebuild_residual() {
   residual_.subtract_scaled(ext_reserved_, 1.0);
   std::vector<ElementKey> dead(failed_.begin(), failed_.end());
   residual_.scale_elements(dead, 0.0);
-  predict_scratch_valid_ = false;  // scratch no longer mirrors residual_
 }
 
 void Scheduler::recompute_residual_element(const ElementKey& e) {
@@ -200,12 +199,6 @@ void Scheduler::recompute_residual_element(const ElementKey& e) {
                ext_reserved_.link_load(e.index);
     if (c < 0 || failed_.contains(e)) c = 0;
     residual_.link(e.index) = c;
-  }
-  if (predict_scratch_valid_) {
-    if (e.kind == ElementKey::Kind::kNcp)
-      predict_scratch_.ncp(e.index) = residual_.ncp(e.index);
-    else
-      predict_scratch_.link(e.index) = residual_.link(e.index);
   }
 }
 
@@ -342,18 +335,8 @@ void Scheduler::ensure_competing_index() const {
 const CapacitySnapshot& Scheduler::predicted_capacities(
     double priority) const {
   ensure_competing_index();
-  if (!predict_scratch_valid_) {
-    predict_scratch_ = residual_;
-    predict_touched_.clear();
-    predict_scratch_valid_ = true;
-  } else {
-    // Undo the previous prediction's scaling: only the touched elements
-    // diverge from residual_ (mutations patch the scratch in place).
-    predict_scratch_.copy_elements_from(residual_, predict_touched_);
-    predict_touched_.clear();
-  }
-  apply_priority_shares(predict_scratch_, be_competing_, priority,
-                        predict_touched_);
+  predict_scratch_ = residual_;  // same shape: no allocation once sized
+  apply_priority_shares(predict_scratch_, be_competing_, priority);
   return predict_scratch_;
 }
 
@@ -883,13 +866,17 @@ AdmissionResult Scheduler::submit_guaranteed_rate(const Application& app) {
 namespace {
 /// Bucket bounds of the per-solve interior-point-iteration histogram
 /// (`scheduler.solver.newton_iters`, docs/observability.md).
-std::vector<double> newton_iter_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
+const std::vector<double>& newton_iter_bounds() {
+  static const std::vector<double> bounds{1,  2,  4,   8,   16,
+                                          32, 64, 128, 256, 512};
+  return bounds;
 }
 /// Bucket bounds of the per-solve factor-size histogram
 /// (`scheduler.solver.factor_entries`): powers of four.
-std::vector<double> factor_entry_bounds() {
-  return {16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};
+const std::vector<double>& factor_entry_bounds() {
+  static const std::vector<double> bounds{
+      16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};
+  return bounds;
 }
 }  // namespace
 

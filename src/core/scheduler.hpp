@@ -343,8 +343,7 @@ class Scheduler {
   /// Recomputes residual_ for one element from net_ capacity minus the
   /// accumulated gr_reserved_ (zero if failed) — the O(1) building block
   /// of the incremental residual bookkeeping.  Produces exactly the value
-  /// a full rebuild_residual() would, and patches the prediction scratch
-  /// when it is live.
+  /// a full rebuild_residual() would.
   void recompute_residual_element(const ElementKey& e);
 
   /// Applies a GR reservation change of one path (`rate_delta` > 0
@@ -365,9 +364,9 @@ class Scheduler {
   void competing_add_app(const PlacedApp& pa) const;
 
   /// eq. (6) effective capacities for an arriving (or re-provisioned) BE
-  /// app with `priority`: the prediction scratch, restored to residual_ on
-  /// the previously-scaled elements and re-scaled by the current
-  /// competing-priority totals.  Valid until the next scheduler mutation.
+  /// app with `priority`: residual_ copied into the prediction scratch and
+  /// scaled by the current competing-priority totals.  Valid until the
+  /// next prediction or scheduler mutation.
   const CapacitySnapshot& predicted_capacities(double priority) const;
 
   /// True when every element the path touches is currently alive.
@@ -403,12 +402,9 @@ class Scheduler {
   /// (lazily rebuilt like usage_, extended incrementally on admission) ...
   mutable std::unordered_map<ElementKey, double> be_competing_;
   mutable bool competing_valid_{false};
-  /// ... and a scratch snapshot that diverges from residual_ only on
-  /// predict_touched_, so each prediction restores + re-scales a handful
-  /// of elements instead of copying the whole network.
+  /// ... and the snapshot each prediction copies residual_ into (kept so
+  /// the copy reuses its block).
   mutable CapacitySnapshot predict_scratch_;
-  mutable std::vector<ElementKey> predict_touched_;
-  mutable bool predict_scratch_valid_{false};
   PfSolverStats solver_stats_;
   bool batch_active_{false};  ///< between begin_batch() and end_batch()
   bool batch_dirty_{false};   ///< a PF re-solve was deferred this batch

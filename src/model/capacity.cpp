@@ -34,14 +34,4 @@ void CapacitySnapshot::scale_elements(const std::vector<ElementKey>& elements,
   }
 }
 
-void CapacitySnapshot::copy_elements_from(
-    const CapacitySnapshot& from, const std::vector<ElementKey>& elements) {
-  for (const ElementKey& e : elements) {
-    if (e.kind == ElementKey::Kind::kNcp)
-      ncp_.at(e.index) = from.ncp_.at(e.index);
-    else
-      link_.at(e.index) = from.link_.at(e.index);
-  }
-}
-
 }  // namespace sparcle

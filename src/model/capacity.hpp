@@ -56,13 +56,6 @@ class CapacitySnapshot {
   /// (the priority-share prediction of eq. (6)).
   void scale_elements(const std::vector<ElementKey>& elements, double factor);
 
-  /// Overwrites just the listed elements with `from`'s values (`from` must
-  /// be index-compatible).  Lets a scratch snapshot that diverges from a
-  /// base on a known element set be restored without a full copy — the
-  /// incremental-prediction path of the scheduler depends on it.
-  void copy_elements_from(const CapacitySnapshot& from,
-                          const std::vector<ElementKey>& elements);
-
  private:
   std::vector<ResourceVector> ncp_;
   std::vector<double> link_;

@@ -56,8 +56,10 @@ void Histogram::observe(double x) {
   atomic_add(sum_, x);
 }
 
-std::vector<double> default_time_bounds_us() {
-  return {1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7};
+const std::vector<double>& default_time_bounds_us() {
+  static const std::vector<double> bounds{1.0, 10.0, 100.0, 1e3,
+                                          1e4, 1e5,  1e6,   1e7};
+  return bounds;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -79,13 +81,12 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
+                                      const std::vector<double>& bounds) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end())
     it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
+             .emplace(std::string(name), std::make_unique<Histogram>(bounds))
              .first;
   return *it->second;
 }

@@ -80,7 +80,7 @@ class Histogram {
 
 /// Default bounds for ScopedTimer duration histograms, in microseconds
 /// (1 µs .. 10 s, one bucket per decade).
-std::vector<double> default_time_bounds_us();
+const std::vector<double>& default_time_bounds_us();
 
 /// Point-in-time copy of one histogram's state.
 struct HistogramSnapshot {
@@ -112,9 +112,11 @@ class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// Returns the histogram named `name`, creating it with `bounds` on
-  /// first use.  Later calls ignore `bounds` (the first registration wins).
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
+  /// Returns the histogram named `name`, creating it with a copy of
+  /// `bounds` on first use.  Later calls ignore `bounds` (the first
+  /// registration wins) and allocate nothing.
+  Histogram& histogram(std::string_view name,
+                       const std::vector<double>& bounds);
   /// The histogram if it exists, else nullptr (no creation).
   const Histogram* find_histogram(std::string_view name) const;
 

@@ -3,7 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
+#include <cstring>
+#include <string_view>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/decision_log.hpp"
@@ -101,11 +102,16 @@ class ScopedInstall {
 /// in the Chrome trace; while a metrics registry is installed the duration
 /// is observed into the histogram "<name>.us" (decade buckets, µs).  With
 /// neither installed the constructor does one pointer load each and the
-/// destructor returns immediately — no clock reads, no allocation.
+/// destructor returns immediately — no clock reads, no allocation.  With
+/// a registry installed the exit composes "<name>.us" on the stack and
+/// allocates nothing once the histogram exists.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* name)
+  /// `name` is a string literal of at most kMaxName characters.
+  template <std::size_t N>
+  explicit ScopedTimer(const char (&name)[N])
       : trace_(trace_collector()), metrics_(metrics()), name_(name) {
+    static_assert(N - 1 <= kMaxName, "span name too long");
     if (trace_ != nullptr || metrics_ != nullptr)
       start_ = ChromeTraceCollector::Clock::now();
   }
@@ -117,15 +123,22 @@ class ScopedTimer {
     if (trace_ != nullptr)
       trace_->record_complete(name_, trace_->to_origin_us(start_), dur_us,
                               current_trace());
-    if (metrics_ != nullptr)
-      metrics_->histogram(std::string(name_) + ".us",
+    if (metrics_ != nullptr) {
+      char key[kMaxName + 3];
+      const std::size_t n = std::strlen(name_);
+      std::memcpy(key, name_, n);
+      std::memcpy(key + n, ".us", 3);
+      metrics_->histogram(std::string_view(key, n + 3),
                           default_time_bounds_us())
           .observe(dur_us);
+    }
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
+  static constexpr std::size_t kMaxName = 61;
+
   ChromeTraceCollector* trace_;
   MetricsRegistry* metrics_;
   const char* name_;

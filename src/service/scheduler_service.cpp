@@ -565,7 +565,9 @@ void SchedulerService::process_batch(std::vector<Request>& batch) {
   // any reply fires: a client that sees its reply may immediately read
   // stats(), scrape the ops endpoint, or export traces.
   {
-    registry_.histogram("service.batch.size", {1, 2, 4, 8, 16, 32, 64, 128})
+    static const std::vector<double> batch_size_bounds{1,  2,  4,  8,
+                                                       16, 32, 64, 128};
+    registry_.histogram("service.batch.size", batch_size_bounds)
         .observe(static_cast<double>(batch.size()));
     auto& latency = registry_.histogram("service.admission_latency.us",
                                         obs::default_time_bounds_us());

@@ -22,13 +22,10 @@ using Competing = std::unordered_map<ElementKey, double>;
 /// `base` scaled by apply_priority_shares for an arriving app of
 /// `priority` against `competing` (per-element total priority of the
 /// placed BE apps, each counted once per element — the scheduler's
-/// competing index); the scaled elements land in `touched`.
+/// competing index).
 CapacitySnapshot predict(CapacitySnapshot base, const Competing& competing,
-                         double priority,
-                         std::vector<ElementKey>* touched = nullptr) {
-  std::vector<ElementKey> scratch;
-  apply_priority_shares(base, competing, priority,
-                        touched != nullptr ? *touched : scratch);
+                         double priority) {
+  apply_priority_shares(base, competing, priority);
   return base;
 }
 
@@ -36,14 +33,11 @@ TEST(Prediction, PaperWorkedExample) {
   // App a (priority P) occupies NCP 0; arriving app b with priority 2P
   // should predict 2/3 of NCP 0's capacity (eq. (6) worked example).
   const Network net = make_pair_net();
-  std::vector<ElementKey> touched;
   const CapacitySnapshot pred =
-      predict(CapacitySnapshot(net), {{ElementKey::ncp(0), 1.0}}, 2.0,
-              &touched);
+      predict(CapacitySnapshot(net), {{ElementKey::ncp(0), 1.0}}, 2.0);
   EXPECT_NEAR(pred.ncp(0)[0], 90.0 * 2.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(pred.ncp(1)[0], 60.0);  // untouched
   EXPECT_DOUBLE_EQ(pred.link(0), 30.0);
-  EXPECT_EQ(touched, std::vector<ElementKey>{ElementKey::ncp(0)});
 }
 
 TEST(Prediction, EqualPrioritiesHalve) {
@@ -67,22 +61,16 @@ TEST(Prediction, DuplicateElementsOfOneAppCountOnce) {
   // once (Scheduler.PredictionCountsAnAppOncePerElement checks the
   // scheduler's index builds it so): NCP 0 is halved, and scaled once.
   const Network net = make_pair_net();
-  std::vector<ElementKey> touched;
   const CapacitySnapshot pred =
-      predict(CapacitySnapshot(net), {{ElementKey::ncp(0), 1.0}}, 1.0,
-              &touched);
+      predict(CapacitySnapshot(net), {{ElementKey::ncp(0), 1.0}}, 1.0);
   EXPECT_NEAR(pred.ncp(0)[0], 45.0, 1e-12);
-  EXPECT_EQ(touched.size(), 1u);
 }
 
 TEST(Prediction, NoIncumbentsMeansFullCapacity) {
   const Network net = make_pair_net();
-  std::vector<ElementKey> touched;
-  const CapacitySnapshot pred =
-      predict(CapacitySnapshot(net), {}, 5.0, &touched);
+  const CapacitySnapshot pred = predict(CapacitySnapshot(net), {}, 5.0);
   EXPECT_DOUBLE_EQ(pred.ncp(0)[0], 90.0);
   EXPECT_DOUBLE_EQ(pred.link(0), 30.0);
-  EXPECT_TRUE(touched.empty());
 }
 
 TEST(Prediction, AppliesOnTopOfResidualBase) {
@@ -104,11 +92,9 @@ TEST(Prediction, RejectsNonPositivePriorities) {
       predict(base, competing, std::numeric_limits<double>::quiet_NaN()),
       std::invalid_argument);
   // A zero total (every incumbent on the element has left) scales nothing.
-  std::vector<ElementKey> touched;
   const CapacitySnapshot pred =
-      predict(base, {{ElementKey::ncp(0), 0.0}}, 1.0, &touched);
+      predict(base, {{ElementKey::ncp(0), 0.0}}, 1.0);
   EXPECT_DOUBLE_EQ(pred.ncp(0)[0], 90.0);
-  EXPECT_TRUE(touched.empty());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace sparcle {
 namespace {
@@ -23,6 +25,15 @@ TEST(ResourceSchema, CpuMemoryHasTwoTypes) {
 TEST(ResourceSchema, EqualityComparesNames) {
   EXPECT_EQ(ResourceSchema::cpu_only(), ResourceSchema::cpu_only());
   EXPECT_NE(ResourceSchema::cpu_only(), ResourceSchema::cpu_memory());
+}
+
+TEST(ResourceSchema, RejectsMoreTypesThanAVectorHolds) {
+  std::vector<std::string> names;
+  for (std::size_t r = 0; r < ResourceVector::kMax; ++r)
+    names.push_back("r" + std::to_string(r));
+  EXPECT_EQ(ResourceSchema(names).size(), ResourceVector::kMax);
+  names.push_back("one_too_many");
+  EXPECT_THROW(ResourceSchema{names}, std::invalid_argument);
 }
 
 TEST(ResourceVector, ScalarConstructsSingleEntry) {
@@ -93,6 +104,39 @@ TEST(ResourceVector, OutOfRangeIndexThrows) {
 TEST(ResourceVector, EqualityIsValueBased) {
   EXPECT_EQ(ResourceVector({1.0, 2.0}), ResourceVector({1.0, 2.0}));
   EXPECT_NE(ResourceVector({1.0, 2.0}), ResourceVector({1.0, 3.0}));
+}
+
+TEST(ResourceVector, HoldsAtMostKMaxComponents) {
+  static_assert(ResourceVector::kMax == 4);
+  const ResourceVector full(ResourceVector::kMax, 1.0);
+  EXPECT_EQ(full.size(), ResourceVector::kMax);
+  EXPECT_EQ(ResourceVector({1.0, 2.0, 3.0, 4.0}).size(), 4u);
+  EXPECT_THROW(ResourceVector(ResourceVector::kMax + 1),
+               std::invalid_argument);
+  EXPECT_THROW(ResourceVector(ResourceVector::kMax + 1, 2.0),
+               std::invalid_argument);
+  EXPECT_THROW((ResourceVector{1.0, 2.0, 3.0, 4.0, 5.0}),
+               std::invalid_argument);
+}
+
+TEST(ResourceVector, CopyDoesNotAliasItsSource) {
+  ResourceVector a{1.0, 2.0, 3.0};
+  ResourceVector b = a;
+  b[1] = 20.0;
+  b += ResourceVector{1.0, 1.0, 1.0};
+  EXPECT_EQ(a, ResourceVector({1.0, 2.0, 3.0}));
+  EXPECT_EQ(b, ResourceVector({2.0, 21.0, 4.0}));
+  ResourceVector c{9.0};
+  c = a;
+  a *= 0.0;
+  EXPECT_EQ(c, ResourceVector({1.0, 2.0, 3.0}));
+}
+
+TEST(ResourceVector, SizeIsPartOfEquality) {
+  // Equal leading components, different sizes: the zero tail of the
+  // shorter vector must not make them compare equal.
+  EXPECT_NE(ResourceVector({1.0}), ResourceVector({1.0, 0.0}));
+  EXPECT_THROW(ResourceVector({1.0, 2.0})[2], std::out_of_range);
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ cmake --build "${BUILD}" -j "$(nproc 2>/dev/null || echo 2)" \
 
 SPARCLE_BENCH_JSON="${SCRATCH}" \
   "./${BUILD}/bench/bench_micro_scaling" \
-  --benchmark_filter='BM_SparcleAssign|BM_WidestPath|BM_FairnessSolve|BM_BeResolveSoakSite' \
+  --benchmark_filter='BM_SparcleAssign|BM_ProvisionPaths|BM_WidestPath|BM_FairnessSolve|BM_BeResolveSoakSite' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
 
 python3 - "$SCRATCH" "$LABEL" "${SPARCLE_BENCH_TOLERANCE:-0.03}" <<'EOF'

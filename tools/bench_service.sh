@@ -11,6 +11,10 @@
 # stage_apply_*, stage_solve_* — RequestTimeline percentiles) land in the
 # trajectory automatically alongside the gated keys below.
 #
+# bench_service runs its burst axis five times, each row on a fresh
+# service: the burst keys below are medians of five runs, and a speedup
+# the median of the per-run ratios to that run's batch=1 row.
+#
 # After appending, the script gates three things:
 #   1. regression: if the new admissions_per_s/batch16 falls more than 3%
 #      below the previous trajectory entry's, exit 1.  Override the budget
