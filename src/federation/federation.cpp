@@ -52,7 +52,6 @@ FederatedService::FederatedService(Network net, FederationOptions options)
       // The shards' assigner options, policy included, so cross-shard
       // apps are ranked by the same rule as shard-local ones.
       assigner_(options_.scheduler.assigner_options_with_policy()),
-      busy_us_(registry_.counter("federation.router.busy_us")),
       cross_in_flight_(registry_.gauge("federation.cross.in_flight")),
       plan_wait_us_(registry_.histogram("federation.cross.plan_wait.us",
                                         obs::default_time_bounds_us())),
@@ -74,7 +73,6 @@ FederatedService::FederatedService(Network net, FederationOptions options)
   registry_.gauge("federation.boundary_links")
       .set(static_cast<double>(plan_.boundary_links.size()));
   registry_.gauge("federation.cross.apps").set(0.0);
-  router_ = std::thread([this] { router_loop(); });
 }
 
 FederatedService::~FederatedService() { stop(); }
@@ -89,25 +87,12 @@ FederatedService::TrimOnTeardown::~TrimOnTeardown() {
 // PlacementService surface
 
 void FederatedService::submit_async(Application app, Completion on_done) {
-  {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    if (stopping_) {
-      ServiceResult r;
-      r.status = ServiceResult::Status::kShutdown;
-      r.reason = "service is stopping";
-      on_done(std::move(r));
-      return;
-    }
-  }
-  dispatch_submit(std::move(app), std::move(on_done));
-}
-
-void FederatedService::dispatch_submit(Application app, Completion on_done) {
+  const auto dispatched = Clock::now();
   try {
     app.validate();
   } catch (const std::exception& e) {
     bump("federation.invalid");
-    complete_rejected(on_done, e.what());
+    complete(on_done, ServiceResult::Status::kRejected, e.what());
     return;
   }
 
@@ -117,15 +102,31 @@ void FederatedService::dispatch_submit(Application app, Completion on_done) {
   // no locality signal; shard 0 hosts them.
   const std::size_t home = touched.empty() ? 0 : touched.front();
 
+  // A cross submit begins its round in the critical section that
+  // publishes its route, so a remove that finds the route also finds the
+  // round.  Bounces are answered after unlocking.
+  bool stopping = false;
+  bool duplicate = false;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
-    if (route_.contains(app.name)) {
-      bump("federation.duplicates");
-      complete_rejected(on_done, "duplicate application name '" + app.name +
-                                     "' across the federation");
-      return;
+    stopping = stopping_;
+    duplicate = !stopping &&
+                !route_.try_emplace(app.name, cross ? kCrossRoute : home).second;
+    if (!stopping && !duplicate && cross) {
+      rounds_.try_emplace(app.name);
+      cross_in_flight_.set(static_cast<double>(rounds_.size()));
     }
-    route_.emplace(app.name, cross ? kCrossRoute : home);
+  }
+  if (stopping) {
+    complete(on_done, ServiceResult::Status::kShutdown, "service is stopping");
+    return;
+  }
+  if (duplicate) {
+    bump("federation.duplicates");
+    complete(on_done, ServiceResult::Status::kRejected,
+             "duplicate application name '" + app.name +
+                 "' across the federation");
+    return;
   }
 
   if (!cross) {
@@ -146,31 +147,25 @@ void FederatedService::dispatch_submit(Application app, Completion on_done) {
   }
 
   bump("federation.cross.submits");
-  auto shared_app = std::make_shared<Application>(std::move(app));
-  const auto enqueued = Clock::now();
-  enqueue_job(
-      [this, shared_app, enqueued, on_done = std::move(on_done)]() mutable {
-        cross_admit(std::move(*shared_app),
-                    stamp_timeline(std::move(on_done), enqueued));
-      });
+  cross_admit(std::move(app), std::move(on_done), dispatched);
 }
 
 FederatedService::Completion FederatedService::stamp_timeline(
-    Completion on_done, std::chrono::steady_clock::time_point enqueued) {
+    Completion on_done, Clock::time_point enqueued,
+    std::shared_ptr<const CrossPlan> plan) {
   // Cross-shard requests are answered by the federation, not by one
   // SchedulerService, so it fills the wire's request-tracing contract
-  // itself: queue_us is the wait for the router thread, apply_us is the
-  // cross-shard protocol's own work — the plan's wait on its shard, the
-  // plan and the rounds (there is no batch or shared PF solve to
-  // report).  Called at job start on the router thread; the stamp wraps
-  // the completion, so every cross outcome — admitted, rejected,
-  // aborted, removed — carries a timeline.
-  const auto started = Clock::now();
+  // itself: queue_us is the plan's wait on its shard (a remove waits in
+  // no queue), apply_us the rest of the cross-shard protocol — the plan
+  // and the rounds (there is no batch or shared PF solve to report).
+  // The stamp wraps the completion, so every cross outcome — admitted,
+  // rejected, aborted, removed — carries a timeline.
   const std::uint64_t trace =
       next_trace_.fetch_add(1, std::memory_order_relaxed);
-  return [on_done = std::move(on_done), enqueued, started,
+  return [on_done = std::move(on_done), enqueued, plan = std::move(plan),
           trace](ServiceResult r) {
     const auto done = Clock::now();
+    const auto started = plan ? plan->started : enqueued;
     r.timeline.trace_id = trace;
     r.timeline.queue_us = us_between(enqueued, started);
     r.timeline.apply_us = us_between(started, done);
@@ -180,51 +175,54 @@ FederatedService::Completion FederatedService::stamp_timeline(
 }
 
 void FederatedService::remove_async(std::string app_name, Completion on_done) {
+  const auto enqueued = Clock::now();
+  bool stopping = false;
+  bool found = false;
   std::size_t route = 0;
   {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    if (stopping_) {
-      ServiceResult r;
-      r.status = ServiceResult::Status::kShutdown;
-      r.reason = "service is stopping";
-      on_done(std::move(r));
-      return;
-    }
-  }
-  {
     std::lock_guard<std::mutex> lock(route_mu_);
+    stopping = stopping_;
     const auto it = route_.find(app_name);
-    if (it == route_.end()) {
-      ServiceResult r;
-      r.status = ServiceResult::Status::kNotFound;
-      r.reason = "no application '" + app_name + "' in the federation";
-      on_done(std::move(r));
-      return;
+    found = !stopping && it != route_.end();
+    if (found) route = it->second;
+    if (found && route == kCrossRoute) {
+      // A cross remove parks behind its app's round in flight, or begins
+      // a round of its own in this critical section, so same-name
+      // requests keep their order.
+      const auto [round, begun] = rounds_.try_emplace(app_name);
+      if (!begun) {
+        round->second.push_back(
+            stamp_timeline(std::move(on_done), enqueued, nullptr));
+        return;  // answered when the round ends
+      }
+      cross_in_flight_.set(static_cast<double>(rounds_.size()));
     }
-    route = it->second;
   }
-
-  if (route != kCrossRoute) {
-    bump("federation.local.removes");
-    const std::string name = app_name;
-    shards_[route]->remove_async(
-        std::move(app_name),
-        [this, name, on_done = std::move(on_done)](ServiceResult r) {
-          if (r.status == ServiceResult::Status::kRemoved) {
-            std::lock_guard<std::mutex> lock(route_mu_);
-            route_.erase(name);
-          }
-          on_done(std::move(r));
-        });
+  if (stopping) {
+    complete(on_done, ServiceResult::Status::kShutdown, "service is stopping");
+    return;
+  }
+  if (!found) {
+    complete(on_done, ServiceResult::Status::kNotFound,
+             "no application '" + app_name + "' in the federation");
+    return;
+  }
+  if (route == kCrossRoute) {
+    cross_remove(app_name,
+                 stamp_timeline(std::move(on_done), enqueued, nullptr));
     return;
   }
 
-  auto shared_name = std::make_shared<std::string>(std::move(app_name));
-  const auto enqueued = Clock::now();
-  enqueue_job(
-      [this, shared_name, enqueued, on_done = std::move(on_done)]() mutable {
-        cross_remove(*shared_name,
-                     stamp_timeline(std::move(on_done), enqueued));
+  bump("federation.local.removes");
+  const std::string name = app_name;
+  shards_[route]->remove_async(
+      std::move(app_name),
+      [this, name, on_done = std::move(on_done)](ServiceResult r) {
+        if (r.status == ServiceResult::Status::kRemoved) {
+          std::lock_guard<std::mutex> lock(route_mu_);
+          route_.erase(name);
+        }
+        on_done(std::move(r));
       });
 }
 
@@ -262,28 +260,25 @@ std::shared_ptr<const ServiceSnapshot> FederatedService::snapshot() const {
 
 void FederatedService::drain() {
   {
-    std::unique_lock<std::mutex> lock(router_mu_);
-    idle_cv_.wait(lock, [this] {
-      return jobs_.empty() && !router_busy_ && in_flight_rounds_ == 0;
-    });
+    std::unique_lock<std::mutex> lock(route_mu_);
+    idle_cv_.wait(lock, [this] { return rounds_.empty() && replying_ == 0; });
   }
   for (const auto& shard : shards_) shard->drain();
 }
 
 void FederatedService::stop() {
   {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    if (stopping_ && !router_.joinable()) return;
+    std::lock_guard<std::mutex> lock(route_mu_);
     stopping_ = true;
   }
   // Shards first: each answers every plan, reserve and release it holds
   // queued (a paused shard resumes to do so), and a request sent to a
-  // stopped shard is answered at once with kShutdown.  So every plan and
-  // round in flight gets its last reply, and the router exits once it
-  // has finished them.
+  // stopped shard is answered at once with kShutdown.  So once the last
+  // shard stopped, every round has had its last reply; a step still
+  // running on a submitter's thread is waited for here.
   for (const auto& shard : shards_) shard->stop();
-  router_cv_.notify_all();
-  if (router_.joinable()) router_.join();
+  std::unique_lock<std::mutex> lock(route_mu_);
+  idle_cv_.wait(lock, [this] { return rounds_.empty() && replying_ == 0; });
 }
 
 ServiceStats FederatedService::stats() const {
@@ -452,7 +447,8 @@ void FederatedService::repair(ElementKey e) {
 // ---------------------------------------------------------------------------
 // Cross-shard admission: a plan on a pinned shard, then one reserve round
 
-void FederatedService::cross_admit(Application app, Completion on_done) {
+void FederatedService::cross_admit(Application app, Completion on_done,
+                                   Clock::time_point dispatched) {
   // The plan runs on the scheduling thread of the pinned shard with the
   // shortest queue; local admissions there wait for it, and plans of
   // different apps run side by side on different shards.
@@ -467,22 +463,16 @@ void FederatedService::cross_admit(Application app, Completion on_done) {
   }
   auto plan = std::make_shared<CrossPlan>();
   plan->record.app = std::move(app);
-  // The round begins with the plan, so a remove that arrives while the
-  // app is planning is parked behind it.
-  begin_round(plan->record.app.name);
-  const auto sent = Clock::now();
+  plan->started = dispatched;
+  Completion reply = stamp_timeline(std::move(on_done), dispatched, plan);
   shards_[planner]->apply(
-      [this, plan, sent](Scheduler&) {
-        plan_wait_us_.observe(us_between(sent, Clock::now()));
+      [this, plan, dispatched](Scheduler&) {
+        plan->started = Clock::now();
+        plan_wait_us_.observe(us_between(dispatched, plan->started));
         plan_cross(*plan);
       },
-      [this, plan, on_done = std::move(on_done)](ServiceResult r) {
-        // The planning shard's thread (or the sender, for a bounce).
-        enqueue_job(
-            [this, plan, r = std::move(r), on_done] {
-              reserve_cross(plan, r, on_done);
-            },
-            /*finishes_round=*/true);
+      [this, plan, reply = std::move(reply)](ServiceResult r) {
+        reserve_cross(plan, r, reply);
       });
 }
 
@@ -695,10 +685,8 @@ void FederatedService::reserve_cross(const std::shared_ptr<CrossPlan>& plan,
   if (planned.status != ServiceResult::Status::kApplied)
     refusal = "cross-shard plan interrupted: " + planned.reason;
   if (!refusal.empty()) {
-    const bool gr = record.app.qoe.cls == QoeClass::kGuaranteedRate;
-    end_round(name, [&] {
-      reject_cross(name, gr, "federation.cross.rejected", refusal, on_done);
-    });
+    reject_cross(name, record.app.qoe.cls == QoeClass::kGuaranteedRate,
+                 "federation.cross.rejected", refusal, on_done);
     return;
   }
 
@@ -738,7 +726,7 @@ void FederatedService::reserve_cross(const std::shared_ptr<CrossPlan>& plan,
 
   // 7. Reserve on every touched shard.  Each hold is taken atomically
   // against the shard's authoritative residual on the shard's own
-  // scheduling thread; the last reply posts finish_admit().
+  // scheduling thread; the last reply runs finish_admit().
   send_round(
       round,
       [name, frags, round = round.get()](Scheduler& sc, std::size_t i) {
@@ -800,10 +788,8 @@ void FederatedService::finish_admit(const std::shared_ptr<Round>& round,
     }
     release_round(name, std::move(release), [this, name, gr, refusal,
                                              on_done] {
-      end_round(name, [&] {
-        reject_cross(name, gr, "federation.cross.aborted_reserve", refusal,
-                     on_done);
-      });
+      reject_cross(name, gr, "federation.cross.aborted_reserve", refusal,
+                   on_done);
     });
     return;
   }
@@ -821,31 +807,30 @@ void FederatedService::finish_admit(const std::shared_ptr<Round>& round,
   r.rate = rate;
   r.availability = availability;
   r.paths = paths;
-  end_round(name, [&] { on_done(std::move(r)); });
+  end_round(name, /*gone=*/false, [&] { on_done(std::move(r)); });
 }
 
 void FederatedService::cross_remove(const std::string& name,
                                     Completion on_done) {
-  if (const auto it = rounds_.find(name); it != rounds_.end()) {
-    it->second.push_back(std::move(on_done));  // answered by end_round()
-    return;
-  }
   std::vector<std::size_t> touched;
   bool gr = false;
+  bool found = false;
   {
     std::lock_guard<std::mutex> lock(cross_mu_);
     const auto it = cross_.find(name);
-    if (it == cross_.end()) {
-      ServiceResult r;
-      r.status = ServiceResult::Status::kNotFound;
-      r.reason = "no cross-shard application '" + name + "'";
-      on_done(std::move(r));
-      return;
+    found = it != cross_.end();
+    if (found) {
+      touched = it->second.shards;
+      gr = it->second.app.qoe.cls == QoeClass::kGuaranteedRate;
     }
-    touched = it->second.shards;
-    gr = it->second.app.qoe.cls == QoeClass::kGuaranteedRate;
   }
-  begin_round(name);
+  if (!found) {
+    end_round(name, /*gone=*/true, [&] {
+      complete(on_done, ServiceResult::Status::kNotFound,
+               "no cross-shard application '" + name + "'");
+    });
+    return;
+  }
   release_round(name, std::move(touched), [this, name, gr, on_done] {
     {
       std::lock_guard<std::mutex> lock(cross_mu_);
@@ -860,16 +845,12 @@ void FederatedService::cross_remove(const std::string& name,
           .set(static_cast<double>(cross_.size()));
       ++cross_version_;
     }
-    {
-      std::lock_guard<std::mutex> lock(route_mu_);
-      route_.erase(name);
-    }
     bump("federation.cross.removes");
     log_decision(name, gr, "cross-shard removed, holds released", 0.0, 0.0,
                  0);
-    ServiceResult r;
-    r.status = ServiceResult::Status::kRemoved;
-    end_round(name, [&] { on_done(std::move(r)); });
+    end_round(name, /*gone=*/true, [&] {
+      complete(on_done, ServiceResult::Status::kRemoved, "");
+    });
   });
 }
 
@@ -878,12 +859,10 @@ void FederatedService::reject_cross(const std::string& name, bool gr,
                                     const std::string& reason,
                                     const Completion& on_done) {
   bump(counter);
-  {
-    std::lock_guard<std::mutex> lock(route_mu_);
-    route_.erase(name);
-  }
   log_decision(name, gr, reason, 0.0, 0.0, 0);
-  complete_rejected(on_done, reason);
+  end_round(name, /*gone=*/true, [&] {
+    complete(on_done, ServiceResult::Status::kRejected, reason);
+  });
 }
 
 void FederatedService::send_round(
@@ -904,13 +883,13 @@ void FederatedService::send_round(
   for (std::size_t i = 0; i < n; ++i)
     shards_[round->shards[i]]->apply(
         [fn, i](Scheduler& sc) { fn(sc, i); },
-        [this, round, finish, i](ServiceResult r) {
+        [round, finish, i](ServiceResult r) {
           // A shard's scheduling thread (or the sender, for a bounce):
-          // record the reply and, on the last one, post the finishing job.
+          // record the reply and, on the last one, take the next step.
           round->replies[i] = std::move(r);
           if (round->waiting.fetch_sub(1) == 1) {
             round->answered = Clock::now();
-            enqueue_job(std::move(*finish), /*finishes_round=*/true);
+            (*finish)();
           }
         });
 }
@@ -926,36 +905,40 @@ void FederatedService::release_round(const std::string& name,
       std::move(then));
 }
 
-void FederatedService::begin_round(const std::string& name) {
-  rounds_.try_emplace(name);
-  {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    in_flight_rounds_ = rounds_.size();
-  }
-  cross_in_flight_.set(static_cast<double>(rounds_.size()));
-}
-
-void FederatedService::end_round(const std::string& name,
+void FederatedService::end_round(const std::string& name, bool gone,
                                  const std::function<void()>& reply) {
-  std::deque<Completion> parked = std::move(rounds_.at(name));
-  rounds_.erase(name);
+  Completion carry;
+  std::deque<Completion> parked;
   {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    in_flight_rounds_ = rounds_.size();
-  }
-  cross_in_flight_.set(static_cast<double>(rounds_.size()));
-  reply();
-  // Then the removes that arrived during the round, in arrival order, as
-  // the FIFO router would have run them after it.
-  while (!parked.empty()) {
-    Completion next = std::move(parked.front());
-    parked.pop_front();
-    cross_remove(name, std::move(next));
+    std::lock_guard<std::mutex> lock(route_mu_);
     const auto it = rounds_.find(name);
-    if (it == rounds_.end()) continue;
-    for (Completion& c : parked) it->second.push_back(std::move(c));
-    return;  // the rest wait on the removal round just begun
+    if (!gone && !it->second.empty()) {
+      carry = std::move(it->second.front());
+      it->second.pop_front();
+    } else {
+      parked = std::move(it->second);
+      rounds_.erase(it);
+      if (gone) route_.erase(name);
+      cross_in_flight_.set(static_cast<double>(rounds_.size()));
+      ++replying_;
+    }
   }
+  reply();
+  if (carry) {
+    // The first remove parked behind the admission carries its round on.
+    cross_remove(name, std::move(carry));
+    return;
+  }
+  // The app is gone, so every remove parked behind it finds nothing.  A
+  // loop, not a recursion: a client can park any number of them.
+  for (const Completion& c : parked)
+    complete(c, ServiceResult::Status::kNotFound,
+             "no cross-shard application '" + name + "'");
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    --replying_;
+  }
+  idle_cv_.notify_all();
 }
 
 void FederatedService::hold(const std::vector<ElementKey>& elements,
@@ -1144,46 +1127,6 @@ std::vector<std::size_t> FederatedService::pinned_shards(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Router plumbing
-
-void FederatedService::enqueue_job(std::function<void()> job,
-                                   bool finishes_round) {
-  {
-    std::lock_guard<std::mutex> lock(router_mu_);
-    (finishes_round ? finishes_ : jobs_).push_back(std::move(job));
-  }
-  router_cv_.notify_one();
-}
-
-void FederatedService::router_loop() {
-  std::unique_lock<std::mutex> lock(router_mu_);
-  for (;;) {
-    // Stopping, the router still finishes the plans and rounds in
-    // flight: their completions post the jobs that answer them.
-    router_cv_.wait(lock, [this] {
-      return !finishes_.empty() || !jobs_.empty() ||
-             (stopping_ && in_flight_rounds_ == 0);
-    });
-    // A finished plan or round first: it only sends the next round or
-    // answers a request, and behind the arrivals its request would wait
-    // for the router a second time.
-    auto& queue = finishes_.empty() ? jobs_ : finishes_;
-    if (queue.empty()) return;
-    std::function<void()> job = std::move(queue.front());
-    queue.pop_front();
-    router_busy_ = true;
-    lock.unlock();
-    const auto t0 = Clock::now();
-    job();
-    busy_us_.add(static_cast<std::uint64_t>(
-        std::llround(us_between(t0, Clock::now()))));
-    lock.lock();
-    router_busy_ = false;
-    if (jobs_.empty() && in_flight_rounds_ == 0) idle_cv_.notify_all();
-  }
-}
-
 void FederatedService::bump(const char* name, std::uint64_t n) {
   registry_.counter(name).add(n);
 }
@@ -1196,11 +1139,12 @@ void FederatedService::log_decision(const std::string& app, bool guaranteed,
                 reason, rate, availability, paths);
 }
 
-void FederatedService::complete_rejected(const Completion& on_done,
-                                         const std::string& reason) {
+void FederatedService::complete(const Completion& on_done,
+                                ServiceResult::Status status,
+                                std::string reason) {
   ServiceResult r;
-  r.status = ServiceResult::Status::kRejected;
-  r.reason = reason;
+  r.status = status;
+  r.reason = std::move(reason);
   on_done(std::move(r));
 }
 

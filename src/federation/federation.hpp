@@ -11,7 +11,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,10 +50,10 @@
 ///     shards accepted — any refusal releases every hold, leaving no
 ///     residue (the per-shard invariant checker plus the federation
 ///     conservation check in federation/check.hpp prove it);
-///   - the router plans nothing and never waits on a shard: plans,
-///     reserves and releases complete by callback, and each completion
-///     posts the router job that takes the next step, so plans and
-///     rounds of different apps run side by side.
+///   - no federation thread: plans, reserves and releases complete by
+///     callback, and each step runs on the thread whose reply completes
+///     the step before it, so plans and rounds of different apps run
+///     side by side and nothing waits on a shard.
 
 namespace sparcle::federation {
 
@@ -89,8 +88,8 @@ struct CrossApp {
 
 /// The federated placement service: service::PlacementService over
 /// regional shards.  All public methods are thread-safe.  Construction
-/// spawns one SchedulerService per shard plus one federation router
-/// thread; destruction stops all of them.
+/// spawns one SchedulerService per shard and no thread of its own;
+/// destruction stops every shard.
 class FederatedService : public service::PlacementService {
  public:
   /// Partitions `net` into options.shards regional shards and starts a
@@ -109,13 +108,13 @@ class FederatedService : public service::PlacementService {
   /// shard) followed by the committed cross-shard apps; version is the sum
   /// of shard versions plus the federation's own mutation counter.
   std::shared_ptr<const service::ServiceSnapshot> snapshot() const override;
-  /// Blocks until the router queue is empty, no cross-shard plan,
-  /// reserve or release round is in flight, and every shard drained.
+  /// Blocks until no cross-shard plan, reserve or release round is in
+  /// flight and its reply has run, then until every shard drained.
   void drain() override;
   /// Refuses new requests, stops every shard (each answers what it has
-  /// queued, a paused one included), then lets the router finish every
-  /// plan and round those replies complete.  Every completion fires
-  /// exactly once.  Idempotent.
+  /// queued, a paused one included, and the steps those replies take
+  /// bounce off the stopped shards), then waits until no round is in
+  /// flight.  Every completion fires exactly once.  Idempotent.
   void stop() override;
   /// Shard counters summed, plus the federation's own `federation.*`
   /// instruments and the per-shard gauges merged into
@@ -188,7 +187,7 @@ class FederatedService : public service::PlacementService {
 
   /// One round of control requests (reserves or releases) in flight, one
   /// per shard.  Each shard callback writes only its own slot; the last
-  /// one stamps `answered` and posts the round's finishing router job.
+  /// one stamps `answered` and runs the round's next step.
   struct Round {
     std::vector<std::size_t> shards;           ///< shards asked, ascending
     std::vector<service::ServiceResult> replies;  ///< by position in shards
@@ -199,63 +198,63 @@ class FederatedService : public service::PlacementService {
   };
 
   /// One cross-shard admission from its plan on.  The planning shard's
-  /// thread fills it; the router reads it in the job the plan's
-  /// completion posts.
+  /// thread fills it; the plan's completion reads it.
   struct CrossPlan {
     /// The app in; planning adds paths, rates, availability, load and
-    /// elements, and the router the touched shards.
+    /// elements, and the reserve step the touched shards.
     CrossApp record;
     std::string refusal;  ///< why planning rejected the app, else empty
+    /// When the plan started on its shard; the dispatch time until then.
+    std::chrono::steady_clock::time_point started;
   };
 
   static constexpr std::size_t kCrossRoute = static_cast<std::size_t>(-1);
 
-  /// Routes one arrival: home shard when every pin lands in one shard,
-  /// otherwise a router job for the cross-shard path.  Never blocks.
-  void dispatch_submit(Application app, Completion on_done);
-  /// Cross-shard admission, first step (router job): begins the app's
-  /// round and sends its plan, one SchedulerService::apply, to the
+  /// Cross-shard admission, first step (the submitter's thread, its
+  /// round begun): sends the plan, one SchedulerService::apply, to the
   /// pinned shard with the shortest queue (ties to the lowest index).
-  void cross_admit(Application app, Completion on_done);
+  void cross_admit(Application app, Completion on_done,
+                   std::chrono::steady_clock::time_point dispatched);
   /// The plan (planning shard's scheduling thread): provisions the app
   /// on its union sub-network and, if the boundary recheck passes, takes
   /// its pending hold.  The hold is its last step, so a plan that throws
   /// holds nothing.
   void plan_cross(CrossPlan& plan);
-  /// Second step (router job, posted by the plan's completion): rejects
-  /// the app, or splits its load into per-shard fragments and sends the
-  /// reserve round.
+  /// Second step (the plan's completion: the planning shard's scheduling
+  /// thread, or the sender's for a bounce): rejects the app, or splits
+  /// its load into per-shard fragments and sends the reserve round.
   void reserve_cross(const std::shared_ptr<CrossPlan>& plan,
                      const service::ServiceResult& planned,
                      const Completion& on_done);
-  /// Last step (router job, posted by the last reserve reply): admits
-  /// the app, or releases its holds and then rejects it.
+  /// Last step (the thread of the last reserve reply): admits the app,
+  /// or releases its holds and then rejects it.
   void finish_admit(const std::shared_ptr<Round>& round,
                     const std::shared_ptr<CrossPlan>& plan,
                     const Completion& on_done);
-  /// Cross-shard removal (router job): sends the release round, answered
-  /// once every shard replied.  Parked while the app's own round is in
-  /// flight, so same-name requests keep their order.
+  /// Cross-shard removal, its round begun: sends the release round,
+  /// answered on the thread of its last reply.
   void cross_remove(const std::string& name, Completion on_done);
-  /// Answers a cross-shard submit with a rejection: frees its name,
-  /// counts `counter`, logs the decision.
+  /// Answers a cross-shard submit with a rejection: counts `counter`,
+  /// logs the decision, and ends the round.
   void reject_cross(const std::string& name, bool gr, const char* counter,
                     const std::string& reason, const Completion& on_done);
   /// Sends `fn(scheduler, i)` to every shard of `round` (i = its slot);
-  /// the last reply posts `then` as a router job.  Never blocks.
+  /// the last reply runs `then` on its own thread.  Never blocks.
   void send_round(const std::shared_ptr<Round>& round,
                   std::function<void(Scheduler&, std::size_t)> fn,
                   std::function<void()> then);
-  /// Sends the release of hold `name` to `shards`, then runs `then` as a
-  /// router job once all replied (at once when `shards` is empty).
+  /// Sends the release of hold `name` to `shards`, then runs `then` once
+  /// all replied (at once when `shards` is empty).
   void release_round(const std::string& name, std::vector<std::size_t> shards,
                      std::function<void()> then);
-  /// Marks `name`'s round begun (router thread).
-  void begin_round(const std::string& name);
-  /// Ends `name`'s round: it leaves the in-flight count, `reply` answers
-  /// the round's own request, then the removes parked behind it are
-  /// answered in arrival order.
-  void end_round(const std::string& name,
+  /// Ends the step of `name`'s round that `reply` answers.  If the app
+  /// stays admitted and a remove is parked, the first parked remove
+  /// carries the round on after the reply.  Otherwise the round ends: it
+  /// leaves the in-flight gauge before the reply, `gone` (the app was
+  /// rejected or removed) frees its name in the same critical section,
+  /// and after the reply every parked remove is answered not_found, in
+  /// arrival order.
+  void end_round(const std::string& name, bool gone,
                  const std::function<void()>& reply);
   /// Adds (`sign` +1) or drops (−1) a pending hold of `load` on
   /// `elements`; an element whose last hold is dropped reads exactly 0
@@ -282,25 +281,23 @@ class FederatedService : public service::PlacementService {
   /// in `out`: the shard sums of stats() and prometheus_text() hide skew
   /// between shards.
   void add_shard_gauges(obs::MetricsSnapshot& out) const;
-  /// Queues a router job: a request to admit or remove, or (with
-  /// `finishes_round`) the job a plan's completion or a round's last
-  /// reply posts, which the router runs first.
-  void enqueue_job(std::function<void()> job, bool finishes_round = false);
-  void router_loop();
   void bump(const char* name, std::uint64_t n = 1);
   /// Records a kFederate decision-log row when a log is installed.
   void log_decision(const std::string& app, bool guaranteed,
                     const std::string& reason, double rate,
                     double availability, std::size_t paths);
-  /// Completes `on_done` with a rejection carrying `reason`.
-  static void complete_rejected(const Completion& on_done,
-                                const std::string& reason);
+  /// Completes `on_done` with `status` carrying `reason`.
+  static void complete(const Completion& on_done,
+                       service::ServiceResult::Status status,
+                       std::string reason);
   /// Wraps a cross-request completion so the result carries the wire's
   /// request-tracing contract (trace_id / queue_us / apply_us /
-  /// latency_us).  Call at job start on the router thread; `enqueued` is
-  /// when the request entered the router queue.
+  /// latency_us).  `enqueued` is when the request arrived; queue_us runs
+  /// from there to `plan`'s start on its shard, and is 0 for a remove
+  /// (no `plan`), which waits in no queue.
   Completion stamp_timeline(Completion on_done,
-                            std::chrono::steady_clock::time_point enqueued);
+                            std::chrono::steady_clock::time_point enqueued,
+                            std::shared_ptr<const CrossPlan> plan);
 
   /// Returns the heap pages a torn-down federation freed to the OS.  Each
   /// shard thread allocates from its own glibc arena, and glibc keeps a
@@ -323,13 +320,8 @@ class FederatedService : public service::PlacementService {
   std::mutex subnets_mu_;
   std::map<std::vector<std::size_t>, UnionSubnet> subnets_;
 
-  /// Names with a plan, reserve or release round in flight, each with
-  /// the removes parked behind it in arrival order.  Router thread only.
-  std::map<std::string, std::deque<Completion>> rounds_;
-
   obs::MetricsRegistry registry_;  ///< federation.* instruments
   // Instruments resolved once, so no exit pays a name lookup.
-  obs::Counter& busy_us_;      ///< federation.router.busy_us
   obs::Gauge& cross_in_flight_;  ///< federation.cross.in_flight
   obs::Histogram& plan_wait_us_;  ///< federation.cross.plan_wait.us
   obs::Histogram& plan_us_;    ///< federation.cross.plan.us
@@ -343,6 +335,14 @@ class FederatedService : public service::PlacementService {
   /// duplicate names across shards and directs removals.
   mutable std::mutex route_mu_;
   std::map<std::string, std::size_t> route_;
+  /// Names with a plan, reserve or release round in flight, each with
+  /// the removes parked behind it in arrival order.
+  std::map<std::string, std::deque<Completion>> rounds_;
+  /// Rounds already out of rounds_ whose reply is still running:
+  /// drain() and stop() wait for them too.
+  std::size_t replying_{0};
+  bool stopping_{false};
+  std::condition_variable idle_cv_;  ///< wakes drain() and stop()
 
   /// Cross-shard state: committed apps and their aggregate load, the
   /// pending holds of admissions whose reserve round is in flight (kept
@@ -356,18 +356,6 @@ class FederatedService : public service::PlacementService {
   CapacitySnapshot plan_residual_;
   std::set<ElementKey> failed_;
   std::uint64_t cross_version_{0};  ///< bumps on every cross mutation
-
-  /// Router: one thread that sends cross-shard plans and rounds and
-  /// finishes them; it never plans and never waits on a shard.
-  mutable std::mutex router_mu_;
-  std::condition_variable router_cv_;   ///< wakes the router thread
-  std::condition_variable idle_cv_;     ///< wakes drain()ers
-  std::deque<std::function<void()>> jobs_;      ///< arrivals, FIFO
-  std::deque<std::function<void()>> finishes_;  ///< finished rounds, FIFO
-  std::size_t in_flight_rounds_{0};  ///< rounds_.size(), for drain()/stop()
-  bool router_busy_{false};
-  bool stopping_{false};
-  std::thread router_;  ///< last member: joins before teardown
 };
 
 }  // namespace sparcle::federation

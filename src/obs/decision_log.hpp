@@ -42,7 +42,7 @@ enum class DecisionKind : std::uint8_t {
   /// column records the wire-level cause.  docs/wire.md covers the framing
   /// rules these rejects enforce.
   kWireReject,
-  /// A federation-router decision on one arrival (docs/federation.md):
+  /// A federation routing decision on one arrival (docs/federation.md):
   /// routed to its home shard, admitted cross-shard in one reserve
   /// round, aborted at reserve, or rejected by the γ pre-gate.  The
   /// reason column records the route taken and the shards touched.

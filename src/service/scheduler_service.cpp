@@ -201,8 +201,11 @@ void SchedulerService::enqueue(Request req,
   }
 
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    // A bounce is answered after unlocking: its completion may send to
+    // this service, or to another whose bounce sends back here.
+    std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
+      lock.unlock();
       ServiceResult result;
       result.status = ServiceResult::Status::kShutdown;
       result.reason = "service is stopping";
@@ -220,6 +223,7 @@ void SchedulerService::enqueue(Request req,
                       std::to_string(options_.queue_capacity) +
                       " requests queued";
       log_queue_reject("queue_full", label, gr, result.reason);
+      lock.unlock();
       req.callback(std::move(result));
       return;
     }

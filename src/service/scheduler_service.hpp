@@ -209,10 +209,13 @@ class PlacementService {
   virtual ~PlacementService() = default;
 
   /// Callback invoked exactly once with a request's terminal result — a
-  /// request's only reply channel, so it must be non-empty.  Runs on a
-  /// service-internal thread (batch completions) or inline on the
-  /// caller's thread (enqueue-time bounces: queue_full / shutdown), so it
-  /// must be cheap and must not re-enter the service.
+  /// request's only reply channel, so it must be non-empty.  Runs with no
+  /// service lock held, on a service-internal thread (batch completions)
+  /// or inline on the caller's thread (enqueue-time bounces: queue_full /
+  /// shutdown).  It may send further requests (the federation takes each
+  /// cross-shard step so), but it must be cheap, since the scheduling
+  /// thread runs it before its next batch, and it must not wait on the
+  /// service that runs it (drain(), stop(), or a reply from it).
   using Completion = std::function<void(ServiceResult)>;
 
   /// Enqueues an admission request; `on_done` fires when the request has

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -673,7 +675,6 @@ TEST(FederationRouter, DoesNotWaitOnAPausedShard) {
       << replies.last("to_b").reason;
   const service::ServiceStats after = fed.stats();
   EXPECT_EQ(counter(after, "federation.cross.in_flight"), 0.0);
-  EXPECT_GT(counter(after, "federation.router.busy_us"), 0.0);
   const obs::Histogram* plan = fed.registry().find_histogram(
       "federation.cross.plan.us");
   const obs::Histogram* round = fed.registry().find_histogram(
@@ -842,6 +843,37 @@ TEST(FederationRouter, DrainWaitsForAPlanInFlight) {
   expect_conserved(fed);
 }
 
+TEST(FederationRouter, CrossReplyQueueTimeIsThePlanWait) {
+  // A cross reply's queue stage is its plan's wait on the planning
+  // shard, here paused for at least 50 ms, and its stages still add up
+  // to its latency.
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  fed.shard(0).pause();  // both queues empty: shard 0 plans
+  auto reply = fed.submit(
+      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fed.shard(0).queue_depth() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_EQ(fed.shard(0).queue_depth(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fed.shard(0).resume();
+
+  const ServiceResult got = reply.get();
+  ASSERT_EQ(got.status, ServiceResult::Status::kAdmitted) << got.reason;
+  EXPECT_GE(got.timeline.queue_us, 50000.0);
+  EXPECT_GT(got.timeline.apply_us, 0.0);
+  EXPECT_NEAR(got.timeline.queue_us + got.timeline.apply_us, got.latency_us,
+              1.0);
+  const obs::Histogram* wait = fed.registry().find_histogram(
+      "federation.cross.plan_wait.us");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_NEAR(wait->sum(), got.timeline.queue_us, 1.0);
+}
+
 TEST(FederationRouter, RemoveSentBeforeTheAdmissionReplyIsAnsweredAfterIt) {
   FederationOptions opt;
   opt.shards = 2;
@@ -865,6 +897,49 @@ TEST(FederationRouter, RemoveSentBeforeTheAdmissionReplyIsAnsweredAfterIt) {
   EXPECT_TRUE(fed.cross_apps().empty());
   for (std::size_t s = 0; s < 2; ++s)
     EXPECT_FALSE(holds(fed, s, "cx")) << "leaked hold on shard " << s;
+  expect_conserved(fed);
+}
+
+TEST(FederationRouter, ManyParkedRemovesAreAnsweredInOrder) {
+  // 100,000 removes park behind one admission's round.  The first removes
+  // the app and every later one finds nothing, each answered once and in
+  // arrival order; a recursion per parked remove would overflow the
+  // stack here.
+  constexpr int kRemoves = 100000;
+  FederationOptions opt;
+  opt.shards = 2;
+  FederatedService fed(make_two_region_net(), opt);
+  std::mutex mu;
+  std::vector<std::pair<int, ServiceResult::Status>> order;  // (request, reply)
+  order.reserve(kRemoves + 1);
+  const auto on = [&mu, &order](int request) {
+    return [&mu, &order, request](ServiceResult r) {
+      std::lock_guard<std::mutex> lock(mu);
+      order.emplace_back(request, r.status);
+    };
+  };
+
+  fed.shard(1).pause();  // holds the admission's reserve
+  fed.submit_async(
+      make_app("cx", QoeSpec::guaranteed_rate(0.5, 0.0), 0, 3, 4.0, 1.0),
+      on(-1));
+  for (int i = 0; i < kRemoves; ++i) fed.remove_async("cx", on(i));
+  fed.shard(1).resume();
+  fed.drain();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kRemoves + 1));
+  EXPECT_EQ(order[0], std::make_pair(-1, ServiceResult::Status::kAdmitted));
+  EXPECT_EQ(order[1], std::make_pair(0, ServiceResult::Status::kRemoved));
+  int misordered = 0, not_found = 0;
+  for (int i = 1; i <= kRemoves; ++i) {
+    if (order[i].first != i - 1) ++misordered;
+    if (order[i].second == ServiceResult::Status::kNotFound) ++not_found;
+  }
+  EXPECT_EQ(misordered, 0);
+  EXPECT_EQ(not_found, kRemoves - 1);
+  EXPECT_TRUE(fed.cross_apps().empty());
+  EXPECT_EQ(counter(fed.stats(), "federation.cross.in_flight"), 0.0);
   expect_conserved(fed);
 }
 
@@ -1112,6 +1187,47 @@ TEST(FederationRouter, ConcurrentPlansNeverOverbookABoundaryLink) {
   expect_conserved(fed);
 }
 
+TEST(FederationRouter, ConcurrentSubmitsAndRemovesOfSharedNamesAnswerOnce) {
+  // Eight threads submit and remove the same four cross-shard names at
+  // once, each waiting for its remove's reply before its next submit, so
+  // the steps of one name's rounds run on submitter and shard threads
+  // side by side: ThreadSanitizer's race check for the federation.
+  // Every request is answered exactly once, and nothing leaks.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 40;
+  FederationOptions opt;
+  opt.shards = 3;
+  FederatedService fed(make_three_region_net(), opt);
+  std::vector<std::atomic<int>> fired(2 * kThreads * kRounds);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&fed, &fired, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const int n = (t + i) % 4;
+        const std::string name = "cx" + std::to_string(n);
+        const std::size_t id = 2 * static_cast<std::size_t>(t * kRounds + i);
+        fed.submit_async(make_app(name, QoeSpec::guaranteed_rate(0.1, 0.0), 0,
+                                  n % 2 == 0 ? 3 : 5, 0.5, 0.1),
+                         [&fired, id](ServiceResult) { ++fired[id]; });
+        std::promise<void> removed;
+        std::future<void> answered = removed.get_future();
+        fed.remove_async(name, [&fired, &removed, id](ServiceResult) {
+          if (++fired[id + 1] == 1) removed.set_value();
+        });
+        answered.wait();
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  fed.drain();
+  for (std::size_t id = 0; id < fired.size(); ++id)
+    EXPECT_EQ(fired[id].load(), 1) << "request " << id;
+  const service::ServiceStats stats = fed.stats();
+  EXPECT_GT(counter(stats, "federation.cross.admitted"), 0.0);
+  EXPECT_GT(counter(stats, "federation.cross.removes"), 0.0);
+  EXPECT_EQ(counter(stats, "federation.cross.in_flight"), 0.0);
+  expect_conserved(fed);
+}
+
 // ---------------------------------------------------------------------------
 // Facade: snapshot, stats, exposition, wire protocol
 
@@ -1208,6 +1324,31 @@ TEST(Federation, EventServerSpeaksTheUnmodifiedWireProtocol) {
 
   server.stop();
   expect_conserved(fed);
+}
+
+TEST(Federation, StartsNoThreadOfItsOwn) {
+#if defined(__linux__)
+  // Every thread the process has is an entry of /proc/self/task; a
+  // federation adds one per shard (its scheduling thread) and no more.
+  const auto tasks = [] {
+    std::set<std::string> out;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      out.insert(entry.path().filename().string());
+    return out;
+  };
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    const std::set<std::string> before = tasks();
+    FederationOptions opt;
+    opt.shards = shards;
+    FederatedService fed(make_three_region_net(), opt);
+    std::size_t started = 0;
+    for (const std::string& task : tasks()) started += !before.contains(task);
+    EXPECT_EQ(started, shards) << shards << " shard(s)";
+  }
+#else
+  GTEST_SKIP() << "counts threads in /proc/self/task";
+#endif
 }
 
 TEST(Federation, SingleShardDegeneratesToOneScheduler) {

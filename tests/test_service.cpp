@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -441,6 +442,41 @@ TEST(SchedulerService, StopDrainsQueuedWorkAndRejectsNewWork) {
   const ServiceResult late = svc.submit(
       make_app("late", QoeSpec::best_effort(1.0))).get();
   EXPECT_EQ(late.status, ServiceResult::Status::kShutdown);
+}
+
+TEST(SchedulerService, BounceRepliesRunWithoutTheQueueLock) {
+  // A bounce's completion may call into the service that bounced it (the
+  // federation sends its next cross-shard step so).  Each bounce below
+  // asks for the queue depth from another thread and waits up to 5 s for
+  // the answer; the future lives outside the callback, so a bounce run
+  // under the queue lock fails here after the timeout, not in a deadlock.
+  ServiceOptions options;
+  options.queue_capacity = 1;
+  options.start_paused = true;
+  SchedulerService svc(make_two_relay_net(), SchedulerOptions{}, options);
+  auto queued = svc.submit(make_app("q", QoeSpec::best_effort(1.0)));
+
+  std::future<std::size_t> depth;
+  std::future_status answered = std::future_status::deferred;
+  ServiceResult::Status status = ServiceResult::Status::kApplied;
+  const auto bounce = [&](ServiceResult r) {
+    status = r.status;
+    depth = std::async(std::launch::async, [&svc] { return svc.queue_depth(); });
+    answered = depth.wait_for(std::chrono::seconds(5));
+  };
+
+  svc.submit_async(make_app("full", QoeSpec::best_effort(1.0)), bounce);
+  EXPECT_EQ(status, ServiceResult::Status::kQueueFull);
+  EXPECT_EQ(answered, std::future_status::ready);
+  EXPECT_EQ(depth.get(), 1u);
+
+  svc.stop();
+  EXPECT_EQ(queued.get().status, ServiceResult::Status::kAdmitted);
+  answered = std::future_status::deferred;
+  svc.submit_async(make_app("late", QoeSpec::best_effort(1.0)), bounce);
+  EXPECT_EQ(status, ServiceResult::Status::kShutdown);
+  EXPECT_EQ(answered, std::future_status::ready);
+  EXPECT_EQ(depth.get(), 0u);
 }
 
 // ---------------------------------------------------------------------------

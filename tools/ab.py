@@ -107,6 +107,26 @@ def run_side(src, build_dir, args):
         return None
 
 
+def drop_stale_cache(build_dir, src):
+    """Deletes `build_dir`'s CMake cache when it names another source tree.
+
+    perfbench/run.py configures a build directory only once.  A reused
+    --build-root keeps the cache of an earlier invocation, whose parent
+    checkout was a temporary worktree that is gone, and every run of that
+    side would fail to build."""
+    cache = os.path.join(build_dir, "CMakeCache.txt")
+    try:
+        with open(cache, encoding="utf-8") as f:
+            home = next((line.split("=", 1)[1].strip() for line in f
+                         if line.startswith("CMAKE_HOME_DIRECTORY:")), "")
+    except OSError:
+        return
+    wanted = os.path.realpath(os.path.join(src, "perfbench"))
+    if os.path.realpath(home) != wanted:
+        os.remove(cache)
+        shutil.rmtree(os.path.join(build_dir, "CMakeFiles"), ignore_errors=True)
+
+
 def run(args):
     tmp = tempfile.mkdtemp(prefix="sparcle-ab-")
     worktree = None
@@ -122,8 +142,9 @@ def run(args):
         srcs = {"parent": os.path.abspath(parent_src), "change": ROOT}
         builds = {side: os.path.join(os.path.abspath(build_root),
                                      f"build-{side}") for side in SIDES}
-        for d in builds.values():
-            os.makedirs(d, exist_ok=True)
+        for side in SIDES:
+            os.makedirs(builds[side], exist_ok=True)
+            drop_stale_cache(builds[side], srcs[side])
         records = []
         with open(args.out, "a", encoding="utf-8") as out:
             for pair in range(args.pairs):
