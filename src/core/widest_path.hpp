@@ -50,7 +50,9 @@ struct WidestPathResult {
 /// any valid heap therefore pops entries in exactly the same sequence as
 /// the binary std::push_heap it replaced — the arity is a constant-factor
 /// change (shallower tree, sibling scan over one cache line), not a
-/// behavioral one.
+/// behavioral one.  Only the root and NCPs with two or more incident links
+/// ever enter it: run_widest_dijkstra settles a one-link NCP (a star
+/// region's leaf) the moment its only neighbour relaxes it.
 class WidestPathWorkspace {
  public:
   /// Sizes the buffers for an `n`-node network and opens a new epoch.
@@ -173,6 +175,13 @@ namespace detail {
 /// everything).  With kReversed the arrows of directed links are walked
 /// backwards, so phi(v) is the width of the best v → root path instead of
 /// root → v.  phi/prev for settled nodes live in `ws`.
+///
+/// A one-link NCP u is the exception to the heap order: it is settled as
+/// soon as its only neighbour v relaxes it, without a heap push and pop.
+/// Nothing but v can reach u, and v is settled, so u's width is final and
+/// its last hop is forced; a settled node's phi/prev are therefore the
+/// heap-only loop's, bit for bit.  If u is `stop`, the call returns there,
+/// with the phi(stop) and route that the later pop would have given.
 template <bool kReversed, typename WeightFn>
 bool run_widest_dijkstra(const Network& net, NcpId root, NcpId stop,
                          const WeightFn& weight, WidestPathWorkspace& ws) {
@@ -203,7 +212,14 @@ bool run_widest_dijkstra(const Network& net, NcpId root, NcpId stop,
       const bool improves = (lw > 0) & !ws.done(u) & (cand > ws.phi(u));
       if (improves) {
         ws.relax(u, cand, l);
-        ws.push(cand, u);
+        // A one-link NCP's width is final now (see above): settle it
+        // instead of queuing it.
+        if (net.incident_links(u).size() == 1) {
+          ws.mark_done(u);
+          if (u == stop) return true;
+        } else {
+          ws.push(cand, u);
+        }
       }
     }
   }

@@ -1,5 +1,7 @@
 #include "model/network.hpp"
 
+#include <cmath>
+#include <limits>
 #include <queue>
 #include <stdexcept>
 
@@ -10,7 +12,11 @@ NcpId Network::add_ncp(std::string name, ResourceVector capacity,
   if (capacity.size() != schema_.size())
     throw std::invalid_argument("NCP '" + name +
                                 "' capacity does not match schema");
-  if (fail_prob < 0.0 || fail_prob >= 1.0)
+  for (std::size_t r = 0; r < capacity.size(); ++r)
+    if (!std::isfinite(capacity[r]) || capacity[r] < 0)
+      throw std::invalid_argument("NCP '" + name +
+                                  "' capacity must be finite and >= 0");
+  if (!(fail_prob >= 0.0 && fail_prob < 1.0))  // NaN fails too
     throw std::invalid_argument("NCP '" + name +
                                 "' failure probability out of [0,1)");
   ncps_.push_back(
@@ -26,10 +32,12 @@ LinkId Network::add_link(std::string name, NcpId a, NcpId b, double bandwidth,
     throw std::invalid_argument("link '" + name + "' has unknown endpoint");
   if (a == b)
     throw std::invalid_argument("link '" + name + "' is a self-loop");
-  if (bandwidth <= 0)
+  // NaN stays accepted: the widest-path and hop-count routers treat a NaN
+  // link as dead.
+  if (bandwidth <= 0 || bandwidth == std::numeric_limits<double>::infinity())
     throw std::invalid_argument("link '" + name +
-                                "' must have positive bandwidth");
-  if (fail_prob < 0.0 || fail_prob >= 1.0)
+                                "' must have positive finite bandwidth");
+  if (!(fail_prob >= 0.0 && fail_prob < 1.0))  // NaN fails too
     throw std::invalid_argument("link '" + name +
                                 "' failure probability out of [0,1)");
   links_.push_back({std::move(name), bandwidth, a, b, fail_prob, false});

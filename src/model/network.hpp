@@ -45,12 +45,15 @@ class Network {
   /// An empty network whose nodes will use `schema` for capacities.
   explicit Network(ResourceSchema schema) : schema_(std::move(schema)) {}
 
-  /// Adds a node; its capacity vector must match the schema size.  The
-  /// optional `region` label groups NCPs for federated shard planning
-  /// (shard_plan.hpp); an empty label means "unlabeled".
+  /// Adds a node; its capacity vector must match the schema size, and
+  /// every component must be finite and >= 0.  The optional `region`
+  /// label groups NCPs for federated shard planning (shard_plan.hpp); an
+  /// empty label means "unlabeled".
   NcpId add_ncp(std::string name, ResourceVector capacity,
                 double fail_prob = 0.0, std::string region = {});
   /// Adds an undirected link (bandwidth shared across both directions).
+  /// The bandwidth must be > 0 and finite; a NaN bandwidth is accepted and
+  /// makes the link dead (no router traverses it).
   LinkId add_link(std::string name, NcpId a, NcpId b, double bandwidth,
                   double fail_prob = 0.0);
   /// Adds a directed link: traffic flows only `from` -> `to` (e.g. the

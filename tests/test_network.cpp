@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "model/capacity.hpp"
@@ -98,6 +99,59 @@ TEST(Network, RejectsBadInputs) {
   EXPECT_THROW(net.add_link("self", 0, 0, 10), std::invalid_argument);
   EXPECT_THROW(net.add_link("dangling", 0, 9, 10), std::invalid_argument);
   EXPECT_THROW(net.add_link("zero-bw", 0, 0, 0), std::invalid_argument);
+}
+
+TEST(Network, RejectsNonFiniteOrNegativeNcpCapacity) {
+  // An infinite capacity reaches the PF solve as a non-finite constraint
+  // row; NaN and negative capacities have no meaning.  Zero stays legal.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Network net(ResourceSchema({"cpu", "mem"}));
+  for (const double bad : {inf, -inf, nan, -5.0}) {
+    EXPECT_THROW(net.add_ncp("bad", ResourceVector{bad, 1.0}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(net.add_ncp("bad", ResourceVector{1.0, bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(net.ncp_count(), 0u);
+  net.add_ncp("idle", ResourceVector{0.0, 0.0});
+  EXPECT_EQ(net.ncp_count(), 1u);
+}
+
+TEST(Network, RejectsInfiniteBandwidthAndKeepsNanAsADeadLink) {
+  // Algorithm 1 would route over a +inf link, and then every BE app on it
+  // would fail its PF solve.  NaN is the documented dead link
+  // (ShortestHopPath.SkipsDeadLinks).
+  const double inf = std::numeric_limits<double>::infinity();
+  Network net(ResourceSchema::cpu_only());
+  net.add_ncp("a", ResourceVector::scalar(1));
+  net.add_ncp("b", ResourceVector::scalar(1));
+  EXPECT_THROW(net.add_link("inf", 0, 1, inf), std::invalid_argument);
+  EXPECT_THROW(net.add_directed_link("dinf", 0, 1, inf),
+               std::invalid_argument);
+  EXPECT_THROW(net.add_link("neginf", 0, 1, -inf), std::invalid_argument);
+  EXPECT_THROW(net.add_link("neg", 0, 1, -5), std::invalid_argument);
+  EXPECT_EQ(net.link_count(), 0u);
+  net.add_link("dead", 0, 1, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(net.link_count(), 1u);
+}
+
+TEST(Network, RejectsNanFailureProbability) {
+  // NaN fails every comparison, so the range test must reject whatever
+  // is not inside [0, 1) rather than what is outside it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Network net(ResourceSchema::cpu_only());
+  EXPECT_THROW(net.add_ncp("bad", ResourceVector::scalar(1), nan),
+               std::invalid_argument);
+  net.add_ncp("a", ResourceVector::scalar(1));
+  net.add_ncp("b", ResourceVector::scalar(1));
+  EXPECT_THROW(net.add_link("bad", 0, 1, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(net.add_directed_link("bad", 0, 1, 1.0, nan),
+               std::invalid_argument);
+  EXPECT_EQ(net.ncp_count(), 2u);
+  EXPECT_EQ(net.link_count(), 0u);
 }
 
 TEST(ElementKey, OrderingAndHash) {

@@ -335,6 +335,41 @@ TEST(ScenarioIo, ParseAppsTextRejectsMalformedApplicationNumbers) {
   }
 }
 
+TEST(ScenarioIo, ParseScenarioTextRejectsMalformedNetworkNumbers) {
+  // kBasic with one network number made hostile: an NCP capacity must be
+  // finite and >= 0, a link bandwidth > 0 and finite (NaN is a dead link),
+  // a failure probability in [0, 1).  Each refusal names the source and
+  // the line it blames.
+  const struct {
+    std::string from, to;
+    const char* where;
+  } cases[] = {
+      {"ncp a 100", "ncp a inf", "<scenario>:5:"},
+      {"ncp a 100", "ncp a nan", "<scenario>:5:"},
+      {"ncp a 100", "ncp a -5", "<scenario>:5:"},
+      {"ncp b 50", "ncp b -inf", "<scenario>:6:"},
+      {"link ab a b 1e6", "link ab a b inf", "<scenario>:7:"},
+      {"link ab a b 1e6", "link ab a b -5", "<scenario>:7:"},
+      {"link ab a b 1e6", "link ab a b 0", "<scenario>:7:"},
+      {"link ab a b 1e6", "dlink ab a b inf", "<scenario>:7:"},
+      {"fail=0.1", "fail=nan", "<scenario>:6:"},
+      {"fail=0.02", "fail=nan", "<scenario>:7:"},
+  };
+  for (const auto& c : cases) {
+    std::string text = kBasic;
+    const std::size_t at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    text.replace(at, c.from.size(), c.to);
+    try {
+      parse_scenario_text(text);
+      ADD_FAILURE() << "accepted '" << c.to << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(c.where, 0), 0u)
+          << "'" << c.to << "': " << e.what();
+    }
+  }
+}
+
 TEST(ScenarioIo, ParseAppsTextRequiresAnAppBlock) {
   const ScenarioFile sf = parse_scenario_text(kBasic);
   EXPECT_THROW(parse_apps_text("# just a comment\n", sf.net),

@@ -7,8 +7,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "reference_assigner.hpp"
+#include "workload/arrivals.hpp"
 #include "workload/rng.hpp"
 #include "workload/topologies.hpp"
 
@@ -269,13 +273,22 @@ TEST(WidestWidthsTo, WalksDirectedLinksAgainstTheArrow) {
   EXPECT_EQ(out[1], 3.0);  // 1 -> 2 -> 0
 }
 
+/// A link weight from a hostile mix: dead (zero or NaN), heavily tied
+/// small integers, or spread reals.
+double hostile_weight(Rng& rng) {
+  const double u = rng.uniform(0.0, 1.0);
+  return u < 0.1    ? 0.0
+         : u < 0.15 ? std::numeric_limits<double>::quiet_NaN()
+         : u < 0.5  ? static_cast<double>(rng.uniform_int(1, 3))
+                    : rng.uniform(0.01, 100.0);
+}
+
 /// The tree kernel against the point-to-point one it replaces for γ: every
 /// out[v] must be widest_path_buffered(v, root).width bit for bit (0 when v
 /// cannot reach root), on random sparse graphs with directed links, dead
 /// (zero or NaN) weights and heavily tied weights, both below and above
 /// the workspace's 64-node bitmask cut-over.
 TEST(WidestWidthsTo, MatchesPointToPointWidthsBitForBit) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
   Rng rng(20261017);
   WidestPathWorkspace tree_ws, point_ws;
   std::vector<double> out;
@@ -295,11 +308,7 @@ TEST(WidestWidthsTo, MatchesPointToPointWidthsBitForBit) {
         net.add_directed_link("l" + std::to_string(k), a, b, 1.0);
       else
         net.add_link("l" + std::to_string(k), a, b, 1.0);
-      const double u = rng.uniform(0.0, 1.0);
-      weight.push_back(u < 0.1    ? 0.0
-                       : u < 0.15 ? nan
-                       : u < 0.5  ? static_cast<double>(rng.uniform_int(1, 3))
-                                  : rng.uniform(0.01, 100.0));
+      weight.push_back(hostile_weight(rng));
     }
     const auto w = [&](LinkId l) { return weight[l]; };
     for (NcpId root = 0; root < n; ++root) {
@@ -316,6 +325,185 @@ TEST(WidestWidthsTo, MatchesPointToPointWidthsBitForBit) {
       }
     }
   }
+}
+
+/// Counts of reachable queries with a one-link NCP at one end.
+struct LeafCoverage {
+  int source{0};  ///< from a leaf
+  /// To a leaf: the kernel's early return in widest_path_buffered, and a
+  /// leaf as the root of widest_widths_to's tree.
+  int destination{0};
+};
+
+/// Algorithm 1's kernel against the heap-only loop it grew from,
+/// testutil::reference_widest_dijkstra with no floor, which queues every
+/// NCP: widest_path_buffered must match it on width (bit for bit) and on
+/// the route read off its ws.prev, and widest_widths_to on every width.
+template <typename WeightFn>
+void expect_kernel_matches_heap_only(const Network& net, const WeightFn& w,
+                                     LeafCoverage& seen,
+                                     const std::string& what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto leaf = [&](NcpId v) { return net.incident_links(v).size() == 1; };
+  const NcpId n = static_cast<NcpId>(net.ncp_count());
+  WidestPathWorkspace ws, ref_ws;
+  std::vector<double> out;
+  for (NcpId to = 0; to < n; ++to) {
+    widest_widths_to(net, to, w, ws, out);
+    for (NcpId from = 0; from < n; ++from) {
+      double bound = 0.0;
+      const bool reached = testutil::reference_widest_dijkstra(
+                               net, from, to, w, ref_ws, -kInf, &bound) == 1;
+      const double ref_width = reached ? ref_ws.phi(to) : 0.0;
+      ASSERT_EQ(bits(out[from]), bits(ref_width))
+          << what << ": tree rooted at " << to << ", from " << from << ": "
+          << out[from] << " vs heap-only " << ref_width;
+      if (from == to) continue;
+      std::vector<LinkId> ref_links;
+      for (NcpId at = to; reached && at != from;) {
+        ref_links.push_back(ref_ws.prev(at));
+        at = net.other_end(ref_links.back(), at);
+      }
+      std::reverse(ref_links.begin(), ref_links.end());
+      const WidestPathResult r = widest_path_buffered(net, from, to, w, ws);
+      ASSERT_EQ(r.reachable, reached) << what << ": " << from << " -> " << to;
+      ASSERT_EQ(bits(r.width), bits(ref_width))
+          << what << ": " << from << " -> " << to << ": " << r.width
+          << " vs heap-only " << ref_width;
+      ASSERT_EQ(r.links, ref_links) << what << ": " << from << " -> " << to;
+      if (reached) {
+        seen.source += leaf(from);
+        seen.destination += leaf(to);
+      }
+    }
+  }
+}
+
+/// The kernel settles one-link NCPs without queuing them.  Star-region
+/// soak sites (every leaf hangs off its hub by one link) on both sides of
+/// the workspace's 64-NCP bitmask cut-over, under their own bandwidths
+/// and under the hostile mix.
+TEST(WidestPathLeaves, SoakSitesMatchTheHeapOnlyLoop) {
+  Rng rng(20261020);
+  LeafCoverage seen;
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 40}, {4, 6}, {2, 32}, {4, 16}, {5, 13}, {2, 40}, {3, 30}};
+  for (const auto& [regions, per_region] : shapes) {
+    const Network net = workload::soak_site(regions, per_region, rng);
+    const std::string what = "soak_site(" + std::to_string(regions) + ", " +
+                             std::to_string(per_region) + ")";
+    const auto bandwidth = [&](LinkId l) { return net.link(l).bandwidth; };
+    expect_kernel_matches_heap_only(net, bandwidth, seen, what);
+    std::vector<double> weight(net.link_count());
+    for (double& x : weight) x = hostile_weight(rng);
+    expect_kernel_matches_heap_only(
+        net, [&](LinkId l) { return weight[l]; }, seen, what + ", hostile");
+  }
+  EXPECT_GT(seen.source, 0);
+  EXPECT_GT(seen.destination, 0);
+}
+
+/// Random sparse cores with pendant leaves: undirected leaf links, leaf
+/// links directed towards the leaf and away from it, zero and NaN leaf
+/// weights, leaves joined by two parallel links (degree 2, so they must
+/// still be queued), two-hop pendant chains and isolated NCPs.
+TEST(WidestPathLeaves, RandomGraphsWithPendantLeavesMatchTheHeapOnlyLoop) {
+  Rng rng(20261021);
+  LeafCoverage seen;
+  int parallel = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int core = static_cast<int>(rng.uniform_int(1, trial % 2 ? 60 : 20));
+    const int leaves = static_cast<int>(rng.uniform_int(1, trial % 2 ? 30 : 12));
+    Network net(ResourceSchema::cpu_only());
+    std::vector<double> weight;
+    const auto add_ncp = [&] {
+      const NcpId id = static_cast<NcpId>(net.ncp_count());
+      net.add_ncp("n" + std::to_string(id), ResourceVector::scalar(1));
+      return id;
+    };
+    const auto add_link = [&](NcpId a, NcpId b, bool directed) {
+      const std::string name = "l" + std::to_string(weight.size());
+      if (directed)
+        net.add_directed_link(name, a, b, 1.0);
+      else
+        net.add_link(name, a, b, 1.0);
+      weight.push_back(hostile_weight(rng));
+    };
+    for (int v = 0; v < core; ++v) add_ncp();
+    const int core_links = static_cast<int>(rng.uniform_int(0, 2 * core));
+    for (int k = 0; k < core_links; ++k) {
+      const NcpId a = static_cast<NcpId>(rng.uniform_int(0, core - 1));
+      const NcpId b = static_cast<NcpId>(rng.uniform_int(0, core - 1));
+      if (a != b) add_link(a, b, trial % 3 != 0 && rng.bernoulli(0.5));
+    }
+    for (int k = 0; k < leaves; ++k) {
+      const NcpId hub = static_cast<NcpId>(rng.uniform_int(0, core - 1));
+      const NcpId leaf = add_ncp();
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.5) {
+        add_link(hub, leaf, false);
+      } else if (u < 0.65) {
+        add_link(hub, leaf, true);  // towards the leaf
+      } else if (u < 0.8) {
+        add_link(leaf, hub, true);  // away from the leaf
+      } else if (u < 0.9) {
+        add_link(hub, leaf, rng.bernoulli(0.3));  // two parallel links
+        add_link(leaf, hub, rng.bernoulli(0.3));
+        ++parallel;
+      } else if (u < 0.95) {
+        add_link(hub, leaf, false);  // leaf -- tip: a pendant chain
+        add_link(leaf, add_ncp(), rng.bernoulli(0.3));
+      } else {
+        // left isolated
+      }
+    }
+    expect_kernel_matches_heap_only(
+        net, [&](LinkId l) { return weight[l]; }, seen,
+        "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(parallel, 0);
+  EXPECT_GT(seen.source, 0);
+  EXPECT_GT(seen.destination, 0);
+}
+
+/// Hand-built leaf cases: a leaf as source, as destination and as tree
+/// root; a dead (zero or NaN) leaf link; and a leaf whose two parallel
+/// links are relaxed narrow-first, which is wrong if it is settled on its
+/// first relax.
+TEST(WidestPathLeaves, HandBuiltLeafCases) {
+  // hub 0 -- 1 (core, wide) plus leaves 2 (width 4), 3 (dead: 0),
+  // 4 (dead: NaN) and 5, joined to hub 1 by a width-1 and a width-6 link.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Network net(ResourceSchema::cpu_only());
+  for (int i = 0; i < 6; ++i)
+    net.add_ncp("n" + std::to_string(i), ResourceVector::scalar(1));
+  const std::vector<double> weight = {9, 4, 0, nan, 1, 6};
+  net.add_link("core", 0, 1, 1.0);
+  net.add_link("leaf2", 0, 2, 1.0);
+  net.add_link("leaf3", 0, 3, 1.0);
+  net.add_link("leaf4", 0, 4, 1.0);
+  net.add_link("narrow5", 1, 5, 1.0);
+  net.add_link("wide5", 1, 5, 1.0);
+  const auto w = [&](LinkId l) { return weight[l]; };
+  LeafCoverage seen;
+  expect_kernel_matches_heap_only(net, w, seen, "hand-built");
+
+  WidestPathWorkspace ws;
+  const WidestPathResult to_leaf = widest_path_buffered(net, 1, 2, w, ws);
+  ASSERT_TRUE(to_leaf.reachable);
+  EXPECT_EQ(to_leaf.width, 4.0);
+  EXPECT_EQ(to_leaf.links, (std::vector<LinkId>{0, 1}));
+  const WidestPathResult from_leaf = widest_path_buffered(net, 2, 5, w, ws);
+  ASSERT_TRUE(from_leaf.reachable);
+  EXPECT_EQ(from_leaf.width, 4.0);
+  EXPECT_EQ(from_leaf.links, (std::vector<LinkId>{1, 0, 5}));
+  EXPECT_FALSE(widest_path_buffered(net, 0, 3, w, ws).reachable);
+  EXPECT_FALSE(widest_path_buffered(net, 4, 0, w, ws).reachable);
+  std::vector<double> out;
+  widest_widths_to(net, 2, w, ws, out);
+  EXPECT_EQ(out, (std::vector<double>{4, 4, kInf, 0, 0, 4}));
+  widest_widths_to(net, 0, w, ws, out);
+  EXPECT_EQ(out[5], 6.0);  // via the wide parallel link
 }
 
 TEST(ShortestHopPath, SkipsDeadLinks) {
